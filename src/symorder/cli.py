@@ -69,6 +69,7 @@ class RunConfig:
     seed: int = 0
     sparsity: Fraction = Fraction(1, 2)
     sc_path: str | None = None
+    sc: StructureConstants | None = None  # the table at sc_path, loaded once
     family: str = "random"
     output: str = "text"
 
@@ -193,7 +194,8 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     if command == "verify-iota":
         if args.d < 0:
             raise CLIInputError(f"--d must be >= 0, got {args.d}")
-        return RunConfig(command=command, d=args.d, sc_path=args.sc, output=args.output)
+        return RunConfig(command=command, d=args.d, sc_path=args.sc,
+                         sc=load_structure_constants(args.sc), output=args.output)
 
     if not 0 <= args.seed < _U64:
         raise CLIInputError(f"--seed must be in [0, 2^64), got {args.seed}")
@@ -216,6 +218,7 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
 
     # verify-theorem and cancellation share family-source resolution.
     sc_path = args.sc
+    sc = None
     family = args.family
     if sc_path is not None and family == "symmetric-control":
         raise CLIInputError("--sc and --family symmetric-control are mutually exclusive")
@@ -248,7 +251,7 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
         d = max(k - 1, n_max)
     return RunConfig(
         command=command, n=n, k=k, n_max=n_max, d=d, trials=args.trials,
-        seed=args.seed, sparsity=args.sparsity, sc_path=sc_path, family=family,
+        seed=args.seed, sparsity=args.sparsity, sc_path=sc_path, sc=sc, family=family,
         output=args.output,
     )
 
@@ -265,8 +268,7 @@ def _residual_fields(residual: WeylElement) -> tuple[int, str | None]:
 
 def _family_source(config: RunConfig) -> Callable[[int], CoefficientFamily]:
     if config.family == "derived":
-        sc = load_structure_constants(config.sc_path)
-        fam = derived_family(sc, config.n_max)
+        fam = derived_family(config.sc, config.n_max)
         return lambda _seed: fam
     if config.family == "symmetric-control":
         fam = symmetric_control_family()
@@ -361,7 +363,7 @@ def _run_span_dim(config: RunConfig) -> tuple[dict, int]:
 
 
 def _run_verify_iota(config: RunConfig) -> tuple[dict, int]:
-    sc = load_structure_constants(config.sc_path)
+    sc = config.sc
     records = []
     failures = 0
     for i in range(1, sc.n + 1):

@@ -241,7 +241,5 @@ def build_generators(family: CoefficientFamily, max_d_degree: int) -> GeneratorS
                 terms[key] = s
             else:
                 terms.pop(key, None)
-        gen = weyl_x(n, i) + WeylElement(n, terms)
-        assert gen.x_degree() == 1
-        gens.append(gen)
+        gens.append(weyl_x(n, i) + WeylElement(n, terms))
     return GeneratorSet(family, max_d_degree, tuple(gens))

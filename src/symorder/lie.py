@@ -162,9 +162,7 @@ def cmatrix(sc: StructureConstants) -> CMatrix:
                 c = sc.get(i, j, k)
                 if c:
                     terms[(zero, tuple(1 if t == k - 1 else 0 for t in range(n)))] = c
-            entry = WeylElement(n, terms)
-            assert entry.x_degree() <= 0
-            row.append(entry)
+            row.append(WeylElement(n, terms))
         rows.append(tuple(row))
     return tuple(rows)
 

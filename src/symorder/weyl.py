@@ -11,6 +11,12 @@ where ``xexp`` and ``dexp`` are exponent tuples of length n and coefficients
 are exact ``fractions.Fraction`` values.  No floating point enters anywhere:
 identities checked with this kernel hold structurally or not at all.
 
+Inside ``mul`` the arithmetic is on integers: each operand is cleared to
+integer numerators over one shared denominator and the product's Fraction
+coefficients are rebuilt once at the end.  ``_cleared`` and ``_rebuilt`` are
+the only places where the two representations meet.  The reordering
+expansion of each d^b x^c pair is kept in a bounded LRU cache.
+
 Elements are immutable after construction and all operations are pure, so
 values can be shared freely across threads.
 
@@ -22,9 +28,11 @@ derivative, the constant 1 as vacuum).
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
-from math import comb, factorial, perm
+from math import comb, factorial, lcm, perm
 from typing import Iterable, Iterator, Mapping
 
 Rational = Fraction
@@ -309,6 +317,34 @@ def scale(c: Rational | int, a: WeylElement) -> WeylElement:
     return a.scale(c)
 
 
+# Bounded, so memory stays flat; typical suites meet a few hundred pairs.
+@lru_cache(maxsize=4096)
+def _contractions(da: MultiIndex, xb: MultiIndex) -> tuple[tuple[MultiIndex, MultiIndex, int], ...]:
+    """Reorderings of d^da x^xb as (xb - t, da - t, C(da,t) C(xb,t) t!) over t."""
+    out = []
+    for t in product(*(range(min(p, q) + 1) for p, q in zip(da, xb))):
+        f = 1
+        for ti, dai, xbi in zip(t, da, xb):
+            if ti:
+                f *= comb(dai, ti) * comb(xbi, ti) * factorial(ti)
+        out.append((tuple(map(operator.sub, xb, t)), tuple(map(operator.sub, da, t)), f))
+    return tuple(out)
+
+
+def _cleared(a: WeylElement) -> tuple[int, list[tuple[MultiIndex, MultiIndex, int]]]:
+    """(L, terms) with every coefficient of a equal to numerator / L.
+
+    L is the lcm of the coefficient denominators, so numerators are ints.
+    """
+    den = lcm(*(c.denominator for c in a._terms.values()))
+    return den, [(x, d, c.numerator * (den // c.denominator)) for (x, d), c in a._terms.items()]
+
+
+def _rebuilt(n: int, numerators: dict[TermKey, int], den: int) -> WeylElement:
+    """The element with coefficients numerator / den, zeros dropped."""
+    return WeylElement._raw(n, {k: Fraction(v, den) for k, v in numerators.items() if v})
+
+
 def mul(a: WeylElement, b: WeylElement) -> WeylElement:
     """Product in the Weyl algebra, result in normal order.
 
@@ -319,44 +355,25 @@ def mul(a: WeylElement, b: WeylElement) -> WeylElement:
     where t runs over multi-indices with t <= min(b, c) componentwise and
     the combinatorial factor is a product over coordinates.  This fixes
     d^j * x_i = x_i * d^j + delta(i,j).
+
+    The inner loop runs on integers: each operand is cleared to one common
+    denominator (`_cleared`), term pairs accumulate integer numerators, and
+    the Fraction coefficients are rebuilt once at the end (`_rebuilt`).  The
+    expansion of each d^b x^c is cached per (b, c) in a bounded LRU cache.
     """
     _check_same_n(a, b)
-    n = a.n
-    out: dict[TermKey, Fraction] = {}
-    if not a._terms or not b._terms:
-        return WeylElement._raw(n, out)
-    for (xa, da), ca in a._terms.items():
-        has_d = any(da)
-        for (xb, db), cb in b._terms.items():
+    den_a, terms_a = _cleared(a)
+    den_b, terms_b = _cleared(b)
+    out: dict[TermKey, int] = {}
+    get = out.get
+    plus = operator.add
+    for xa, da, ca in terms_a:
+        for xb, db, cb in terms_b:
             c = ca * cb
-            if has_d and any(xb):
-                bounds = tuple(map(min, da, xb))
-                if any(bounds):
-                    for t in product(*(range(bound + 1) for bound in bounds)):
-                        f = 1
-                        for ti, dai, xbi in zip(t, da, xb):
-                            if ti:
-                                f *= comb(dai, ti) * comb(xbi, ti) * factorial(ti)
-                        key = (
-                            tuple(p + q - ti for p, q, ti in zip(xa, xb, t)),
-                            tuple(p + q - ti for p, q, ti in zip(da, db, t)),
-                        )
-                        s = out.get(key, _ZERO) + c * f
-                        if s:
-                            out[key] = s
-                        else:
-                            out.pop(key, None)
-                    continue
-            key = (
-                tuple(p + q for p, q in zip(xa, xb)),
-                tuple(p + q for p, q in zip(da, db)),
-            )
-            s = out.get(key, _ZERO) + c
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-    return WeylElement._raw(n, out)
+            for xs, ds, f in _contractions(da, xb):
+                key = (tuple(map(plus, xa, xs)), tuple(map(plus, ds, db)))
+                out[key] = get(key, 0) + c * f
+    return _rebuilt(a.n, out, den_a * den_b)
 
 
 def truncate(a: WeylElement, max_d_degree: TruncationOrder) -> WeylElement:

@@ -12,6 +12,7 @@ import pytest
 
 from fractions import Fraction
 
+import symorder.cli as cli
 from symorder.cli import CLIInputError, load_structure_constants, main
 from symorder.lie import heisenberg_table, sl2_table
 
@@ -91,6 +92,36 @@ def test_entry_point_subprocess_determinism():
     assert runs[0].stdout == runs[1].stdout
     assert b"elapsed" in runs[0].stderr
     json.loads(runs[0].stdout)
+
+
+def test_golden_report_without_asserts():
+    # python -O strips every assert; the report must not depend on them.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-O", "-m", "symorder.cli", "verify-theorem", "--trials", "3"],
+        cwd=ROOT, env=env, capture_output=True, check=True,
+    )
+    assert run.stdout == (GOLDEN_DIR / "verify-theorem-default.txt").read_bytes()
+
+
+def test_sc_table_loaded_once_per_invocation(monkeypatch):
+    loads = []
+
+    def counting_load(path):
+        loads.append(path)
+        return load_structure_constants(path)
+
+    monkeypatch.setattr(cli, "load_structure_constants", counting_load)
+    for name, argv, expected in GOLDEN_CASES:
+        loads.clear()
+        code, out, _err = invoke(argv)
+        assert code == expected
+        assert out == (GOLDEN_DIR / name).read_text(encoding="utf-8")
+        assert len(loads) == ("--sc" in argv), name
+    loads.clear()
+    assert invoke(["cancellation", "--sc", "data/sl2.json", "--trials", "2"])[0] == 0
+    assert loads == ["data/sl2.json"]
 
 
 def test_json_report_schema():

@@ -13,6 +13,7 @@ from symorder.generators import (
     symmetric_control_family,
 )
 from symorder.lie import derived_family, heisenberg_table
+from symorder.rng import SplitMix64
 from symorder.weyl import mul, weyl_d, weyl_x
 
 
@@ -129,6 +130,18 @@ def test_build_generators_structure():
                 assert xexp == tuple(1 if t == i - 1 else 0 for t in range(3))
                 assert coeff == 1
         assert g.coefficient(tuple(1 if t == i - 1 else 0 for t in range(3)), zero3) == 1
+
+
+def test_build_generators_x_degree_one_fuzzed():
+    # X_i has x-degree 1 whatever the family and cutoff.
+    rng = SplitMix64(1245)
+    for trial in range(40):
+        n = 1 + rng.below(4)
+        n_max = 1 + rng.below(3)
+        sparsity = Fraction(rng.below(5), 4)
+        gens = build_generators(random_family(n, n_max, sparsity, rng.next_u64()), rng.below(5))
+        for g in gens.generators:
+            assert g.x_degree() == 1, trial
 
 
 def test_build_generators_truncation_drops_high_orders():

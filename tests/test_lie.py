@@ -158,6 +158,21 @@ def test_cmatrix_invariants_and_abelian():
     assert all(e.is_zero() for row in cmatrix_power(m, 3) for e in row)
 
 
+def test_cmatrix_entries_are_d_only_fuzzed():
+    # Entries carry no x, valid table or not: cmatrix only reads C[i][j,k].
+    rng = SplitMix64(166)
+    for trial in range(40):
+        n = 1 + rng.below(4)
+        entries = {}
+        for _ in range(rng.below(8)):
+            entries[(1 + rng.below(n), 1 + rng.below(n), 1 + rng.below(n))] = rng.rational()
+        tables = [StructureConstants(n, entries), random_almost_abelian_table(2 + n, trial)]
+        for sc in tables:
+            for row in cmatrix(sc):
+                for entry in row:
+                    assert entry.x_degree() <= 0, trial
+
+
 def test_cmatrix_entries_commute():
     sc = sl2_table()
     m = cmatrix(sc)

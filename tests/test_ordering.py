@@ -298,6 +298,8 @@ def test_section_identity_on_random_polynomials():
         p = WeylElement(n, terms)
         image = e_map(p, gens)
         assert pi_project(image) == p, trial
+        # the d-free part is the vacuum action
+        assert fock_apply(image, poly_one(n)) == p, trial
         # the unnormalized map scales each k-homogeneous piece by k!
         for (xexp, _d), coeff in p.items():
             mono = WeylElement(n, {(xexp, (0,) * n): coeff})
@@ -311,6 +313,18 @@ def test_pi_project_examples():
     assert pi_project(p) == p
     mixed = p + weyl_term(2, (0, 1), (2, 0), Fraction(5, 2))
     assert pi_project(mixed) == p
+    # the d-free part equals the vacuum action a |> 1
+    rng = SplitMix64(298)
+    for trial in range(50):
+        n = 1 + rng.below(3)
+        terms = {}
+        for _ in range(rng.below(6)):
+            key = (tuple(rng.below(3) for _ in range(n)), tuple(rng.below(2) for _ in range(n)))
+            terms[key] = rng.rational()
+        a = WeylElement(n, terms)
+        projected = pi_project(a)
+        assert projected.is_polynomial(), trial
+        assert projected == fock_apply(a, poly_one(n)), trial
 
 
 def test_span_dimension_zero_family_and_k1():

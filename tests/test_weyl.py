@@ -1,9 +1,12 @@
 """Kernel laws for the Weyl algebra arithmetic and the Fock action."""
 
 from fractions import Fraction
+from itertools import product
+from math import comb, factorial
 
 import pytest
 
+import symorder.weyl as weyl
 from symorder.rng import SplitMix64
 from symorder.weyl import (
     DimensionMismatchError,
@@ -23,6 +26,28 @@ from symorder.weyl import (
     weyl_x,
     x_degree,
 )
+
+
+def _reference_mul(a: WeylElement, b: WeylElement) -> WeylElement:
+    """Independent oracle: the normal-ordering product on Fraction coefficients.
+
+    Every term pair is expanded with d^b x^c = sum_t C(b,t) C(c,t) t! x^(c-t) d^(b-t)
+    and accumulated as Fractions, with no shared denominator and no cache.
+    """
+    n = a.n
+    out: dict = {}
+    for (xa, da), ca in a.items():
+        for (xb, db), cb in b.items():
+            for t in product(*(range(min(p, q) + 1) for p, q in zip(da, xb))):
+                f = 1
+                for ti, dai, xbi in zip(t, da, xb):
+                    f *= comb(dai, ti) * comb(xbi, ti) * factorial(ti)
+                key = (
+                    tuple(p + q - ti for p, q, ti in zip(xa, xb, t)),
+                    tuple(p + q - ti for p, q, ti in zip(da, db, t)),
+                )
+                out[key] = out.get(key, Fraction(0)) + ca * cb * f
+    return WeylElement(n, out)
 
 
 def random_element(rng: SplitMix64, n: int, terms: int = 4, max_exp: int = 3) -> WeylElement:
@@ -101,6 +126,46 @@ def test_mul_defining_examples():
     for m in range(5):
         target = poly_monomial(2, (m, 0))
         assert fock_apply(lhs, target) == fock_apply(rhs, target)
+
+
+def test_mul_matches_reference_kernel():
+    rng = SplitMix64(0x5EED)
+    for trial in range(360):
+        n = 1 + rng.below(4)
+        shape = trial % 5
+        if shape == 0:
+            # c(x^u + d^v) * c(x^u - d^v): the x^u d^v terms cancel inside mul
+            u = tuple(rng.below(3) for _ in range(n))
+            v = [rng.below(3) for _ in range(n)]
+            v[rng.below(n)] += 1
+            v = tuple(v)
+            c = rng.rational()
+            a = weyl_term(n, u, (0,) * n, c) + weyl_term(n, (0,) * n, v, c)
+            b = weyl_term(n, u, (0,) * n, c) - weyl_term(n, (0,) * n, v, c)
+        elif shape == 1:
+            a, b = random_element(rng, n), WeylElement(n)
+            if rng.below(2):
+                a, b = b, a
+        elif shape == 2:
+            # d-only times x-only: the most contraction terms per pair
+            a = WeylElement(n, {((0,) * n, d): c for (_x, d), c in random_element(rng, n).items()})
+            b = random_poly(rng, n)
+        else:
+            a = random_element(rng, n, terms=1 + rng.below(5))
+            b = random_element(rng, n, terms=1 + rng.below(5))
+            if shape == 3:
+                # denominators beyond the generator's 1..4
+                a = a.scale(Fraction(1, 1 + rng.below(12)))
+                b = b.scale(Fraction(7, 6 + rng.below(30)))
+        got = mul(a, b)
+        assert got.sorted_terms() == _reference_mul(a, b).sorted_terms(), trial
+        assert all(type(coeff) is Fraction for _key, coeff in got.items()), trial
+        if shape == 0:
+            assert got.coefficient(u, v) == 0, trial
+        if shape == 1:
+            assert got.is_zero()
+        info = weyl._contractions.cache_info()
+        assert info.currsize <= info.maxsize
 
 
 def test_associativity_random_triples():
