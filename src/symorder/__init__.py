@@ -41,7 +41,6 @@ from .lie import (
     random_almost_abelian_table,
     random_two_step_table,
     sl2_table,
-    validate,
 )
 from .linalg import exact_rank
 from .ordering import (
@@ -64,19 +63,15 @@ from .weyl import (
     Polynomial,
     Rational,
     WeylElement,
-    add,
-    d_degree,
     fock_apply,
     mul,
     poly_monomial,
     poly_one,
-    scale,
     truncate,
     weyl_d,
     weyl_scalar,
     weyl_term,
     weyl_x,
-    x_degree,
 )
 
 __all__ = [
@@ -93,14 +88,12 @@ __all__ = [
     "Violation",
     "WeylElement",
     "abelian_table",
-    "add",
     "bernoulli",
     "build_generators",
     "cancellation_check",
     "cancellation_terms",
     "cmatrix",
     "cmatrix_power",
-    "d_degree",
     "derived_family",
     "direct_sum",
     "e_map",
@@ -119,7 +112,6 @@ __all__ = [
     "random_almost_abelian_table",
     "random_family",
     "random_two_step_table",
-    "scale",
     "sl2_table",
     "span_dimension",
     "symmetric_control_family",
@@ -127,13 +119,11 @@ __all__ = [
     "symmetrized_vacuum_action",
     "theorem_check",
     "truncate",
-    "validate",
     "weyl_d",
     "weyl_scalar",
     "weyl_term",
     "weyl_x",
     "word_monomial",
-    "x_degree",
 ]
 
 __version__ = "0.1.0"

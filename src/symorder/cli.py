@@ -18,7 +18,8 @@ Structure-constant files are JSON documents
 
     {"n": 3, "entries": [{"k": 3, "i": 1, "j": 2, "num": 1, "den": 1}]}
 
-listing C^k_{ij} values as exact fractions (``den`` defaults to 1).  The
+listing C^k_{ij} values as exact fractions (``den`` defaults to 1).  Every
+field must be a JSON integer; booleans, floats and strings are rejected.  The
 (j, i) mirror of each entry may be omitted and is completed by antisymmetry;
 giving both with inconsistent values, or a table failing antisymmetry or the
 Jacobi identity after completion, is rejected.
@@ -40,7 +41,13 @@ from .generators import (
     random_family,
     symmetric_control_family,
 )
-from .lie import StructureConstants, derived_family, bernoulli, homomorphism_defect
+from .lie import (
+    InvalidStructureConstantsError,
+    StructureConstants,
+    bernoulli,
+    derived_family,
+    homomorphism_defect,
+)
 from .ordering import (
     cancellation_check,
     span_dimension,
@@ -149,17 +156,23 @@ def load_structure_constants(path: str) -> StructureConstants:
     if not isinstance(data, dict) or "n" not in data:
         raise CLIInputError(f"{path}: expected an object with fields 'n' and 'entries'")
     n = data["n"]
-    if not isinstance(n, int) or n < 1:
+    # type() rather than isinstance(): JSON true/false load as bool, an int subclass.
+    if type(n) is not int or n < 1:
         raise CLIInputError(f"{path}: 'n' must be a positive integer, got {n!r}")
     explicit: dict[tuple[int, int, int], Fraction] = {}
     for pos, rec in enumerate(data.get("entries", [])):
         if not isinstance(rec, dict):
             raise CLIInputError(f"{path}: entry {pos} is not an object")
-        try:
-            key = (int(rec["k"]), int(rec["i"]), int(rec["j"]))
-            value = Fraction(int(rec["num"]), int(rec.get("den", 1)))
-        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
-            raise CLIInputError(f"{path}: entry {pos} is malformed: {exc}") from exc
+        fields = {"den": 1, **rec}
+        for name in ("k", "i", "j", "num", "den"):
+            if type(got := fields.get(name)) is not int:
+                raise CLIInputError(
+                    f"{path}: entry {pos} field {name!r} must be an integer, got {got!r}"
+                )
+        if fields["den"] == 0:
+            raise CLIInputError(f"{path}: entry {pos} has denominator 0")
+        key = (fields["k"], fields["i"], fields["j"])
+        value = Fraction(fields["num"], fields["den"])
         if any(not 1 <= idx <= n for idx in key):
             raise CLIInputError(f"{path}: entry {pos} index {key} out of range 1..{n}")
         if key in explicit:
@@ -177,11 +190,10 @@ def load_structure_constants(path: str) -> StructureConstants:
         else:
             completed[mirror] = -v
     sc = StructureConstants(n, completed)
-    violations = sc.validate()
-    if violations:
-        listed = "; ".join(str(v) for v in violations[:5])
-        more = "" if len(violations) <= 5 else f" (+{len(violations) - 5} more)"
-        raise CLIInputError(f"{path}: invalid structure constants: {listed}{more}")
+    try:
+        sc.require_valid()
+    except InvalidStructureConstantsError as exc:
+        raise CLIInputError(f"{path}: {exc}") from exc
     return sc
 
 
@@ -259,11 +271,15 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
 # -- suite execution -----------------------------------------------------------
 
 
-def _residual_fields(residual: WeylElement) -> tuple[int, str | None]:
-    if residual.is_zero():
-        return 0, None
+def _residual_record(head: dict, residual: WeylElement) -> dict:
+    """The record fields in head, then the verdict on a residual that must vanish."""
+    record = {**head, "passed": residual.is_zero(), "residual_terms": 0, "first_offending": None}
+    if record["passed"]:
+        return record
     (xexp, dexp), coeff = residual.sorted_terms()[0]
-    return residual.term_count(), format_term(xexp, dexp, coeff)
+    record["residual_terms"] = residual.term_count()
+    record["first_offending"] = format_term(xexp, dexp, coeff)
+    return record
 
 
 def _family_source(config: RunConfig) -> Callable[[int], CoefficientFamily]:
@@ -276,112 +292,72 @@ def _family_source(config: RunConfig) -> Callable[[int], CoefficientFamily]:
     return lambda seed: random_family(config.n, config.n_max, config.sparsity, seed)
 
 
+def _draw_trial(master: SplitMix64, config: RunConfig, t: int) -> tuple[int, tuple[int, ...]]:
+    """Family seed and word of trial t, drawn from the master stream.
+
+    Odd trials force a repeated letter so non-injective words are always
+    exercised.
+    """
+    fam_seed = master.next_u64()
+    word = tuple(1 + master.below(config.n) for _ in range(config.k))
+    if t % 2 == 1 and config.k >= 2:
+        word = (word[0], word[0]) + word[2:]
+    return fam_seed, word
+
+
 def _run_verify_theorem(config: RunConfig) -> tuple[dict, int]:
     source = _family_source(config)
     master = SplitMix64(config.seed)
-    inputs = []
-    for t in range(config.trials):
-        fam_seed = master.next_u64()
-        word = tuple(1 + master.below(config.n) for _ in range(config.k))
-        if t % 2 == 1 and config.k >= 2:
-            # Odd trials force a repeated letter so non-injective words are
-            # always exercised.
-            word = (word[0], word[0]) + word[2:]
-        inputs.append((t, fam_seed, word))
     records = []
-    failures = 0
-    for t, fam_seed, word in inputs:
+    for t in range(config.trials):
+        fam_seed, word = _draw_trial(master, config, t)
         gens = build_generators(source(fam_seed), config.d)
-        result = theorem_check(gens, word)
-        count, first = _residual_fields(result.residual)
-        if not result.passed:
-            failures += 1
-        records.append({
-            "trial": t,
-            "seed": str(fam_seed),
-            "word": list(word),
-            "passed": result.passed,
-            "residual_terms": count,
-            "first_offending": first,
-        })
-    return _report(config, records, failures)
+        residual = theorem_check(gens, word).residual
+        head = {"trial": t, "seed": str(fam_seed), "word": list(word)}
+        records.append(_residual_record(head, residual))
+    return _report(config, records)
 
 
 def _run_cancellation(config: RunConfig) -> tuple[dict, int]:
     source = _family_source(config)
     master = SplitMix64(config.seed)
-    inputs = []
+    records = []
     for t in range(config.trials):
-        fam_seed = master.next_u64()
-        word = tuple(1 + master.below(config.n) for _ in range(config.k))
-        if t % 2 == 1 and config.k >= 2:
-            word = (word[0], word[0]) + word[2:]
+        fam_seed, word = _draw_trial(master, config, t)
         l = 1 + master.below(config.n)
         order = 1 + master.below(config.n_max)
-        inputs.append((t, fam_seed, word, l, order))
-    records = []
-    failures = 0
-    for t, fam_seed, word, l, order in inputs:
         residual = cancellation_check(source(fam_seed), word, l, order)
-        count, first = _residual_fields(residual)
-        passed = residual.is_zero()
-        if not passed:
-            failures += 1
-        records.append({
-            "trial": t,
-            "seed": str(fam_seed),
-            "word": list(word),
-            "l": l,
-            "order": order,
-            "passed": passed,
-            "residual_terms": count,
-            "first_offending": first,
-        })
-    return _report(config, records, failures)
+        head = {"trial": t, "seed": str(fam_seed), "word": list(word), "l": l, "order": order}
+        records.append(_residual_record(head, residual))
+    return _report(config, records)
 
 
 def _run_span_dim(config: RunConfig) -> tuple[dict, int]:
     master = SplitMix64(config.seed)
     seeds = [master.next_u64() for _ in range(config.trials)]
     records = []
-    failures = 0
     for t, fam_seed in enumerate(seeds):
         fam = random_family(config.n, config.n_max, config.sparsity, fam_seed)
         gens = build_generators(fam, config.d)
         rank, symmetric_dim = span_dimension(gens, config.k)
-        passed = rank >= symmetric_dim
-        if not passed:
-            failures += 1
         records.append({
             "trial": t,
             "seed": str(fam_seed),
             "rank": rank,
             "symmetric_dim": symmetric_dim,
-            "passed": passed,
+            "passed": rank >= symmetric_dim,
         })
-    return _report(config, records, failures)
+    return _report(config, records)
 
 
 def _run_verify_iota(config: RunConfig) -> tuple[dict, int]:
     sc = config.sc
-    records = []
-    failures = 0
-    for i in range(1, sc.n + 1):
-        for j in range(i + 1, sc.n + 1):
-            residual = homomorphism_defect(sc, i, j, config.d)
-            count, first = _residual_fields(residual)
-            passed = residual.is_zero()
-            if not passed:
-                failures += 1
-            records.append({
-                "i": i,
-                "j": j,
-                "passed": passed,
-                "residual_terms": count,
-                "first_offending": first,
-            })
+    records = [
+        _residual_record({"i": i, "j": j}, residual)
+        for (i, j), residual in homomorphism_defect(sc, config.d).items()
+    ]
     config_echo = {"sc": config.sc_path, "n": sc.n, "d": config.d}
-    return _assemble(config.command, config_echo, records, failures)
+    return _assemble(config.command, config_echo, records)
 
 
 def _run_bernoulli(config: RunConfig) -> tuple[dict, int]:
@@ -389,10 +365,10 @@ def _run_bernoulli(config: RunConfig) -> tuple[dict, int]:
         {"index": i, "value": f"{bernoulli(i).numerator}/{bernoulli(i).denominator}"}
         for i in range(config.n_max + 1)
     ]
-    return _assemble(config.command, {"n_max": config.n_max}, records, 0)
+    return _assemble(config.command, {"n_max": config.n_max}, records)
 
 
-def _report(config: RunConfig, records: list[dict], failures: int) -> tuple[dict, int]:
+def _report(config: RunConfig, records: list[dict]) -> tuple[dict, int]:
     echo: dict = {
         "n": config.n,
         "k": config.k,
@@ -409,10 +385,12 @@ def _report(config: RunConfig, records: list[dict], failures: int) -> tuple[dict
         del echo["d"]
     if config.sc_path is not None:
         echo["sc"] = config.sc_path
-    return _assemble(config.command, echo, records, failures)
+    return _assemble(config.command, echo, records)
 
 
-def _assemble(command: str, echo: dict, records: list[dict], failures: int) -> tuple[dict, int]:
+def _assemble(command: str, echo: dict, records: list[dict]) -> tuple[dict, int]:
+    # bernoulli records carry no verdict and never count as failures
+    failures = sum(not rec.get("passed", True) for rec in records)
     report = {
         "command": command,
         "config": echo,

@@ -8,8 +8,9 @@ builds:
   * the n x n matrix of linear derivative forms  M[i][j] = sum_k C[i][j,k] d^k,
   * the Bernoulli-weighted embedding  embed(i) = sum_l x_l sum_N c_N (M^N)[l][i]
     with c_N = (-1)^N B_N / N!,  truncated at a chosen d-degree,
-  * the commutator residual that measures how far the truncated embedding is
-    from sending brackets to commutators (exactly zero for valid tables), and
+  * the commutator residuals of all basis pairs i < j, from one build of the
+    embedding, that measure how far the truncated embedding is from sending
+    brackets to commutators (exactly zero for valid tables), and
   * the coefficient family whose generators reproduce the embedding term for
     term (see `symorder.generators`).
 
@@ -76,9 +77,12 @@ class StructureConstants:
                 v = Fraction(value)
                 if v:
                     table[(k, i, j)] = v
-        self.n = n
-        self._table = table
-        self._violations: list[Violation] | None = None
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "_table", table)
+        object.__setattr__(self, "_violations", None)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("StructureConstants is immutable")
 
     def get(self, k: int, i: int, j: int) -> Fraction:
         return self._table.get((k, i, j), Fraction(0))
@@ -101,6 +105,11 @@ class StructureConstants:
 
         Violations are data, not errors; each names the offending index tuple
         and the nonzero residual.  Results are cached (the table is immutable).
+
+        Jacobi is checked on sorted triples i < j < l only.  Once antisymmetry
+        holds, the cyclic sum is totally antisymmetric in (i, j, l), so it
+        vanishes on repeated indices and any other order repeats a sorted
+        triple up to sign; a table failing antisymmetry is already reported.
         """
         if self._violations is not None:
             return self._violations
@@ -113,8 +122,8 @@ class StructureConstants:
                     if r:
                         out.append(Violation("antisymmetry", (k, i, j), r))
         for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                for l in range(1, n + 1):
+            for j in range(i + 1, n + 1):
+                for l in range(j + 1, n + 1):
                     for m in range(1, n + 1):
                         r = Fraction(0)
                         for s in range(1, n + 1):
@@ -125,7 +134,7 @@ class StructureConstants:
                             )
                         if r:
                             out.append(Violation("jacobi", (i, j, l, m), r))
-        self._violations = out
+        object.__setattr__(self, "_violations", out)
         return out
 
     def is_valid(self) -> bool:
@@ -135,10 +144,6 @@ class StructureConstants:
         violations = self.validate()
         if violations:
             raise InvalidStructureConstantsError(violations)
-
-
-def validate(sc: StructureConstants) -> list[Violation]:
-    return sc.validate()
 
 
 # -- the matrix of linear derivative forms -----------------------------------
@@ -279,28 +284,33 @@ def iota(sc: StructureConstants, i: int, max_d_degree: int) -> WeylElement:
     return _embedding_images(sc, max_d_degree)[i - 1]
 
 
-def homomorphism_defect(sc: StructureConstants, i: int, j: int, max_d_degree: int) -> WeylElement:
-    """[embed(i), embed(j)] - sum_k C[k][i,j] embed(k), exact to the bound.
+def homomorphism_defect(
+    sc: StructureConstants, max_d_degree: int
+) -> dict[tuple[int, int], WeylElement]:
+    """[embed(i), embed(j)] - sum_k C[k][i,j] embed(k) for every pair i < j,
+    exact to the bound, keyed by (i, j) in row order.
 
-    Operands are expanded one order past the bound before commutating: a
-    single x-d contraction lowers d-degree by exactly one, so degree-(D+1)
-    series terms feed degree-D commutator terms and nothing deeper does.
-    The result is truncated back to the bound and is zero for valid tables.
+    The embedding images are built once for all pairs.  Operands are
+    expanded one order past the bound before commutating: a single x-d
+    contraction lowers d-degree by exactly one, so degree-(D+1) series terms
+    feed degree-D commutator terms and nothing deeper does.  Each residual
+    is truncated back to the bound and is zero for valid tables.
     """
     if max_d_degree < 0:
         raise ValueError(f"truncation order must be >= 0, got {max_d_degree}")
     n = sc.n
-    for idx in (i, j):
-        if not 1 <= idx <= n:
-            raise IndexError(f"basis index {idx} out of range 1..{n}")
     images = _embedding_images(sc, max_d_degree + 1)
-    a, b = images[i - 1], images[j - 1]
-    residual = mul(a, b) - mul(b, a)
-    for k in range(1, n + 1):
-        c = sc.get(k, i, j)
-        if c:
-            residual = residual - images[k - 1].scale(c)
-    return truncate(residual, max_d_degree)
+    defects = {}
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            a, b = images[i - 1], images[j - 1]
+            residual = mul(a, b) - mul(b, a)
+            for k in range(1, n + 1):
+                c = sc.get(k, i, j)
+                if c:
+                    residual = residual - images[k - 1].scale(c)
+            defects[(i, j)] = truncate(residual, max_d_degree)
+    return defects
 
 
 def derived_family(sc: StructureConstants, n_max: int) -> CoefficientFamily:

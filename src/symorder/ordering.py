@@ -13,9 +13,9 @@ monomial:
 The checker works on vacuum actions directly: grouping permutations by their
 first letter turns the k!-term sum into a recursion over sub-multisets of
 the word, at most 2^k polynomial states.  The operator-level permutation sum
-is kept as an independent route (``method="operator"`` builds the product
-via the same multiset recursion, ``method="naive"`` literally multiplies out
-all k! orderings) so the fast path can be cross-checked.
+(`symmetrized_product`, `e_tilde`, `e_map`) uses the same recursion with
+operator products in place of vacuum actions.  Independent oracles, such as
+the literal k!-term sum, live in the tests.
 
 Truncation: the vacuum action of a k-letter word only ever differentiates
 polynomials of degree < k, so generators truncated at d-degree D behave
@@ -28,7 +28,6 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
 from math import comb, factorial
 
 from .generators import CoefficientFamily, GeneratorSet, monomials_of_degree
@@ -111,16 +110,6 @@ def _operator_sum(gens: GeneratorSet, counts: MultiIndex) -> WeylElement:
     return result
 
 
-def _naive_operator_sum(gens: GeneratorSet, word: Word) -> WeylElement:
-    result = weyl_scalar(gens.n, 0)
-    for ordering in permutations(word):
-        prod = weyl_scalar(gens.n, 1)
-        for a in reversed(ordering):
-            prod = mul(gens.generators[a - 1], prod)
-        result = result + prod
-    return result
-
-
 def _warn_if_insufficient(gens: GeneratorSet, k: int) -> bool:
     sufficient = gens.max_d_degree >= k - 1
     if not sufficient:
@@ -133,30 +122,18 @@ def _warn_if_insufficient(gens: GeneratorSet, k: int) -> bool:
     return sufficient
 
 
-def symmetrized_product(gens: GeneratorSet, word: Word, method: str = "multiset") -> WeylElement:
-    """The permutation sum e_tilde(word) as an operator.
-
-    ``method="multiset"`` uses the sub-multiset recursion; ``"naive"``
-    multiplies out all k! orderings.  Both give the same element.
-    """
+def symmetrized_product(gens: GeneratorSet, word: Word) -> WeylElement:
+    """The permutation sum e_tilde(word) as an operator."""
     counts = word_counts(gens.n, word)
     _warn_if_insufficient(gens, len(word))
-    if method == "multiset":
-        return _operator_sum(gens, counts)
-    if method == "naive":
-        return _naive_operator_sum(gens, word)
-    raise ValueError(f"unknown method {method!r}")
+    return _operator_sum(gens, counts)
 
 
-def symmetrized_vacuum_action(gens: GeneratorSet, word: Word, method: str = "multiset") -> Polynomial:
+def symmetrized_vacuum_action(gens: GeneratorSet, word: Word) -> Polynomial:
     """e_tilde(word) applied to the constant polynomial 1."""
     counts = word_counts(gens.n, word)
     _warn_if_insufficient(gens, len(word))
-    if method == "multiset":
-        return _vacuum_action(gens, counts)
-    if method == "naive":
-        return fock_apply(_naive_operator_sum(gens, word), poly_one(gens.n))
-    raise ValueError(f"unknown method {method!r}")
+    return _vacuum_action(gens, counts)
 
 
 @dataclass(frozen=True)
@@ -175,27 +152,15 @@ class CheckResult:
     truncation_sufficient: bool
 
 
-def theorem_check(gens: GeneratorSet, word: Word, method: str = "vacuum") -> CheckResult:
-    """Check e_tilde(word) |> 1 == k! * word monomial for one word.
-
-    ``method="vacuum"`` (default) runs the polynomial recursion;
-    ``"operator"`` builds the full permutation-summed operator first;
-    ``"naive"`` multiplies out all k! orderings.  All three agree.
-    """
+def theorem_check(gens: GeneratorSet, word: Word) -> CheckResult:
+    """Check e_tilde(word) |> 1 == k! * word monomial for one word."""
     word = tuple(word)
     if not word:
         raise ValueError("word must have at least one letter")
     k = len(word)
-    sufficient = gens.max_d_degree >= k - 1
-    if method == "vacuum":
-        acted = symmetrized_vacuum_action(gens, word, "multiset")
-    elif method == "operator":
-        acted = fock_apply(symmetrized_product(gens, word, "multiset"), poly_one(gens.n))
-    elif method == "naive":
-        acted = symmetrized_vacuum_action(gens, word, "naive")
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    residual = acted - word_monomial(gens.n, word).scale(factorial(k))
+    counts = word_counts(gens.n, word)
+    sufficient = _warn_if_insufficient(gens, k)
+    residual = _vacuum_action(gens, counts) - word_monomial(gens.n, word).scale(factorial(k))
     return CheckResult(word, residual.is_zero(), residual, sufficient)
 
 
@@ -279,13 +244,8 @@ def e_map(p: Polynomial, gens: GeneratorSet) -> WeylElement:
     """The normalized symmetrization e = e_tilde / k! per degree-k monomial."""
     if not p.is_polynomial():
         raise ValueError("e_map argument must be a polynomial (dexp == 0)")
-    if not p.is_zero():
-        _warn_if_insufficient(gens, p.x_degree())
-    acc = weyl_scalar(gens.n, 0)
-    for (xexp, _d), coeff in p.items():
-        k = sum(xexp)
-        acc = acc + _operator_sum(gens, xexp).scale(coeff / factorial(k))
-    return acc
+    normalized = {key: c / factorial(sum(key[0])) for key, c in p.items()}
+    return e_tilde(WeylElement(p.n, normalized), gens)
 
 
 def pi_project(a: WeylElement) -> Polynomial:

@@ -306,17 +306,6 @@ def poly_one(n: int) -> Polynomial:
     return weyl_scalar(n, 1)
 
 
-# -- named operation surface -------------------------------------------------
-
-
-def add(a: WeylElement, b: WeylElement) -> WeylElement:
-    return a + b
-
-
-def scale(c: Rational | int, a: WeylElement) -> WeylElement:
-    return a.scale(c)
-
-
 # Bounded, so memory stays flat; typical suites meet a few hundred pairs.
 @lru_cache(maxsize=4096)
 def _contractions(da: MultiIndex, xb: MultiIndex) -> tuple[tuple[MultiIndex, MultiIndex, int], ...]:
@@ -416,11 +405,3 @@ def fock_apply(a: WeylElement, p: Polynomial) -> Polynomial:
             else:
                 out.pop(key, None)
     return WeylElement._raw(n, out)
-
-
-def x_degree(a: WeylElement) -> int:
-    return a.x_degree()
-
-
-def d_degree(a: WeylElement) -> int:
-    return a.d_degree()

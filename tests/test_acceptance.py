@@ -204,10 +204,9 @@ def test_criterion_4_embedding_suite(capsys):
         if not sc.is_valid():
             failures.append((name, "invalid table"))
             continue
-        for i in range(1, sc.n + 1):
-            for j in range(i + 1, sc.n + 1):
-                if not homomorphism_defect(sc, i, j, 4).is_zero():
-                    failures.append((name, "defect", i, j))
+        for (i, j), residual in homomorphism_defect(sc, 4).items():
+            if not residual.is_zero():
+                failures.append((name, "defect", i, j))
         gens = build_generators(derived_family(sc, 4), 4)
         for i in range(1, sc.n + 1):
             if gens.generator(i) != iota(sc, i, 4):

@@ -290,6 +290,11 @@ def test_load_rejects_bad_files(tmp_path):
             {"k": 3, "i": 1, "j": 2, "num": 1},
             {"k": 1, "i": 1, "j": 3, "num": 1},
         ]},
+        # JSON values that are not plain integers are never coerced
+        {"n": True, "entries": []},
+        {"n": 3, "entries": [{"k": 3.9, "i": 1, "j": 2, "num": 1}]},
+        {"n": 3, "entries": [{"k": 3, "i": True, "j": "2", "num": 1}]},
+        {"n": 3, "entries": [{"k": 3, "i": 1, "j": 2, "num": 1, "den": "1"}]},
     ]
     for payload in cases:
         with pytest.raises(CLIInputError):
@@ -317,3 +322,11 @@ def test_jacobi_rejection_exits_two(tmp_path):
     assert code == 2
     assert out == ""
     assert "jacobi" in err.lower()
+
+
+def test_non_integer_dimension_exits_two(tmp_path):
+    path = sc_file(tmp_path, {"n": True, "entries": []})
+    code, out, err = invoke(["verify-iota", "--sc", path])
+    assert code == 2
+    assert out == ""
+    assert "'n' must be a positive integer" in err

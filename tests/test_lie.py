@@ -5,6 +5,7 @@ from math import factorial
 
 import pytest
 
+import symorder.lie as lie
 from symorder.generators import build_generators
 from symorder.lie import (
     InvalidStructureConstantsError,
@@ -22,7 +23,6 @@ from symorder.lie import (
     random_almost_abelian_table,
     random_two_step_table,
     sl2_table,
-    validate,
 )
 from symorder.rng import SplitMix64
 from symorder.weyl import WeylElement, mul, truncate, weyl_d, weyl_x
@@ -78,17 +78,22 @@ ALL_TABLES = [
 
 
 def test_validate_examples():
-    assert validate(heisenberg_table()) == []
-    assert validate(abelian_table(3)) == []
+    assert heisenberg_table().validate() == []
+    assert abelian_table(3).validate() == []
     sc = StructureConstants(2, {(1, 1, 2): 1})
-    violations = validate(sc)
+    violations = sc.validate()
     anti = [v for v in violations if v.kind == "antisymmetry"]
     assert len(anti) == 1
     assert anti[0].indices == (1, 1, 2)
     assert anti[0].residual == 1
     bad = StructureConstants(3, {(3, 1, 2): 1, (3, 2, 1): -1, (1, 1, 3): 1, (1, 3, 1): -1})
-    kinds = {v.kind for v in validate(bad)}
+    kinds = {v.kind for v in bad.validate()}
     assert kinds == {"jacobi"}
+    # Jacobi is totally antisymmetric in (i, j, l) once antisymmetry holds,
+    # so each violation is reported once, at its sorted triple
+    for v in bad.validate():
+        i, j, l, _m = v.indices
+        assert i < j < l, v
 
 
 def test_validate_matches_brute_force_on_fuzzed_tables():
@@ -101,7 +106,7 @@ def test_validate_matches_brute_force_on_fuzzed_tables():
             key = (1 + rng.below(n), 1 + rng.below(n), 1 + rng.below(n))
             entries[key] = rng.rational()
         sc = StructureConstants(n, entries)
-        ok = not validate(sc)
+        ok = not sc.validate()
         assert ok == brute_force_violation_free(sc), (trial, entries)
         accepted += ok
     # the fuzz must exercise both outcomes
@@ -252,28 +257,52 @@ def test_iota_abelian_and_errors():
 
 def test_homomorphism_defect_zero_on_suite():
     for sc in ALL_TABLES:
+        pairs = [(i, j) for i in range(1, sc.n + 1) for j in range(i + 1, sc.n + 1)]
         for d in (0, 2, 4):
-            for i in range(1, sc.n + 1):
-                for j in range(1, sc.n + 1):
-                    assert homomorphism_defect(sc, i, j, d).is_zero(), (sc, i, j, d)
+            defects = homomorphism_defect(sc, d)
+            assert list(defects) == pairs
+            for (i, j), residual in defects.items():
+                assert residual.is_zero(), (sc, i, j, d)
 
 
 def test_homomorphism_defect_sl2_reconciles_at_higher_order():
     # the D=4 result re-derived from a D=5 computation must agree
     sc = sl2_table()
-    for i in range(1, 4):
-        for j in range(1, 4):
-            at4 = homomorphism_defect(sc, i, j, 4)
-            at5 = homomorphism_defect(sc, i, j, 5)
-            assert truncate(at5, 4) == at4
-            assert at4.is_zero()
+    at4 = homomorphism_defect(sc, 4)
+    at5 = homomorphism_defect(sc, 5)
+    for pair, residual in at4.items():
+        assert truncate(at5[pair], 4) == residual
+        assert residual.is_zero()
 
 
 def test_homomorphism_defect_antisymmetric():
+    # the (j, i) defect rebuilt from iota images, one order past the bound
+    d = 3
     for sc in ALL_TABLES[:4]:
-        for i in range(1, sc.n + 1):
-            for j in range(1, sc.n + 1):
-                assert homomorphism_defect(sc, i, j, 3) == -homomorphism_defect(sc, j, i, 3)
+        defects = homomorphism_defect(sc, d)
+        images = [iota(sc, i, d + 1) for i in range(1, sc.n + 1)]
+        for (i, j), residual in defects.items():
+            a, b = images[j - 1], images[i - 1]
+            swapped = mul(a, b) - mul(b, a)
+            for k in range(1, sc.n + 1):
+                swapped = swapped - images[k - 1].scale(sc.get(k, j, i))
+            assert truncate(swapped, d) == -residual, (sc, i, j)
+
+
+def test_homomorphism_defect_builds_images_once(monkeypatch):
+    calls = []
+    build = lie._embedding_images
+
+    def counted(sc, max_d_degree):
+        calls.append(max_d_degree)
+        return build(sc, max_d_degree)
+
+    monkeypatch.setattr(lie, "_embedding_images", counted)
+    defects = homomorphism_defect(random_two_step_table(5, 2, seed=2), 2)
+    assert len(defects) == 10
+    assert calls == [3]
+    with pytest.raises(ValueError):
+        homomorphism_defect(sl2_table(), -1)
 
 
 def test_derived_family_heisenberg():
@@ -300,6 +329,15 @@ def test_direct_sum_indexing():
     assert joined.get(3, 1, 2) == 1
     assert joined.get(6, 4, 5) == 1
     assert joined.get(6, 1, 2) == 0
+
+
+def test_structure_constants_immutable():
+    sc = heisenberg_table()
+    with pytest.raises(AttributeError):
+        sc.n = 4
+    with pytest.raises(AttributeError):
+        sc._table = {}
+    assert sc.n == 3 and sc == heisenberg_table()
 
 
 def test_table_builder_arguments():

@@ -118,11 +118,11 @@ def test_multiset_recursion_equals_naive_enumeration():
         else:
             words = [tuple(1 + rng.below(n) for _ in range(k)) for _ in range(3)]
         for word in words:
+            oracle = oracle_permutation_sum(gens, word)
             fast = symmetrized_product(gens, word)
-            assert fast == oracle_permutation_sum(gens, word), (n, k, word)
-            assert fast == symmetrized_product(gens, word, method="naive")
+            assert fast == oracle, (n, k, word)
             vac = symmetrized_vacuum_action(gens, word)
-            assert vac == symmetrized_vacuum_action(gens, word, method="naive")
+            assert vac == fock_apply(oracle, poly_one(n))
             assert vac == fock_apply(fast, poly_one(n))
 
 
@@ -141,15 +141,22 @@ def test_theorem_check_passes_on_antisymmetric_families():
                 assert result.word == word
 
 
+def oracle_residual(gens: GeneratorSet, word) -> WeylElement:
+    """e_tilde(word) |> 1 - k! * word monomial, from the literal permutation sum."""
+    acted = fock_apply(oracle_permutation_sum(gens, word), poly_one(gens.n))
+    return acted - word_monomial(gens.n, word).scale(factorial(len(word)))
+
+
 def test_theorem_check_methods_agree():
     fam = random_family(2, 2, Fraction(1, 2), seed=77)
     gens = build_generators(fam, 3)
     for word in [(1,), (1, 1), (2, 1), (1, 2, 2), (2, 2, 1, 1)]:
-        by_method = [theorem_check(gens, word, method=m) for m in ("vacuum", "operator", "naive")]
-        assert all(r.passed for r in by_method)
-        assert len({str(r.residual) for r in by_method}) == 1
-    with pytest.raises(ValueError):
-        theorem_check(gens, (1, 2), method="bogus")
+        result = theorem_check(gens, word)
+        assert result.passed
+        assert str(result.residual) == str(oracle_residual(gens, word))
+        # the operator-level product acts on the vacuum the same way
+        acted = fock_apply(symmetrized_product(gens, word), poly_one(2))
+        assert acted == symmetrized_vacuum_action(gens, word)
     with pytest.raises(ValueError):
         theorem_check(gens, ())
 
@@ -176,10 +183,8 @@ def test_symmetric_control_family_fails():
     assert not result.passed
     assert result.truncation_sufficient
     assert result.residual == weyl_x(2, 1).scale(2)
-    # the naive route reproduces the same residual
-    naive = theorem_check(gens, (1, 2), method="naive")
-    assert not naive.passed
-    assert naive.residual == result.residual
+    # the literal permutation sum reproduces the same residual
+    assert oracle_residual(gens, (1, 2)) == result.residual
 
 
 def test_truncation_warning_below_exactness_bound():
