@@ -23,7 +23,7 @@ from itertools import combinations_with_replacement
 from typing import Iterator, Mapping
 
 from .rng import SplitMix64
-from .weyl import MultiIndex, Rational, WeylElement, weyl_x
+from .weyl import MultiIndex, Rational, WeylElement
 
 # (order N, l, i, j, monomial m with |m| = N - 1)
 FamilyKey = tuple[int, int, int, int, MultiIndex]
@@ -73,22 +73,23 @@ class CoefficientFamily:
             for (order, l, i, j, m), value in entries.items():
                 if not 1 <= order <= n_max:
                     raise ValueError(f"order {order} out of range 1..{n_max}")
-                for idx in (l, i, j):
-                    if not 1 <= idx <= n:
-                        raise IndexError(f"index {(l, i, j)} out of range 1..{n}")
-                mi = tuple(int(e) for e in m)
-                if len(mi) != n or any(e < 0 for e in mi):
+                if not (1 <= l <= n and 1 <= i <= n and 1 <= j <= n):
+                    raise IndexError(f"index {(l, i, j)} out of range 1..{n}")
+                mi = tuple(map(int, m))
+                if len(mi) != n or min(mi) < 0:
                     raise ValueError(f"bad monomial {m} for dimension {n}")
                 if sum(mi) != order - 1:
                     raise ValueError(
                         f"monomial {mi} has degree {sum(mi)}, order {order} needs {order - 1}"
                     )
-                v = Fraction(value)
+                v = value if type(value) is Fraction else Fraction(value)
                 if v:
                     canonical[(order, l, i, j, mi)] = v
         antisymmetric = True
         for (order, l, i, j, m), v in canonical.items():
-            if canonical.get((order, l, j, i, m), Fraction(0)) != -v:
+            # w == -v on normalized Fractions, without allocating -v
+            w = canonical.get((order, l, j, i, m))
+            if w is None or w.numerator != -v.numerator or w.denominator != v.denominator:
                 antisymmetric = False
                 if check_antisymmetry:
                     raise ValueError(
@@ -221,25 +222,23 @@ def build_generators(family: CoefficientFamily, max_d_degree: int) -> GeneratorS
     """Assemble X_1..X_n from the family, keeping d-degree <= max_d_degree.
 
     The order-N correction terms have d-degree exactly N, so the cutoff
-    simply drops all orders beyond it.
+    simply drops all orders beyond it.  One pass over the family fills a
+    term dict per generator, seeded with the x_i key, which has d-degree 0
+    and so never collides with a correction term.
     """
     if max_d_degree < 0:
         raise ValueError(f"truncation order must be >= 0, got {max_d_degree}")
     n = family.n
     zero = (0,) * n
-    gens = []
-    for i in range(1, n + 1):
-        terms: dict[tuple[MultiIndex, MultiIndex], Fraction] = {}
-        for (order, l, ii, j, m), v in family.items():
-            if ii != i or order > max_d_degree:
-                continue
-            xexp = tuple(1 if t == l - 1 else 0 for t in range(n))
-            dexp = tuple(e + (1 if t == j - 1 else 0) for t, e in enumerate(m))
-            key = (xexp, dexp)
-            s = terms.get(key, Fraction(0)) + v
+    units = [tuple(int(t == i) for t in range(n)) for i in range(n)]
+    buckets = [{(u, zero): Fraction(1)} for u in units]
+    for (order, l, i, j, m), v in family.items():
+        if order <= max_d_degree:
+            terms = buckets[i - 1]
+            key = (units[l - 1], m[: j - 1] + (m[j - 1] + 1,) + m[j:])
+            s = terms[key] + v if key in terms else v
             if s:
                 terms[key] = s
             else:
-                terms.pop(key, None)
-        gens.append(weyl_x(n, i) + WeylElement(n, terms))
-    return GeneratorSet(family, max_d_degree, tuple(gens))
+                del terms[key]
+    return GeneratorSet(family, max_d_degree, tuple(WeylElement._raw(n, t) for t in buckets))

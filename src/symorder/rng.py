@@ -43,11 +43,12 @@ class SplitMix64:
 
     def bernoulli(self, p: Fraction) -> bool:
         """True with exact probability p (a rational in [0, 1])."""
-        if not 0 <= p <= 1:
+        num, den = p.numerator, p.denominator  # den > 0: 0 <= p <= 1 on ints
+        if not 0 <= num <= den:
             raise ValueError(f"probability must lie in [0, 1], got {p}")
         u = self.next_u64()
-        # u / 2^64 < p/q  <=>  u*q < p*2^64
-        return u * p.denominator < p.numerator << 64
+        # u / 2^64 < num/den  <=>  u*den < num*2^64
+        return u * den < num << 64
 
     def rational(self, max_abs_numerator: int = 9, max_denominator: int = 4) -> Fraction:
         """A small nonzero rational: numerator in +-[1, max], denominator uniform."""

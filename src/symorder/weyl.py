@@ -11,14 +11,16 @@ where ``xexp`` and ``dexp`` are exponent tuples of length n and coefficients
 are exact ``fractions.Fraction`` values.  No floating point enters anywhere:
 identities checked with this kernel hold structurally or not at all.
 
-Inside ``mul`` the arithmetic is on integers: each operand is cleared to
-integer numerators over one shared denominator and the product's Fraction
-coefficients are rebuilt once at the end.  ``_cleared`` and ``_rebuilt`` are
-the only places where the two representations meet.  The reordering
-expansion of each d^b x^c pair is kept in a bounded LRU cache.
+Inside ``mul`` and ``fock_apply`` the arithmetic is on integers: each
+operand is cleared to integer numerators over one shared denominator and the
+result's Fraction coefficients are rebuilt once at the end.  ``_cleared`` and
+``_rebuilt`` are the only places where the two representations meet.  The
+reordering expansion of each d^b x^c pair is kept in a bounded LRU cache.
 
-Elements are immutable after construction and all operations are pure, so
-values can be shared freely across threads.
+Elements are immutable and all operations are pure.  Each element memoizes
+its cleared form in a write-once slot that ``==``, ``repr`` and the accessors
+never read; threads racing on it compute the same value, so values can be
+shared freely across threads.
 
 The same class doubles as the commutative polynomial module the algebra acts
 on: a *polynomial* is an element whose every term has ``dexp == 0``, and
@@ -63,10 +65,10 @@ class WeylElement:
 
     ``terms`` maps ``(xexp, dexp)`` to a nonzero Fraction; zero is the empty
     map.  The constructor canonicalizes (coerces coefficients, drops zeros)
-    and validates exponent shapes.
+    and validates exponent shapes.  ``_int`` is the `_cleared` memo.
     """
 
-    __slots__ = ("n", "_terms")
+    __slots__ = ("n", "_terms", "_int")
 
     def __init__(self, n: int, terms: Mapping[TermKey, Rational | int] | None = None):
         if n < 1:
@@ -78,15 +80,11 @@ class WeylElement:
                 if c == 0:
                     continue
                 key = (_as_multi_index(xexp, n, "xexp"), _as_multi_index(dexp, n, "dexp"))
-                prev = canonical.get(key)
-                if prev is None:
-                    canonical[key] = c
+                s = canonical[key] + c if key in canonical else c
+                if s:
+                    canonical[key] = s
                 else:
-                    s = prev + c
-                    if s:
-                        canonical[key] = s
-                    else:
-                        del canonical[key]
+                    del canonical[key]
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "_terms", canonical)
 
@@ -320,13 +318,18 @@ def _contractions(da: MultiIndex, xb: MultiIndex) -> tuple[tuple[MultiIndex, Mul
     return tuple(out)
 
 
-def _cleared(a: WeylElement) -> tuple[int, list[tuple[MultiIndex, MultiIndex, int]]]:
+def _cleared(a: WeylElement) -> tuple[int, tuple[tuple[MultiIndex, MultiIndex, int], ...]]:
     """(L, terms) with every coefficient of a equal to numerator / L.
 
     L is the lcm of the coefficient denominators, so numerators are ints.
+    Computed on first use and memoized in the element's ``_int`` slot.
     """
-    den = lcm(*(c.denominator for c in a._terms.values()))
-    return den, [(x, d, c.numerator * (den // c.denominator)) for (x, d), c in a._terms.items()]
+    memo = getattr(a, "_int", None)
+    if memo is None:
+        den = lcm(*(c.denominator for c in a._terms.values()))
+        memo = den, tuple((x, d, c.numerator * (den // c.denominator)) for (x, d), c in a.items())
+        object.__setattr__(a, "_int", memo)
+    return memo
 
 
 def _rebuilt(n: int, numerators: dict[TermKey, int], den: int) -> WeylElement:
@@ -380,28 +383,25 @@ def fock_apply(a: WeylElement, p: Polynomial) -> Polynomial:
 
     A term x^a d^b sends the monomial x^c to  prod_i (c_i)!/(c_i-b_i)! *
     x^(a+c-b)  when b <= c componentwise, else to 0; extended bilinearly.
+    As in `mul`, term pairs accumulate integer numerators (`_cleared`,
+    `_rebuilt`).
     """
     _check_same_n(a, p)
-    n = a.n
-    zero = (0,) * n
-    out: dict[TermKey, Fraction] = {}
-    for (mexp, mz), q in p._terms.items():
+    den_a, terms_a = _cleared(a)
+    den_p, terms_p = _cleared(p)
+    out: dict[TermKey, int] = {}
+    get = out.get
+    for mexp, mz, q in terms_p:
         if any(mz):
             raise ValueError("fock_apply target must be a polynomial (dexp == 0)")
-        for (xexp, dexp), c in a._terms.items():
-            f = 1
+        for xexp, dexp, c in terms_a:
+            f = c * q
             for d_i, m_i in zip(dexp, mexp):
                 if d_i:
                     if d_i > m_i:
-                        f = 0
                         break
                     f *= perm(m_i, d_i)
-            if not f:
-                continue
-            key = (tuple(x + m - d for x, m, d in zip(xexp, mexp, dexp)), zero)
-            s = out.get(key, _ZERO) + c * q * f
-            if s:
-                out[key] = s
             else:
-                out.pop(key, None)
-    return WeylElement._raw(n, out)
+                key = (tuple(map(operator.sub, map(operator.add, xexp, mexp), dexp)), mz)
+                out[key] = get(key, 0) + f
+    return _rebuilt(a.n, out, den_a * den_p)

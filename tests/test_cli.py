@@ -18,6 +18,9 @@ from symorder.lie import heisenberg_table, sl2_table
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN_DIR = ROOT / "docs" / "golden"
+# Subprocesses import the package from this checkout, installed or not.
+SRC_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
 
 # filename -> (argv, expected exit status); the report bytes for each case are
 # committed under docs/golden and re-checked here so any drift in the output
@@ -86,7 +89,7 @@ def test_entry_point_subprocess_determinism():
     argv = [sys.executable, "-m", "symorder.cli", "verify-theorem", "--trials", "2",
             "--output", "json"]
     runs = [
-        subprocess.run(argv, cwd=ROOT, capture_output=True, check=True)
+        subprocess.run(argv, cwd=ROOT, env=SRC_ENV, capture_output=True, check=True)
         for _ in range(2)
     ]
     assert runs[0].stdout == runs[1].stdout
@@ -96,11 +99,9 @@ def test_entry_point_subprocess_determinism():
 
 def test_golden_report_without_asserts():
     # python -O strips every assert; the report must not depend on them.
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     run = subprocess.run(
         [sys.executable, "-O", "-m", "symorder.cli", "verify-theorem", "--trials", "3"],
-        cwd=ROOT, env=env, capture_output=True, check=True,
+        cwd=ROOT, env=SRC_ENV, capture_output=True, check=True,
     )
     assert run.stdout == (GOLDEN_DIR / "verify-theorem-default.txt").read_bytes()
 

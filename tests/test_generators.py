@@ -14,7 +14,53 @@ from symorder.generators import (
 )
 from symorder.lie import derived_family, heisenberg_table
 from symorder.rng import SplitMix64
-from symorder.weyl import mul, weyl_d, weyl_x
+from symorder.weyl import WeylElement, mul, weyl_d, weyl_x
+
+
+def _reference_build_generators(family: CoefficientFamily, max_d_degree: int) -> list:
+    """Independent oracle: one full scan of the family per generator index,
+    each X_i assembled as x_i plus a canonicalized correction element."""
+    n = family.n
+    gens = []
+    for i in range(1, n + 1):
+        terms: dict = {}
+        for (order, l, ii, j, m), v in family.items():
+            if ii != i or order > max_d_degree:
+                continue
+            xexp = tuple(1 if t == l - 1 else 0 for t in range(n))
+            dexp = tuple(e + (1 if t == j - 1 else 0) for t, e in enumerate(m))
+            terms[(xexp, dexp)] = terms.get((xexp, dexp), Fraction(0)) + v
+        gens.append(weyl_x(n, i) + WeylElement(n, terms))
+    return gens
+
+
+def _colliding_family(rng: SplitMix64, n: int, n_max: int) -> tuple[CoefficientFamily, int, tuple]:
+    """A random antisymmetric family (n >= 3, n_max >= 2) rewritten so that
+    (N, l, i, j, mu - e_j) and (N, l, i, j2, mu - e_j2) hold opposite values
+    and no other entry lands on the generator key (x_l, d^mu) of X_i: the
+    colliding keys cancel there.  Returns (family, i, key)."""
+    entries = dict(random_family(n, n_max, Fraction(rng.below(5), 4), rng.next_u64()).items())
+    order = 2 + rng.below(n_max - 1)
+    l, i = 1 + rng.below(n), 1 + rng.below(n)
+    others = [j for j in range(1, n + 1) if j != i]
+    j = others[rng.below(len(others))]
+    j2 = others[(others.index(j) + 1 + rng.below(len(others) - 1)) % len(others)]
+    mu = [0] * n
+    for _ in range(order - 2):
+        mu[rng.below(n)] += 1
+    mu[j - 1] += 1
+    mu[j2 - 1] += 1
+    v = rng.rational()
+    for jj in others:
+        m = tuple(e - (t == jj - 1) for t, e in enumerate(mu))
+        w = {j: v, j2: -v}.get(jj)
+        for key, value in (((order, l, i, jj, m), w), ((order, l, jj, i, m), w and -w)):
+            if w is None:
+                entries.pop(key, None)
+            else:
+                entries[key] = value
+    key = (tuple(int(t == l - 1) for t in range(n)), tuple(mu))
+    return CoefficientFamily(n, n_max, entries), i, key
 
 
 def test_monomials_of_degree():
@@ -155,6 +201,27 @@ def test_build_generators_truncation_drops_high_orders():
         assert low.generator(i).d_degree() <= 1
     with pytest.raises(ValueError):
         build_generators(fam, -1)
+
+
+def test_build_generators_matches_reference_builder():
+    rng = SplitMix64(0xB11D)
+    families = [(symmetric_control_family(), None)]
+    for _ in range(40):
+        fam, i, key = _colliding_family(rng, 3 + rng.below(2), 2 + rng.below(2))
+        families.append((fam, (i, key)))
+        n = 1 + rng.below(4)
+        families.append((random_family(n, 1 + rng.below(3), Fraction(rng.below(5), 4),
+                                       rng.next_u64()), None))
+    for trial, (fam, collision) in enumerate(families):
+        for cutoff in range(fam.n_max + 2):
+            got = build_generators(fam, cutoff).generators
+            ref = _reference_build_generators(fam, cutoff)
+            assert [g.sorted_terms() for g in got] == [r.sorted_terms() for r in ref], trial
+            for g in got:
+                assert all(type(c) is Fraction and c != 0 for _key, c in g.items()), trial
+            if collision:
+                i, (xexp, dexp) = collision
+                assert (xexp, dexp) not in dict(got[i - 1].items()), trial
 
 
 def test_generator_index_range():

@@ -55,8 +55,9 @@ def test_bernoulli_edges_and_balance():
     assert all(g.bernoulli(Fraction(1)) for _ in range(50))
     hits = sum(g.bernoulli(Fraction(1, 2)) for _ in range(400))
     assert 120 < hits < 280
-    with pytest.raises(ValueError):
-        g.bernoulli(Fraction(3, 2))
+    for bad in (Fraction(3, 2), Fraction(-1, 2)):
+        with pytest.raises(ValueError):
+            g.bernoulli(bad)
 
 
 def test_rational_shape():

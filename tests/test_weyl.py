@@ -1,8 +1,10 @@
 """Kernel laws for the Weyl algebra arithmetic and the Fock action."""
 
+import sys
+import threading
 from fractions import Fraction
 from itertools import product
-from math import comb, factorial
+from math import comb, factorial, perm
 
 import pytest
 
@@ -44,6 +46,27 @@ def _reference_mul(a: WeylElement, b: WeylElement) -> WeylElement:
                 )
                 out[key] = out.get(key, Fraction(0)) + ca * cb * f
     return WeylElement(n, out)
+
+
+def _reference_fock_apply(a: WeylElement, p: WeylElement) -> WeylElement:
+    """Independent oracle: the Fock action accumulated as Fractions.
+
+    x^a d^b sends x^c to prod_i c_i! / (c_i - b_i)! * x^(a + c - b) when
+    b <= c, else to 0; no shared denominator and no memoized operand form.
+    """
+    out: dict = {}
+    for (mexp, mz), q in p.items():
+        if any(mz):
+            raise ValueError("target must be a polynomial")
+        for (xexp, dexp), c in a.items():
+            if any(d > m for d, m in zip(dexp, mexp)):
+                continue
+            f = 1
+            for d, m in zip(dexp, mexp):
+                f *= perm(m, d)
+            key = (tuple(x + m - d for x, m, d in zip(xexp, mexp, dexp)), mz)
+            out[key] = out.get(key, Fraction(0)) + c * q * f
+    return WeylElement(a.n, out)
 
 
 def random_element(rng: SplitMix64, n: int, terms: int = 4, max_exp: int = 3) -> WeylElement:
@@ -162,6 +185,121 @@ def test_mul_matches_reference_kernel():
             assert got.is_zero()
         info = weyl._contractions.cache_info()
         assert info.currsize <= info.maxsize
+
+
+def _falling(m, v) -> int:
+    """prod_i m_i! / (m_i - v_i)!, the weight d^v puts on x^m."""
+    f = 1
+    for mi, vi in zip(m, v):
+        f *= perm(mi, vi)
+    return f
+
+
+def test_fock_apply_matches_reference_kernel():
+    rng = SplitMix64(0xF0C4)
+    for trial in range(360):
+        n = 1 + rng.below(4)
+        shape = trial % 5
+        if shape == 0:
+            # two terms of a send x^m to the same monomial x^(m + s) with
+            # opposite weights: c * m!/(m-v)! + c2 * m!/(m-v2)! == 0
+            m = tuple(1 + rng.below(3) for _ in range(n))
+            v = tuple(rng.below(e + 1) for e in m)
+            v2 = list(v)
+            pos = rng.below(n)
+            v2[pos] = (v2[pos] + 1) % (m[pos] + 1)
+            v2 = tuple(v2)
+            s = tuple(rng.below(2) for _ in range(n))
+            c = rng.rational()
+            c2 = -c * _falling(m, v) / _falling(m, v2)
+            a = weyl_term(n, tuple(map(sum, zip(v, s))), v, c)
+            a = a + weyl_term(n, tuple(map(sum, zip(v2, s))), v2, c2)
+            p = poly_monomial(n, m, rng.rational())
+        elif shape == 1:
+            a, p = random_element(rng, n), random_poly(rng, n)
+            if rng.below(2):
+                a = WeylElement(n)
+            else:
+                p = WeylElement(n)
+        else:
+            a = random_element(rng, n, terms=1 + rng.below(6))
+            p = random_poly(rng, n, terms=1 + rng.below(5))
+            if shape == 2:
+                # denominators beyond the generator's 1..4, up to 35
+                a = a.scale(Fraction(1, 1 + rng.below(12)))
+                p = p.scale(Fraction(7, 6 + rng.below(30)))
+        got = fock_apply(a, p)
+        assert got.sorted_terms() == _reference_fock_apply(a, p).sorted_terms(), trial
+        assert all(type(coeff) is Fraction for _key, coeff in got.items()), trial
+        assert got.is_polynomial(), trial
+        if shape == 0:
+            assert got.coefficient(tuple(map(sum, zip(m, s))), (0,) * n) == 0, trial
+        if shape == 1:
+            assert got.is_zero(), trial
+    # a zero operator still rejects a target with d's in it
+    for n in (1, 3):
+        with pytest.raises(ValueError):
+            fock_apply(WeylElement(n), weyl_d(n, 1) + poly_one(n))
+
+
+def test_cleared_memo_is_invisible():
+    rng = SplitMix64(0xC1EA)
+    for trial in range(60):
+        n = 1 + rng.below(3)
+        a = random_element(rng, n).scale(Fraction(1, 1 + rng.below(7)))
+        b, p = random_element(rng, n), random_poly(rng, n)
+        twin = WeylElement(n, dict(a.items()))
+        before = (repr(a), a.sorted_terms(), list(a.items()))
+        first = (mul(a, b), mul(b, a), fock_apply(a, p))
+        assert (repr(a), a.sorted_terms(), list(a.items())) == before, trial
+        assert a == twin and twin == a, trial
+        # repeated calls on the same operands, now memoized, change nothing
+        for _ in range(2):
+            again = (mul(a, b), mul(b, a), fock_apply(a, p))
+            assert [x.sorted_terms() for x in again] == [x.sorted_terms() for x in first]
+        assert first == (mul(twin, b), mul(b, twin), fock_apply(twin, p)), trial
+    with pytest.raises(AttributeError):
+        a._int = (1, ())
+    with pytest.raises(AttributeError):
+        a.n = 3
+    assert weyl._cleared(a) is weyl._cleared(a)
+
+
+def test_shared_operand_across_threads():
+    # Four threads apply the same shared generators to the same shared
+    # polynomials, none cleared beforehand, so they race on every element's
+    # cleared-form memo; each thread must see exactly the serial results.
+    rng = SplitMix64(0x7EAD)
+    n = 3
+    gens = [random_element(rng, n, terms=6).scale(Fraction(1, 1 + i)) for i in range(150)]
+    polys = [random_poly(rng, n, terms=4).scale(Fraction(1, 1 + i)) for i in range(4)]
+
+    def fresh(e: WeylElement) -> WeylElement:
+        return WeylElement(e.n, dict(e.items()))
+
+    expected = [fock_apply(fresh(g), fresh(p)).sorted_terms() for g in gens for p in polys]
+    barrier = threading.Barrier(4)
+    results: list = [None] * 4
+
+    def work(slot: int) -> None:
+        out = []
+        for g in gens:
+            barrier.wait(timeout=10)  # all four reach each fresh element together
+            out.extend(fock_apply(g, p).sorted_terms() for p in polys)
+        results[slot] = out
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(slot,)) for slot in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [expected] * 4
 
 
 def test_associativity_random_triples():
