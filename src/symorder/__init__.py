@@ -66,7 +66,6 @@ from .weyl import (
     fock_apply,
     mul,
     poly_monomial,
-    poly_one,
     truncate,
     weyl_d,
     weyl_scalar,
@@ -108,7 +107,6 @@ __all__ = [
     "mul",
     "pi_project",
     "poly_monomial",
-    "poly_one",
     "random_almost_abelian_table",
     "random_family",
     "random_two_step_table",

@@ -23,7 +23,7 @@ from itertools import combinations_with_replacement
 from typing import Iterator, Mapping
 
 from .rng import SplitMix64
-from .weyl import MultiIndex, Rational, WeylElement
+from .weyl import Immutable, MultiIndex, Rational, WeylElement
 
 # (order N, l, i, j, monomial m with |m| = N - 1)
 FamilyKey = tuple[int, int, int, int, MultiIndex]
@@ -44,7 +44,7 @@ def monomials_of_degree(n: int, degree: int) -> list[MultiIndex]:
     return sorted(out)
 
 
-class CoefficientFamily:
+class CoefficientFamily(Immutable):
     """Sparse coefficient table for generator corrections.
 
     Keys are ``(N, l, i, j, m)`` with 1-based indices in 1..n, orders N in
@@ -101,9 +101,6 @@ class CoefficientFamily:
         object.__setattr__(self, "n_max", n_max)
         object.__setattr__(self, "_entries", canonical)
         object.__setattr__(self, "_antisymmetric", antisymmetric)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("CoefficientFamily is immutable")
 
     def items(self) -> Iterator[tuple[FamilyKey, Fraction]]:
         return iter(self._entries.items())

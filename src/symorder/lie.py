@@ -6,13 +6,13 @@ satisfies the quadratic Jacobi constraint.  From a valid table this module
 builds:
 
   * the n x n matrix of linear derivative forms  M[i][j] = sum_k C[i][j,k] d^k,
+  * the coefficient family that carries the Bernoulli series term for term,
   * the Bernoulli-weighted embedding  embed(i) = sum_l x_l sum_N c_N (M^N)[l][i]
-    with c_N = (-1)^N B_N / N!,  truncated at a chosen d-degree,
+    with c_N = (-1)^N B_N / N!,  truncated at a chosen d-degree, built as
+    the generators of that family (see `symorder.generators`), and
   * the commutator residuals of all basis pairs i < j, from one build of the
     embedding, that measure how far the truncated embedding is from sending
-    brackets to commutators (exactly zero for valid tables), and
-  * the coefficient family whose generators reproduce the embedding term for
-    term (see `symorder.generators`).
+    brackets to commutators (exactly zero for valid tables).
 
 Everything is exact; the only cache is the Bernoulli table, filled once under
 a lock and safe for concurrent reads.
@@ -26,15 +26,15 @@ from fractions import Fraction
 from math import factorial
 from typing import Iterator, Mapping
 
-from .generators import CoefficientFamily
+from .generators import CoefficientFamily, build_generators
 from .rng import SplitMix64
 from .weyl import (
+    Immutable,
     Rational,
     WeylElement,
     mul,
     truncate,
     weyl_scalar,
-    weyl_x,
 )
 
 CMatrix = tuple[tuple[WeylElement, ...], ...]
@@ -60,7 +60,7 @@ class InvalidStructureConstantsError(ValueError):
         super().__init__(f"invalid structure constants: {lines}{more}")
 
 
-class StructureConstants:
+class StructureConstants(Immutable):
     """Sparse table C[k][i][j] over exact rationals, 1-based indices."""
 
     __slots__ = ("n", "_table", "_violations")
@@ -80,9 +80,6 @@ class StructureConstants:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "_table", table)
         object.__setattr__(self, "_violations", None)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("StructureConstants is immutable")
 
     def get(self, k: int, i: int, j: int) -> Fraction:
         return self._table.get((k, i, j), Fraction(0))
@@ -246,28 +243,9 @@ def _series_coefficient(order: int) -> Fraction:
 # -- the universal embedding ---------------------------------------------------
 
 
-def _embedding_images(sc: StructureConstants, max_d_degree: int) -> list[WeylElement]:
-    """All n embedding images at once, sharing the matrix-power ladder."""
-    sc.require_valid()
-    n = sc.n
-    m = cmatrix(sc)
-    images = [weyl_x(n, i) for i in range(1, n + 1)]
-    power = identity_cmatrix(n)
-    for order in range(1, max_d_degree + 1):
-        power = _mat_mul(power, m, n)
-        if _is_zero_matrix(power):
-            break
-        coeff = _series_coefficient(order)
-        if not coeff:
-            continue
-        for i in range(n):
-            acc = images[i]
-            for l in range(n):
-                entry = power[l][i]
-                if entry:
-                    acc = acc + mul(weyl_x(n, l + 1), entry).scale(coeff)
-            images[i] = acc
-    return images
+def _embedding_images(sc: StructureConstants, max_d_degree: int) -> tuple[WeylElement, ...]:
+    """All n embedding images at once: the generators of `derived_family`."""
+    return build_generators(derived_family(sc, max(max_d_degree, 1)), max_d_degree).generators
 
 
 def iota(sc: StructureConstants, i: int, max_d_degree: int) -> WeylElement:
@@ -317,9 +295,12 @@ def derived_family(sc: StructureConstants, n_max: int) -> CoefficientFamily:
     """Coefficient family reproducing the embedding: at order N the (l, i, j)
     polynomial is (-1)^N B_N / N! * sum_s (M^(N-1))[l][s] * C[s][i,j].
 
-    Generators built from the result coincide term for term with `iota` at
-    the same truncation.  Antisymmetry in (i, j) is inherited from the table
-    and re-checked by the family constructor.
+    Generators built from it at truncation D are the embedding images
+    (`iota`) at D: since (M^N)[l][i] = sum_{s,j} (M^(N-1))[l][s] C[s][i,j] d^j,
+    the term x_l d^(m + e_j) of X_i collects the order-N series term.  The
+    powers stop at the first zero one, which makes every later one zero.
+    Antisymmetry in (i, j) is inherited from the table and re-checked by the
+    family constructor.
     """
     sc.require_valid()
     if n_max < 1:
@@ -329,22 +310,18 @@ def derived_family(sc: StructureConstants, n_max: int) -> CoefficientFamily:
     entries: dict[tuple[int, int, int, int, tuple[int, ...]], Fraction] = {}
     power = identity_cmatrix(n)  # M^(N-1), starting at N = 1
     for order in range(1, n_max + 1):
+        if order > 1:
+            power = _mat_mul(power, m, n)
+            if _is_zero_matrix(power):
+                break
         coeff = _series_coefficient(order)
-        if coeff and not _is_zero_matrix(power):
+        if not coeff:
+            continue
+        for (s, i, j), c in sc.items():
             for l in range(1, n + 1):
-                for i in range(1, n + 1):
-                    for j in range(1, n + 1):
-                        if i == j:
-                            continue
-                        acc = weyl_scalar(n, 0)
-                        for s in range(1, n + 1):
-                            c = sc.get(s, i, j)
-                            if c and power[l - 1][s - 1]:
-                                acc = acc + power[l - 1][s - 1].scale(c)
-                        if acc:
-                            for (_x, dexp), value in acc.items():
-                                entries[(order, l, i, j, dexp)] = coeff * value
-        power = _mat_mul(power, m, n)
+                for (_x, dexp), value in power[l - 1][s - 1].items():
+                    key = (order, l, i, j, dexp)
+                    entries[key] = entries.get(key, 0) + coeff * c * value
     return CoefficientFamily(n, n_max, entries)
 
 

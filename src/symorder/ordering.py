@@ -29,6 +29,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
+from typing import Callable
 
 from .generators import CoefficientFamily, GeneratorSet, monomials_of_degree
 from .linalg import exact_rank
@@ -38,7 +39,6 @@ from .weyl import (
     WeylElement,
     fock_apply,
     mul,
-    poly_one,
     truncate,
     weyl_scalar,
 )
@@ -67,33 +67,33 @@ def word_monomial(n: int, word: Word) -> Polynomial:
 
 
 def _vacuum_action(gens: GeneratorSet, counts: MultiIndex) -> Polynomial:
-    """Permutation-summed vacuum action of the word with these multiplicities.
-
-    Recursion over sub-multisets: permutations grouped by first letter give
-    V(M) = sum_c m_c * (X_c |> V(M - c)) with V(empty) = 1.
-    """
-    cache = gens._word_cache
-    key = ("vacuum", counts)
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
-    if not any(counts):
-        result = poly_one(gens.n)
-    else:
-        result = weyl_scalar(gens.n, 0)
-        for c, mult in enumerate(counts):
-            if mult:
-                sub = counts[:c] + (mult - 1,) + counts[c + 1 :]
-                part = fock_apply(gens.generators[c], _vacuum_action(gens, sub))
-                result = result + part.scale(mult)
-    cache[key] = result
-    return result
+    """Permutation-summed vacuum action of the word with these multiplicities."""
+    return _word_sum(gens, counts, "vacuum", fock_apply, _vacuum_action)
 
 
 def _operator_sum(gens: GeneratorSet, counts: MultiIndex) -> WeylElement:
-    """Permutation-summed operator product, by the same multiset recursion."""
+    """Permutation-summed operator product of the word with these multiplicities."""
+    return _word_sum(gens, counts, "operator", mul, _operator_sum)
+
+
+def _word_sum(
+    gens: GeneratorSet,
+    counts: MultiIndex,
+    tag: str,
+    act: Callable[[WeylElement, WeylElement], WeylElement],
+    recurse: Callable[[GeneratorSet, MultiIndex], WeylElement],
+) -> WeylElement:
+    """The multiset recursion behind `_vacuum_action` and `_operator_sum`.
+
+    Permutations grouped by first letter give S(M) = sum_c m_c * act(X_c,
+    S(M - c)) with S(empty) = 1, where ``act`` is `fock_apply` for the
+    vacuum action and `mul` for the operator product.  Results are cached
+    in the generator set's word cache under ``(tag, counts)``.  The entry
+    points look ``act`` and themselves (as ``recurse``) up as module
+    globals on every call, so a rebound name reaches every level.
+    """
     cache = gens._word_cache
-    key = ("operator", counts)
+    key = (tag, counts)
     hit = cache.get(key)
     if hit is not None:
         return hit
@@ -104,7 +104,7 @@ def _operator_sum(gens: GeneratorSet, counts: MultiIndex) -> WeylElement:
         for c, mult in enumerate(counts):
             if mult:
                 sub = counts[:c] + (mult - 1,) + counts[c + 1 :]
-                part = mul(gens.generators[c], _operator_sum(gens, sub))
+                part = act(gens.generators[c], recurse(gens, sub))
                 result = result + part.scale(mult)
     cache[key] = result
     return result
@@ -295,12 +295,13 @@ def span_dimension(gens: GeneratorSet, k: int, max_d_degree: int | None = None) 
             extend(truncate(mul(prefix, g), cap), depth + 1)
 
     extend(weyl_scalar(n, 1), 0)
-    keys = sorted({key for op in ops for key, _c in op.items()})
+    terms = [dict(op.items()) for op in ops]  # items() builds each Fraction anew
+    keys = sorted({key for t in terms for key in t})
     index = {key: pos for pos, key in enumerate(keys)}
     rows = []
-    for op in ops:
+    for t in terms:
         row = [Fraction(0)] * len(keys)
-        for key, c in op.items():
+        for key, c in t.items():
             row[index[key]] = c
         rows.append(row)
     return exact_rank(rows), comb(n + k - 1, k)

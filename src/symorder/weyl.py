@@ -8,19 +8,20 @@ order, all x's to the left of all d's, as a finite map
     (xexp, dexp) -> coefficient
 
 where ``xexp`` and ``dexp`` are exponent tuples of length n and coefficients
-are exact ``fractions.Fraction`` values.  No floating point enters anywhere:
-identities checked with this kernel hold structurally or not at all.
+are exact rationals.  No floating point enters anywhere: identities checked
+with this kernel hold structurally or not at all.
 
-Inside ``mul`` and ``fock_apply`` the arithmetic is on integers: each
-operand is cleared to integer numerators over one shared denominator and the
-result's Fraction coefficients are rebuilt once at the end.  ``_cleared`` and
-``_rebuilt`` are the only places where the two representations meet.  The
-reordering expansion of each d^b x^c pair is kept in a bounded LRU cache.
+An element stores its coefficients in one representation: integer
+numerators over one positive denominator, with no factor common to the
+denominator and all numerators, so equal elements have equal fields.
+`mul`, `fock_apply`, ``+``, ``-``, `scale` and `truncate` compute on those
+integers and finish through `_reduced`, which drops zeros and divides out
+the common factor.  The accessors hand coefficients out as
+``fractions.Fraction`` values.  The reordering expansion of each d^b x^c
+pair is kept in a bounded LRU cache.
 
-Elements are immutable and all operations are pure.  Each element memoizes
-its cleared form in a write-once slot that ``==``, ``repr`` and the accessors
-never read; threads racing on it compute the same value, so values can be
-shared freely across threads.
+Elements are immutable and all operations are pure, so values can be shared
+freely across threads.
 
 The same class doubles as the commutative polynomial module the algebra acts
 on: a *polynomial* is an element whose every term has ``dexp == 0``, and
@@ -34,7 +35,7 @@ import operator
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import comb, factorial, lcm, perm
+from math import comb, factorial, gcd, lcm, perm
 from typing import Iterable, Iterator, Mapping
 
 Rational = Fraction
@@ -44,11 +45,26 @@ TermKey = tuple[MultiIndex, MultiIndex]
 # Maximum retained d-degree when truncating; plain int, must be >= 0.
 TruncationOrder = int
 
-_ZERO = Fraction(0)
-
 
 class DimensionMismatchError(ValueError):
     """Operands live in Weyl algebras of different ambient dimension."""
+
+
+class Immutable:
+    """Base of the slotted value types whose fields are set only on creation.
+
+    ``__setstate__`` restores the slots past the refusing ``__setattr__``,
+    so instances still pickle and copy.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __setstate__(self, state: tuple[None, dict[str, object]]) -> None:
+        for name, value in state[1].items():
+            object.__setattr__(self, name, value)
 
 
 def _as_multi_index(exps: Iterable[int], n: int, what: str) -> MultiIndex:
@@ -60,15 +76,17 @@ def _as_multi_index(exps: Iterable[int], n: int, what: str) -> MultiIndex:
     return t
 
 
-class WeylElement:
+class WeylElement(Immutable):
     """A normal-ordered element of the n-th Weyl algebra.
 
-    ``terms`` maps ``(xexp, dexp)`` to a nonzero Fraction; zero is the empty
-    map.  The constructor canonicalizes (coerces coefficients, drops zeros)
-    and validates exponent shapes.  ``_int`` is the `_cleared` memo.
+    The coefficient of ``(xexp, dexp)`` is ``_nums[(xexp, dexp)] / _den``:
+    numerators are nonzero ints, ``_den`` is a positive int and
+    ``gcd(_den, *_nums.values()) == 1``; zero is the empty map over 1.  The
+    constructor canonicalizes (coerces coefficients, drops zeros) and
+    validates exponent shapes.
     """
 
-    __slots__ = ("n", "_terms", "_int")
+    __slots__ = ("n", "_den", "_nums")
 
     def __init__(self, n: int, terms: Mapping[TermKey, Rational | int] | None = None):
         if n < 1:
@@ -85,90 +103,85 @@ class WeylElement:
                     canonical[key] = s
                 else:
                     del canonical[key]
+        den, nums = _cleared(canonical)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "_terms", canonical)
+        object.__setattr__(self, "_den", den)
+        object.__setattr__(self, "_nums", nums)
 
     @classmethod
     def _raw(cls, n: int, terms: dict[TermKey, Fraction]) -> "WeylElement":
-        """Wrap an already-canonical term dict without copying or checking.
+        """The element of an already-canonical Fraction term dict, unchecked.
 
-        Internal fast path; callers must guarantee canonical form and must
-        not alias the dict afterwards.
+        Internal fast path; callers must guarantee canonical form.
         """
-        self = object.__new__(cls)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "_terms", terms)
-        return self
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("WeylElement is immutable")
+        return _element(n, *_cleared(terms))
 
     # -- inspection ---------------------------------------------------------
 
     def items(self) -> Iterator[tuple[TermKey, Fraction]]:
-        return iter(self._terms.items())
+        den = self._den
+        return ((key, Fraction(v, den)) for key, v in self._nums.items())
 
     def coefficient(self, xexp: Iterable[int], dexp: Iterable[int]) -> Fraction:
         key = (_as_multi_index(xexp, self.n, "xexp"), _as_multi_index(dexp, self.n, "dexp"))
-        return self._terms.get(key, _ZERO)
+        return Fraction(self._nums.get(key, 0), self._den)
 
     def term_count(self) -> int:
-        return len(self._terms)
+        return len(self._nums)
 
     def sorted_terms(self) -> list[tuple[TermKey, Fraction]]:
         """Terms sorted lexicographically by (xexp, dexp); deterministic."""
-        return sorted(self._terms.items())
+        return sorted(self.items())
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._nums
 
     def is_polynomial(self) -> bool:
         """True iff every term has dexp identically zero."""
-        return all(not any(d) for (_x, d) in self._terms)
+        return all(not any(d) for (_x, d) in self._nums)
 
     def x_degree(self) -> int:
         """Max total x-degree over terms; -1 for the zero element."""
-        if not self._terms:
+        if not self._nums:
             return -1
-        return max(sum(x) for (x, _d) in self._terms)
+        return max(sum(x) for (x, _d) in self._nums)
 
     def d_degree(self) -> int:
         """Max total d-degree over terms; -1 for the zero element."""
-        if not self._terms:
+        if not self._nums:
             return -1
-        return max(sum(d) for (_x, d) in self._terms)
+        return max(sum(d) for (_x, d) in self._nums)
 
     # -- ring structure -----------------------------------------------------
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self._nums)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, WeylElement):
             return NotImplemented
-        return self.n == other.n and self._terms == other._terms
+        return self.n == other.n and self._den == other._den and self._nums == other._nums
 
     __hash__ = None  # type: ignore[assignment]  # mutable dict inside
 
     def __neg__(self) -> "WeylElement":
-        return WeylElement._raw(self.n, {k: -c for k, c in self._terms.items()})
+        return _element(self.n, self._den, {k: -v for k, v in self._nums.items()})
 
     def __add__(self, other: "WeylElement") -> "WeylElement":
         if not isinstance(other, WeylElement):
             return NotImplemented
         _check_same_n(self, other)
-        if not self._terms:
+        if not self._nums:
             return other
-        if not other._terms:
+        if not other._nums:
             return self
-        out = dict(self._terms)
-        for key, c in other._terms.items():
-            s = out.get(key, _ZERO) + c
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-        return WeylElement._raw(self.n, out)
+        den = lcm(self._den, other._den)
+        fa, fb = den // self._den, den // other._den
+        out = {k: v * fa for k, v in self._nums.items()}
+        get = out.get
+        for k, v in other._nums.items():
+            out[k] = get(k, 0) + v * fb
+        return _reduced(self.n, den, out)
 
     def __sub__(self, other: "WeylElement") -> "WeylElement":
         if not isinstance(other, WeylElement):
@@ -177,9 +190,8 @@ class WeylElement:
 
     def scale(self, c: Rational | int) -> "WeylElement":
         c = Fraction(c)
-        if not c:
-            return WeylElement._raw(self.n, {})
-        return WeylElement._raw(self.n, {k: c * v for k, v in self._terms.items()})
+        p = c.numerator
+        return _reduced(self.n, self._den * c.denominator, {k: v * p for k, v in self._nums.items()})
 
     def __mul__(self, other: object) -> "WeylElement":
         if isinstance(other, WeylElement):
@@ -210,7 +222,7 @@ class WeylElement:
         return f"WeylElement({self.n}, {self!s})"
 
     def __str__(self) -> str:
-        if not self._terms:
+        if not self._nums:
             return "0"
         parts = []
         for (xexp, dexp), coeff in self.sorted_terms():
@@ -228,6 +240,36 @@ class WeylElement:
 # does not give it its own class, only the predicate `is_polynomial` and the
 # guarantee that `fock_apply` returns one.
 Polynomial = WeylElement
+
+
+def _element(n: int, den: int, nums: dict[TermKey, int]) -> WeylElement:
+    """Wrap fields that already meet the class invariant, without copying."""
+    a = object.__new__(WeylElement)
+    object.__setattr__(a, "n", n)
+    object.__setattr__(a, "_den", den)
+    object.__setattr__(a, "_nums", nums)
+    return a
+
+
+def _cleared(terms: dict[TermKey, Fraction]) -> tuple[int, dict[TermKey, int]]:
+    """(den, nums) for nonzero reduced Fractions, den the lcm of their denominators.
+
+    The result is already reduced: if p^e is the full power of a prime p in
+    den, some coefficient's denominator carries p^e, and its numerator,
+    prime to p, is multiplied by den // denominator, also prime to p.
+    """
+    den = lcm(*(c.denominator for c in terms.values()))
+    return den, {k: c.numerator * (den // c.denominator) for k, c in terms.items()}
+
+
+def _reduced(n: int, den: int, nums: dict[TermKey, int]) -> WeylElement:
+    """The element with coefficients nums / den: zeros dropped, common factor divided out."""
+    nums = {k: v for k, v in nums.items() if v}
+    g = gcd(den, *nums.values())
+    if g != 1:
+        den //= g
+        nums = {k: v // g for k, v in nums.items()}
+    return _element(n, den, nums)
 
 
 def _check_same_n(a: WeylElement, b: WeylElement) -> None:
@@ -283,9 +325,7 @@ def weyl_scalar(n: int, c: Rational | int) -> WeylElement:
     """The scalar element c*1; zero gives the empty term map."""
     c = Fraction(c)
     zero = (0,) * n
-    if not c:
-        return WeylElement._raw(n, {})
-    return WeylElement._raw(n, {(zero, zero): c})
+    return WeylElement._raw(n, {(zero, zero): c} if c else {})
 
 
 def weyl_term(
@@ -298,10 +338,6 @@ def weyl_term(
 def poly_monomial(n: int, exps: Iterable[int], coeff: Rational | int = 1) -> Polynomial:
     """The commutative monomial coeff * x^exps as a dexp-free element."""
     return weyl_term(n, exps, (0,) * n, coeff)
-
-
-def poly_one(n: int) -> Polynomial:
-    return weyl_scalar(n, 1)
 
 
 # Bounded, so memory stays flat; typical suites meet a few hundred pairs.
@@ -318,25 +354,6 @@ def _contractions(da: MultiIndex, xb: MultiIndex) -> tuple[tuple[MultiIndex, Mul
     return tuple(out)
 
 
-def _cleared(a: WeylElement) -> tuple[int, tuple[tuple[MultiIndex, MultiIndex, int], ...]]:
-    """(L, terms) with every coefficient of a equal to numerator / L.
-
-    L is the lcm of the coefficient denominators, so numerators are ints.
-    Computed on first use and memoized in the element's ``_int`` slot.
-    """
-    memo = getattr(a, "_int", None)
-    if memo is None:
-        den = lcm(*(c.denominator for c in a._terms.values()))
-        memo = den, tuple((x, d, c.numerator * (den // c.denominator)) for (x, d), c in a.items())
-        object.__setattr__(a, "_int", memo)
-    return memo
-
-
-def _rebuilt(n: int, numerators: dict[TermKey, int], den: int) -> WeylElement:
-    """The element with coefficients numerator / den, zeros dropped."""
-    return WeylElement._raw(n, {k: Fraction(v, den) for k, v in numerators.items() if v})
-
-
 def mul(a: WeylElement, b: WeylElement) -> WeylElement:
     """Product in the Weyl algebra, result in normal order.
 
@@ -348,34 +365,33 @@ def mul(a: WeylElement, b: WeylElement) -> WeylElement:
     the combinatorial factor is a product over coordinates.  This fixes
     d^j * x_i = x_i * d^j + delta(i,j).
 
-    The inner loop runs on integers: each operand is cleared to one common
-    denominator (`_cleared`), term pairs accumulate integer numerators, and
-    the Fraction coefficients are rebuilt once at the end (`_rebuilt`).  The
-    expansion of each d^b x^c is cached per (b, c) in a bounded LRU cache.
+    Term pairs multiply the operands' stored integer numerators and sum
+    them over the product of the two denominators, which `_reduced` then
+    brings to lowest terms.  The expansion of each d^b x^c is cached per
+    (b, c) in a bounded LRU cache.
     """
     _check_same_n(a, b)
-    den_a, terms_a = _cleared(a)
-    den_b, terms_b = _cleared(b)
     out: dict[TermKey, int] = {}
     get = out.get
     plus = operator.add
-    for xa, da, ca in terms_a:
-        for xb, db, cb in terms_b:
+    terms_b = b._nums.items()
+    for (xa, da), ca in a._nums.items():
+        for (xb, db), cb in terms_b:
             c = ca * cb
             for xs, ds, f in _contractions(da, xb):
                 key = (tuple(map(plus, xa, xs)), tuple(map(plus, ds, db)))
                 out[key] = get(key, 0) + c * f
-    return _rebuilt(a.n, out, den_a * den_b)
+    return _reduced(a.n, a._den * b._den, out)
 
 
 def truncate(a: WeylElement, max_d_degree: TruncationOrder) -> WeylElement:
     """Drop every term whose total d-degree exceeds the bound; idempotent."""
     if max_d_degree < 0:
         raise ValueError(f"truncation order must be >= 0, got {max_d_degree}")
-    kept = {k: c for k, c in a._terms.items() if sum(k[1]) <= max_d_degree}
-    if len(kept) == len(a._terms):
+    kept = {k: v for k, v in a._nums.items() if sum(k[1]) <= max_d_degree}
+    if len(kept) == len(a._nums):
         return a
-    return WeylElement._raw(a.n, kept)
+    return _reduced(a.n, a._den, kept)
 
 
 def fock_apply(a: WeylElement, p: Polynomial) -> Polynomial:
@@ -383,18 +399,17 @@ def fock_apply(a: WeylElement, p: Polynomial) -> Polynomial:
 
     A term x^a d^b sends the monomial x^c to  prod_i (c_i)!/(c_i-b_i)! *
     x^(a+c-b)  when b <= c componentwise, else to 0; extended bilinearly.
-    As in `mul`, term pairs accumulate integer numerators (`_cleared`,
-    `_rebuilt`).
+    As in `mul`, term pairs sum integer numerators over the product of the
+    two denominators.
     """
     _check_same_n(a, p)
-    den_a, terms_a = _cleared(a)
-    den_p, terms_p = _cleared(p)
     out: dict[TermKey, int] = {}
     get = out.get
-    for mexp, mz, q in terms_p:
+    terms_a = a._nums.items()
+    for (mexp, mz), q in p._nums.items():
         if any(mz):
             raise ValueError("fock_apply target must be a polynomial (dexp == 0)")
-        for xexp, dexp, c in terms_a:
+        for (xexp, dexp), c in terms_a:
             f = c * q
             for d_i, m_i in zip(dexp, mexp):
                 if d_i:
@@ -404,4 +419,4 @@ def fock_apply(a: WeylElement, p: Polynomial) -> Polynomial:
             else:
                 key = (tuple(map(operator.sub, map(operator.add, xexp, mexp), dexp)), mz)
                 out[key] = get(key, 0) + f
-    return _rebuilt(a.n, out, den_a * den_p)
+    return _reduced(a.n, a._den * p._den, out)

@@ -22,7 +22,6 @@ from symorder.generators import (
     symmetric_control_family,
 )
 from symorder.lie import (
-    _embedding_images,
     bernoulli,
     derived_family,
     direct_sum,
@@ -48,12 +47,12 @@ from symorder.weyl import (
     fock_apply,
     mul,
     poly_monomial,
-    poly_one,
     truncate,
     weyl_d,
     weyl_scalar,
     weyl_x,
 )
+from test_lie import _reference_embedding_images
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -209,7 +208,7 @@ def test_criterion_4_embedding_suite(capsys):
             if not residual.is_zero():
                 failures.append((name, "defect", i, j))
         gens = build_generators(derived_family(sc, 4), 4)
-        images = _embedding_images(sc, 4)
+        images = _reference_embedding_images(sc, 4)
         for i in range(1, sc.n + 1):
             if gens.generator(i) != images[i - 1]:
                 failures.append((name, "recovery", i))
@@ -266,7 +265,7 @@ def test_criterion_5_section_identity_suite(capsys):
                 failures.append(("well-defined", trial, xexp))
             if e_tilde(mono, gens) != via_words:
                 failures.append(("monomial map", trial, xexp))
-            acted = fock_apply(via_words, poly_one(n))
+            acted = fock_apply(via_words, weyl_scalar(n, 1))
             if acted != mono.scale(factorial(len(word))):
                 failures.append(("scaling", trial, xexp))
     announce(capsys, 5, "section identity suite", not failures)

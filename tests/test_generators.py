@@ -1,5 +1,7 @@
 """Coefficient-family invariants and generator assembly."""
 
+import copy
+import pickle
 from fractions import Fraction
 from math import comb
 
@@ -12,9 +14,9 @@ from symorder.generators import (
     random_family,
     symmetric_control_family,
 )
-from symorder.lie import derived_family, heisenberg_table
+from symorder.lie import derived_family, heisenberg_table, sl2_table
 from symorder.rng import SplitMix64
-from symorder.weyl import WeylElement, mul, weyl_d, weyl_x
+from symorder.weyl import WeylElement, fock_apply, mul, weyl_d, weyl_scalar, weyl_x
 
 
 def _reference_build_generators(family: CoefficientFamily, max_d_degree: int) -> list:
@@ -230,3 +232,31 @@ def test_generator_index_range():
         gens.generator(0)
     with pytest.raises(IndexError):
         gens.generator(3)
+
+
+def test_value_types_pickle_and_copy():
+    def round_trips(value):
+        return [pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)]
+
+    elements = [WeylElement(2), weyl_x(2, 1).scale(Fraction(-3, 7)) + weyl_d(2, 2).scale(Fraction(5, 6))]
+    for a in elements:
+        for b in round_trips(a):
+            assert type(b) is WeylElement and b == a and b.sorted_terms() == a.sorted_terms()
+            assert mul(b, b) == mul(a, a) and b.scale(6) == a.scale(6)
+            with pytest.raises(AttributeError):
+                b.n = 3
+    control = symmetric_control_family()
+    for fam in round_trips(control):
+        assert fam == control and not fam.is_antisymmetric()
+        with pytest.raises(AttributeError):
+            fam.n_max = 2
+    sl2 = sl2_table()
+    for sc in round_trips(sl2):
+        assert sc == sl2 and sc.validate() == []
+        with pytest.raises(AttributeError):
+            sc._table = {}
+    gens = build_generators(random_family(3, 2, seed=4), 2)
+    sent = pickle.loads(pickle.dumps(gens))
+    assert sent.generators == gens.generators and sent.family == gens.family
+    one = weyl_scalar(3, 1)
+    assert [fock_apply(g, one) for g in sent.generators] == [weyl_x(3, i) for i in range(1, 4)]

@@ -40,7 +40,6 @@ from symorder.weyl import (
     fock_apply,
     mul,
     poly_monomial,
-    poly_one,
     weyl_scalar,
     weyl_term,
     weyl_x,
@@ -122,8 +121,37 @@ def test_multiset_recursion_equals_naive_enumeration():
             fast = symmetrized_product(gens, word)
             assert fast == oracle, (n, k, word)
             vac = symmetrized_vacuum_action(gens, word)
-            assert vac == fock_apply(oracle, poly_one(n))
-            assert vac == fock_apply(fast, poly_one(n))
+            assert vac == fock_apply(oracle, weyl_scalar(n, 1))
+            assert vac == fock_apply(fast, weyl_scalar(n, 1))
+
+
+def test_word_recursion_calls_through_module_names(monkeypatch):
+    # Every level of both recursions must reach the action and the entry
+    # point through the module's names, so a rebinding (a tracer, a
+    # counter) sees every call.
+    import symorder.ordering as ordering
+
+    calls: list = []
+
+    def counted(name):
+        original = getattr(ordering, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return original(*args)
+
+        monkeypatch.setattr(ordering, name, wrapper)
+
+    for name in ("_vacuum_action", "_operator_sum", "fock_apply", "mul"):
+        counted(name)
+    gens = build_generators(random_family(2, 1, Fraction(1), seed=3), 2)
+    vac = symmetrized_vacuum_action(gens, (1, 2))
+    op = symmetrized_product(gens, (1, 2))
+    assert vac == fock_apply(op, weyl_scalar(2, 1))
+    # S(1,1) -> S(0,1), S(1,0) -> S(0,0) twice (the second a cache hit):
+    # five lookups and one action per letter of each state above the empty one
+    assert calls.count("_vacuum_action") == calls.count("_operator_sum") == 5
+    assert calls.count("fock_apply") == calls.count("mul") == 4
 
 
 def test_theorem_check_passes_on_antisymmetric_families():
@@ -143,7 +171,7 @@ def test_theorem_check_passes_on_antisymmetric_families():
 
 def oracle_residual(gens: GeneratorSet, word) -> WeylElement:
     """e_tilde(word) |> 1 - k! * word monomial, from the literal permutation sum."""
-    acted = fock_apply(oracle_permutation_sum(gens, word), poly_one(gens.n))
+    acted = fock_apply(oracle_permutation_sum(gens, word), weyl_scalar(gens.n, 1))
     return acted - word_monomial(gens.n, word).scale(factorial(len(word)))
 
 
@@ -155,7 +183,7 @@ def test_theorem_check_methods_agree():
         assert result.passed
         assert str(result.residual) == str(oracle_residual(gens, word))
         # the operator-level product acts on the vacuum the same way
-        acted = fock_apply(symmetrized_product(gens, word), poly_one(2))
+        acted = fock_apply(symmetrized_product(gens, word), weyl_scalar(2, 1))
         assert acted == symmetrized_vacuum_action(gens, word)
     with pytest.raises(ValueError):
         theorem_check(gens, ())
@@ -166,7 +194,7 @@ def test_theorem_k1_yields_bare_coordinate():
     fam = random_family(3, 3, Fraction(1), seed=5)
     gens = build_generators(fam, 3)
     for i in (1, 2, 3):
-        assert fock_apply(gens.generator(i), poly_one(3)) == weyl_x(3, i)
+        assert fock_apply(gens.generator(i), weyl_scalar(3, 1)) == weyl_x(3, i)
         assert theorem_check(gens, (i,)).passed
 
 
@@ -260,7 +288,7 @@ def test_cancellation_argument_validation():
 def test_e_tilde_basics():
     fam = random_family(2, 2, Fraction(1, 2), seed=31)
     gens = build_generators(fam, 5)
-    assert e_tilde(poly_one(2), gens) == weyl_scalar(2, 1)
+    assert e_tilde(weyl_scalar(2, 1), gens) == weyl_scalar(2, 1)
     m = poly_monomial(2, (1, 1))
     expected = mul(gens.generator(1), gens.generator(2)) + mul(
         gens.generator(2), gens.generator(1)
@@ -304,11 +332,11 @@ def test_section_identity_on_random_polynomials():
         image = e_map(p, gens)
         assert pi_project(image) == p, trial
         # the d-free part is the vacuum action
-        assert fock_apply(image, poly_one(n)) == p, trial
+        assert fock_apply(image, weyl_scalar(n, 1)) == p, trial
         # the unnormalized map scales each k-homogeneous piece by k!
         for (xexp, _d), coeff in p.items():
             mono = WeylElement(n, {(xexp, (0,) * n): coeff})
-            acted = fock_apply(e_tilde(mono, gens), poly_one(n))
+            acted = fock_apply(e_tilde(mono, gens), weyl_scalar(n, 1))
             assert acted == mono.scale(factorial(sum(xexp)))
 
 
@@ -329,7 +357,7 @@ def test_pi_project_examples():
         a = WeylElement(n, terms)
         projected = pi_project(a)
         assert projected.is_polynomial(), trial
-        assert projected == fock_apply(a, poly_one(n)), trial
+        assert projected == fock_apply(a, weyl_scalar(n, 1)), trial
 
 
 def test_span_dimension_zero_family_and_k1():
