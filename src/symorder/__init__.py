@@ -31,7 +31,6 @@ from .lie import (
     abelian_table,
     bernoulli,
     cmatrix,
-    cmatrix_power,
     derived_family,
     direct_sum,
     heisenberg_table,
@@ -92,7 +91,6 @@ __all__ = [
     "cancellation_check",
     "cancellation_terms",
     "cmatrix",
-    "cmatrix_power",
     "derived_family",
     "direct_sum",
     "e_map",

@@ -195,17 +195,6 @@ def _is_zero_matrix(m: CMatrix) -> bool:
     return all(e.is_zero() for row in m for e in row)
 
 
-def cmatrix_power(m: CMatrix, power: int) -> CMatrix:
-    """m**power by repeated multiplication; power 0 gives the identity."""
-    if power < 0:
-        raise ValueError(f"power must be >= 0, got {power}")
-    n = len(m)
-    out = identity_cmatrix(n)
-    for _ in range(power):
-        out = _mat_mul(out, m, n)
-    return out
-
-
 # -- Bernoulli numbers --------------------------------------------------------
 
 _bernoulli_lock = threading.Lock()

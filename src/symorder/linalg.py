@@ -1,37 +1,37 @@
 """Exact rank of small rational matrices.
 
-Rows are cleared to integers (multiplying a row by its denominator lcm does
-not change the rank) and eliminated with the fraction-free Bareiss scheme,
-so every intermediate value is an integer minor of the cleared matrix and
-the arithmetic stays exact with no rational blowup.
+Each row is cleared to integers by the lcm of its entries' denominators,
+computed from their ``numerator`` and ``denominator`` without building a
+`Fraction` (a positive row scale does not change the rank); int rows clear
+by 1.  The cleared rows are eliminated with the fraction-free Bareiss
+scheme, so every intermediate value is an integer minor of the cleared
+matrix and the arithmetic stays exact with no rational blowup.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
 from .weyl import Rational
 
 
-def _cleared_rows(rows: Sequence[Sequence[Rational | int]]) -> list[list[int]]:
-    out = []
-    for row in rows:
-        fracs = [Fraction(v) for v in row]
-        scale = lcm(*(f.denominator for f in fracs)) if fracs else 1
-        out.append([int(f * scale) for f in fracs])
-    return out
-
-
 def exact_rank(rows: Sequence[Sequence[Rational | int]]) -> int:
-    """Rank of the matrix with the given rows, computed exactly."""
-    m = _cleared_rows(rows)
-    if not m or not m[0]:
-        return 0
-    nrows, ncols = len(m), len(m[0])
-    if any(len(r) != ncols for r in m):
+    """Rank of the matrix with the given rows, computed exactly.
+
+    Entries are ints or `Fraction`s; the argument is left unchanged.  Rows
+    of unequal length raise `ValueError`.
+    """
+    ncols = len(rows[0]) if rows else 0
+    if any(len(r) != ncols for r in rows):
         raise ValueError("rows have unequal lengths")
+    if not ncols:
+        return 0
+    nrows = len(rows)
+    m = []
+    for row in rows:
+        scale = lcm(*(v.denominator for v in row))
+        m.append([v.numerator * (scale // v.denominator) for v in row])
     rank = 0
     prev = 1
     for col in range(ncols):

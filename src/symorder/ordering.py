@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb, factorial
 from typing import Callable
 
@@ -250,7 +249,7 @@ def e_map(p: Polynomial, gens: GeneratorSet) -> WeylElement:
 
 def pi_project(a: WeylElement) -> Polynomial:
     """The d-free part of an element, which equals its vacuum action a |> 1."""
-    return WeylElement(a.n, {key: c for key, c in a.items() if not any(key[1])})
+    return truncate(a, 0)
 
 
 def span_dimension(gens: GeneratorSet, k: int, max_d_degree: int | None = None) -> tuple[int, int]:
@@ -262,9 +261,12 @@ def span_dimension(gens: GeneratorSet, k: int, max_d_degree: int | None = None) 
     lower a term's d-degree by at most one, its x-degree-1 cofactor admits
     one contraction, so dropped tail terms never reach the window).  Returns
     the exact rank of their coefficient matrix and C(n + k - 1, k), the
-    number of degree-k monomials.  The word products generically span more
-    than the symmetrized images, so rank >= C(n + k - 1, k) is the expected
-    shape; the builder default D = 2k gives a window of width k + 1.
+    number of degree-k monomials.  Each row holds a product's stored integer
+    numerators, i.e. its coefficients times its denominator, so the matrix
+    reaches `exact_rank` as ints with no `Fraction` in between.  The word
+    products generically span more than the symmetrized images, so rank >=
+    C(n + k - 1, k) is the expected shape; the builder default D = 2k gives
+    a window of width k + 1.
     """
     if k < 1:
         raise ValueError(f"degree must be >= 1, got {k}")
@@ -295,13 +297,13 @@ def span_dimension(gens: GeneratorSet, k: int, max_d_degree: int | None = None) 
             extend(truncate(mul(prefix, g), cap), depth + 1)
 
     extend(weyl_scalar(n, 1), 0)
-    terms = [dict(op.items()) for op in ops]  # items() builds each Fraction anew
-    keys = sorted({key for t in terms for key in t})
+    keys = sorted({key for op in ops for key in op._nums})
     index = {key: pos for pos, key in enumerate(keys)}
     rows = []
-    for t in terms:
-        row = [Fraction(0)] * len(keys)
-        for key, c in t.items():
-            row[index[key]] = c
+    for op in ops:
+        # The row of op scaled by its positive _den: the rank is unchanged.
+        row = [0] * len(keys)
+        for key, v in op._nums.items():
+            row[index[key]] = v
         rows.append(row)
     return exact_rank(rows), comb(n + k - 1, k)

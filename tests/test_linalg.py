@@ -41,6 +41,28 @@ def test_simple_cases():
     assert exact_rank([[0, 1, 0], [0, 0, 2]]) == 2
     with pytest.raises(ValueError):
         exact_rank([[1, 2], [3]])
+    # the length check runs before the empty-row shortcut
+    with pytest.raises(ValueError):
+        exact_rank([[], [1]])
+
+
+def test_argument_is_left_unchanged():
+    # the zero-led first rows force a pivot swap
+    for rows in ([[0, 4, 2], [1, 2, 0], [2, 4, 0]],
+                 [[0, 4, 0], [Fraction(1, 3), 1, Fraction(-5, 2)], [1, 2, 0]]):
+        snapshot = [(row, list(row)) for row in rows]
+        exact_rank(rows)
+        assert len(rows) == len(snapshot)
+        for row, (same, copy) in zip(rows, snapshot):
+            assert row is same and row == copy
+            assert all(a is b for a, b in zip(row, copy))
+
+
+def test_float_and_str_entries_raise():
+    # Entries are read through numerator/denominator, which float and str lack.
+    for bad in (0.5, "1/2"):
+        with pytest.raises(AttributeError):
+            exact_rank([[1, bad], [0, 1]])
 
 
 def test_rank_matches_oracle_on_random_matrices():

@@ -13,6 +13,7 @@ from math import factorial
 
 import pytest
 
+import symorder.ordering as ordering
 from symorder.generators import (
     CoefficientFamily,
     GeneratorSet,
@@ -20,6 +21,7 @@ from symorder.generators import (
     random_family,
     symmetric_control_family,
 )
+from symorder.linalg import exact_rank
 from symorder.ordering import (
     TruncationWarning,
     cancellation_check,
@@ -40,10 +42,12 @@ from symorder.weyl import (
     fock_apply,
     mul,
     poly_monomial,
+    truncate,
     weyl_scalar,
     weyl_term,
     weyl_x,
 )
+from test_linalg import oracle_rank
 
 
 def oracle_permutation_sum(gens: GeneratorSet, word) -> WeylElement:
@@ -380,6 +384,62 @@ def test_span_dimension_generic_excess():
     assert rank == 4
     again, _ = span_dimension(build_generators(fam, 4), 2)
     assert again == rank
+
+
+def _reference_span_rows(gens: GeneratorSet, k: int) -> list[list[Fraction]]:
+    """The span matrix the Fraction way: every word product multiplied out
+    in full, truncated to the window once, and laid out as Fraction rows
+    over the sorted union of the products' term keys."""
+    window = gens.max_d_degree - (k - 1)
+    terms = []
+    for word in product(range(1, gens.n + 1), repeat=k):
+        prod = weyl_scalar(gens.n, 1)
+        for a in word:
+            prod = mul(prod, gens.generator(a))
+        terms.append(dict(truncate(prod, window).items()))
+    keys = sorted({key for t in terms for key in t})
+    index = {key: pos for pos, key in enumerate(keys)}
+    rows = []
+    for t in terms:
+        row = [Fraction(0)] * len(keys)
+        for key, c in t.items():
+            row[index[key]] = c
+        rows.append(row)
+    return rows
+
+
+def test_span_rows_are_scaled_reference_rows(monkeypatch):
+    captured = []
+
+    def capture(rows):
+        captured.append(rows)
+        return exact_rank(rows)
+
+    monkeypatch.setattr(ordering, "exact_rank", capture)
+    rng = SplitMix64(606)
+    cells = [(2, 2), (2, 3), (3, 2), (2, 4)]
+    cases = []
+    for trial in range(40):
+        n, k = cells[trial % len(cells)]
+        fam = random_family(n, 1 + rng.below(2), Fraction(1, 2), seed=rng.next_u64())
+        cases.append((n, k, fam))
+    cases += [(n, k, random_family(n, 2, Fraction(0), seed=0)) for n, k in cells]
+    cases += [(2, k, symmetric_control_family()) for k in (2, 3)]
+    for n, k, fam in cases:
+        gens = build_generators(fam, 2 * k)
+        captured.clear()
+        rank, _ = span_dimension(gens, k)
+        (rows,) = captured
+        reference = _reference_span_rows(gens, k)
+        assert len(rows) == len(reference) == n**k
+        for row, ref in zip(rows, reference):
+            assert len(row) == len(ref)
+            assert all(type(v) is int for v in row)
+            pivot = next(j for j, v in enumerate(ref) if v)
+            scale = row[pivot] / ref[pivot]
+            assert scale > 0 and scale.denominator == 1, (n, k, scale)
+            assert row == [scale * v for v in ref], (n, k)
+        assert rank == exact_rank(rows) == oracle_rank(reference), (n, k)
 
 
 def test_span_dimension_window_validation():
