@@ -12,7 +12,8 @@ Reports go to standard output as text (default) or JSON (``--output json``)
 and are byte-identical across runs with the same arguments; the elapsed time
 is printed to standard error only, so it never perturbs the report bytes.
 Exit status: 0 all checks passed, 1 at least one check failed, 2 usage or
-input error.
+input error, including a span-dim run whose `span_cost` estimate exceeds
+`SPAN_COST_LIMIT`.
 
 Structure-constant files are JSON documents
 
@@ -33,6 +34,7 @@ import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from typing import Callable
 
 from .generators import (
@@ -61,6 +63,32 @@ _U64 = 1 << 64
 
 class CLIInputError(Exception):
     """Bad configuration or input file; maps to exit status 2."""
+
+
+# span-dim rejects (exit 2) any --n/--k/--n-max/--d whose `span_cost` exceeds
+# this.  The heavy tier `span-dim --n 3 --k 4` costs 3360 and takes about 2.5 s
+# a trial on a 2-core x86 VM; the cost grows as n^k, so one flag could ask
+# for days.
+SPAN_COST_LIMIT = 5000
+
+
+def span_cost(n: int, k: int, n_max: int, d: int) -> int:
+    """Cost estimate of one span-dim trial, exact up to `SPAN_COST_LIMIT`.
+
+    It is the number of products the word tree forms, n + n^2 + ... + n^k,
+    times the most terms one generator can have at cutoff d: x_i plus
+    x_l d^mu for every l and every d-monomial mu with 1 <= |mu| <= D =
+    min(n_max, d), that is 1 + n * (C(n + D, D) - 1).  The sum stops and the
+    cutoff is capped where the estimate already passes the limit, so
+    oversized flags are rejected without big-number work.
+    """
+    products = 0
+    for depth in range(1, k + 1):
+        products += n**depth
+        if products > SPAN_COST_LIMIT:
+            return products
+    top = min(n_max, d, SPAN_COST_LIMIT)
+    return products * (1 + n * (comb(n + top, top) - 1))
 
 
 @dataclass(frozen=True)
@@ -222,6 +250,12 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
         d = 2 * args.k if args.d is None else args.d
         if d < args.k - 1:
             raise CLIInputError(f"--d must be >= k - 1 = {args.k - 1}, got {d}")
+        cost = span_cost(args.n, args.k, args.n_max, d)
+        if cost > SPAN_COST_LIMIT:
+            raise CLIInputError(
+                f"span-dim cost estimate {cost} (word products times generator terms) "
+                f"exceeds the limit {SPAN_COST_LIMIT}; lower --n, --k, --n-max or --d"
+            )
         return RunConfig(
             command=command, n=args.n, k=args.k, n_max=args.n_max, d=d,
             trials=args.trials, seed=args.seed, sparsity=args.sparsity,

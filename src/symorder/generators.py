@@ -44,6 +44,13 @@ def monomials_of_degree(n: int, degree: int) -> list[MultiIndex]:
     return sorted(out)
 
 
+def _check_shape(n: int, n_max: int) -> None:
+    if n < 1:
+        raise ValueError(f"dimension must be >= 1, got {n}")
+    if n_max < 1:
+        raise ValueError(f"n_max must be >= 1, got {n_max}")
+
+
 class CoefficientFamily(Immutable):
     """Sparse coefficient table for generator corrections.
 
@@ -64,10 +71,7 @@ class CoefficientFamily(Immutable):
         *,
         check_antisymmetry: bool = True,
     ):
-        if n < 1:
-            raise ValueError(f"dimension must be >= 1, got {n}")
-        if n_max < 1:
-            raise ValueError(f"n_max must be >= 1, got {n_max}")
+        _check_shape(n, n_max)
         canonical: dict[FamilyKey, Fraction] = {}
         if entries:
             for (order, l, i, j, m), value in entries.items():
@@ -97,10 +101,25 @@ class CoefficientFamily(Immutable):
                         f"(i, j)=({i}, {j}), m={m}"
                     )
                 break
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "n_max", n_max)
-        object.__setattr__(self, "_entries", canonical)
-        object.__setattr__(self, "_antisymmetric", antisymmetric)
+        self._fill(n, n_max, canonical, antisymmetric)
+
+    @classmethod
+    def _raw(cls, n: int, n_max: int, entries: dict[FamilyKey, Fraction]) -> "CoefficientFamily":
+        """The antisymmetric family of an already-canonical entry dict, unchecked.
+
+        Internal fast path; callers must guarantee everything ``__init__``
+        checks: orders and indices in range, int-tuple monomials of degree
+        N - 1, nonzero `Fraction` values and the (j, i) mirror of each entry
+        holding its negation.
+        """
+        family = object.__new__(cls)
+        family._fill(n, n_max, entries, True)
+        return family
+
+    def _fill(self, n: int, n_max: int, entries: dict[FamilyKey, Fraction],
+              antisymmetric: bool) -> None:
+        for name, value in zip(self.__slots__, (n, n_max, entries, antisymmetric)):
+            object.__setattr__(self, name, value)
 
     def items(self) -> Iterator[tuple[FamilyKey, Fraction]]:
         return iter(self._entries.items())
@@ -151,8 +170,11 @@ def random_family(
 
     Each (N, l, i < j, m) slot is filled with probability ``sparsity``; the
     mirrored (j, i) entry is the negation.  Iteration order is fixed, so a
-    seed fully determines the family.
+    seed fully determines the family.  The entries are valid by construction
+    (nonzero draws, degree-(N - 1) monomials, mirrored pairs), so the family
+    is wrapped without the constructor's checks.
     """
+    _check_shape(n, n_max)
     if not 0 <= sparsity <= 1:
         raise ValueError(f"sparsity must be in [0, 1], got {sparsity}")
     rng = SplitMix64(seed)
@@ -167,7 +189,7 @@ def random_family(
                             v = rng.rational()
                             entries[(order, l, i, j, m)] = v
                             entries[(order, l, j, i, m)] = -v
-    return CoefficientFamily(n, n_max, entries)
+    return CoefficientFamily._raw(n, n_max, entries)
 
 
 def symmetric_control_family() -> CoefficientFamily:

@@ -263,10 +263,11 @@ def span_dimension(gens: GeneratorSet, k: int, max_d_degree: int | None = None) 
     the exact rank of their coefficient matrix and C(n + k - 1, k), the
     number of degree-k monomials.  Each row holds a product's stored integer
     numerators, i.e. its coefficients times its denominator, so the matrix
-    reaches `exact_rank` as ints with no `Fraction` in between.  The word
-    products generically span more than the symmetrized images, so rank >=
-    C(n + k - 1, k) is the expected shape; the builder default D = 2k gives
-    a window of width k + 1.
+    reaches `exact_rank` as ints with no `Fraction` in between; the rank
+    there is modular elimination with an exact certificate, so it is the
+    rank over Q.  The word products generically span more than the
+    symmetrized images, so rank >= C(n + k - 1, k) is the expected shape;
+    the builder default D = 2k gives a window of width k + 1.
     """
     if k < 1:
         raise ValueError(f"degree must be >= 1, got {k}")

@@ -13,8 +13,16 @@ import pytest
 from fractions import Fraction
 
 import symorder.cli as cli
-from symorder.cli import CLIInputError, load_structure_constants, main
+from symorder.cli import (
+    SPAN_COST_LIMIT,
+    CLIInputError,
+    load_structure_constants,
+    main,
+    span_cost,
+)
+from symorder.generators import build_generators, monomials_of_degree, random_family
 from symorder.lie import heisenberg_table, sl2_table
+from symorder.rng import SplitMix64
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN_DIR = ROOT / "docs" / "golden"
@@ -232,6 +240,60 @@ def test_config_errors_exit_two():
         assert code == 2, argv
         assert out == ""
         assert err.strip(), argv
+
+
+def _span_config(argv):
+    return cli._resolve_config(cli.build_parser().parse_args(["span-dim", *argv]))
+
+
+def test_span_cost_counts_products_and_generator_terms():
+    rng = SplitMix64(0xC0)
+    for _ in range(60):
+        n, k, n_max = 1 + rng.below(3), 1 + rng.below(4), 1 + rng.below(3)
+        d = k - 1 + rng.below(k + 2)
+        top = min(n_max, d)
+        products = sum(n**depth for depth in range(1, k + 1))
+        terms = 1 + n * sum(len(monomials_of_degree(n, deg)) for deg in range(1, top + 1))
+        assert span_cost(n, k, n_max, d) == products * terms, (n, k, n_max, d)
+        # a dense family reaches no more terms per generator than the bound
+        gens = build_generators(random_family(n, n_max, Fraction(1), rng.next_u64()), d)
+        assert max(g.term_count() for g in gens.generators) <= terms
+
+
+def test_span_cost_admits_goldens_and_the_heavy_tier():
+    for argv in (["--trials", "2"], [], ["--n", "3", "--k", "4"],
+                 ["--n", "3", "--k", "4", "--trials", "3"], ["--k", "3", "--d", "2"]):
+        config = _span_config(argv)
+        assert span_cost(config.n, config.k, config.n_max, config.d) <= SPAN_COST_LIMIT
+    assert span_cost(3, 4, 2, 8) == 120 * 28
+
+
+def test_span_dim_cost_gate_exits_two_before_any_work(monkeypatch):
+    def forbidden(*_args, **_kwargs):
+        raise AssertionError("span-dim started work past the cost gate")
+
+    for name in ("random_family", "build_generators", "span_dimension"):
+        monkeypatch.setattr(cli, name, forbidden)
+    oversized = [
+        ["--n", "3", "--k", "9"],
+        ["--n", "2", "--k", "8"],
+        ["--n", "3", "--k", "4", "--n-max", "3"],
+        ["--n", "2", "--k", str(10**12)],
+        ["--n", "1", "--k", str(10**12)],
+        ["--n", str(10**30), "--k", "1"],
+        ["--n", "2", "--k", "2", "--n-max", str(10**9), "--d", str(10**9)],
+    ]
+    rng = SplitMix64(0x6A7E)
+    while len(oversized) < 40:
+        n, k, n_max = 1 + rng.below(12), 1 + rng.below(30), 1 + rng.below(8)
+        d = k - 1 + rng.below(3 * k)
+        if span_cost(n, k, n_max, d) > SPAN_COST_LIMIT:
+            oversized.append([f"--n={n}", f"--k={k}", f"--n-max={n_max}", f"--d={d}"])
+    for argv in oversized:
+        code, out, err = invoke(["span-dim", *argv])
+        assert code == 2, argv
+        assert out == ""
+        assert "cost estimate" in err, argv
 
 
 def test_help_exits_zero():

@@ -141,6 +141,26 @@ def test_random_family_edge_cases():
         random_family(2, 1, Fraction(3, 2), seed=0)
 
 
+def test_random_family_matches_validating_constructor():
+    # random_family skips the constructor's checks; rebuilding each family
+    # through them must give the same entries, in the same order
+    rng = SplitMix64(2024)
+    for trial in range(90):
+        sparsity = (Fraction(0), Fraction(1, 2), Fraction(1))[trial % 3]
+        n, n_max = 1 + rng.below(4), 1 + rng.below(3)
+        fam = random_family(n, n_max, sparsity, seed=rng.next_u64())
+        checked = CoefficientFamily(n, n_max, dict(fam.items()))
+        assert fam == checked and fam.entry_count() == checked.entry_count()
+        assert list(fam.items()) == list(checked.items())
+        assert all(type(v) is Fraction and v for _, v in fam.items())
+        assert fam.is_antisymmetric() and checked.is_antisymmetric()
+        d = rng.below(n_max + 2)
+        assert build_generators(fam, d).generators == build_generators(checked, d).generators
+    for n, n_max in ((0, 1), (2, 0), (-1, -1)):
+        with pytest.raises(ValueError):
+            random_family(n, n_max, Fraction(1, 2), seed=0)
+
+
 def test_symmetric_control_family():
     fam = symmetric_control_family()
     assert not fam.is_antisymmetric()

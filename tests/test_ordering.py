@@ -47,7 +47,7 @@ from symorder.weyl import (
     weyl_term,
     weyl_x,
 )
-from test_linalg import oracle_rank
+from test_linalg import bareiss_rank, oracle_rank
 
 
 def oracle_permutation_sum(gens: GeneratorSet, word) -> WeylElement:
@@ -440,6 +440,7 @@ def test_span_rows_are_scaled_reference_rows(monkeypatch):
             assert scale > 0 and scale.denominator == 1, (n, k, scale)
             assert row == [scale * v for v in ref], (n, k)
         assert rank == exact_rank(rows) == oracle_rank(reference), (n, k)
+        assert bareiss_rank(rows) == rank, (n, k)
 
 
 def test_span_dimension_window_validation():
