@@ -12,8 +12,10 @@ Reports go to standard output as text (default) or JSON (``--output json``)
 and are byte-identical across runs with the same arguments; the elapsed time
 is printed to standard error only, so it never perturbs the report bytes.
 Exit status: 0 all checks passed, 1 at least one check failed, 2 usage or
-input error, including a span-dim run whose `span_cost` estimate exceeds
-`SPAN_COST_LIMIT`.
+input error, including a run past its cost gate: span-dim whose `span_cost`
+exceeds `SPAN_COST_LIMIT`, verify-theorem or cancellation whose `word_cost`
+exceeds `WORD_COST_LIMIT` (or, for verify-theorem, whose word is longer than
+`WORD_LENGTH_LIMIT`), and bernoulli past `BERNOULLI_N_MAX_LIMIT`.
 
 Structure-constant files are JSON documents
 
@@ -66,7 +68,7 @@ class CLIInputError(Exception):
 
 
 # span-dim rejects (exit 2) any --n/--k/--n-max/--d whose `span_cost` exceeds
-# this.  The heavy tier `span-dim --n 3 --k 4` costs 3360 and takes about 2.5 s
+# this.  The heavy tier `span-dim --n 3 --k 4` costs 3360 and takes about 1.5 s
 # a trial on a 2-core x86 VM; the cost grows as n^k, so one flag could ask
 # for days.
 SPAN_COST_LIMIT = 5000
@@ -88,7 +90,49 @@ def span_cost(n: int, k: int, n_max: int, d: int) -> int:
         if products > SPAN_COST_LIMIT:
             return products
     top = min(n_max, d, SPAN_COST_LIMIT)
-    return products * (1 + n * (comb(n + top, top) - 1))
+    return products * _generator_terms(n, top)
+
+
+def _generator_terms(n: int, top: int) -> int:
+    """The most terms one generator can have at d-cutoff top: x_i plus x_l d^mu
+    for every l and every d-monomial mu with 1 <= |mu| <= top."""
+    return 1 + n * (comb(n + top, top) - 1)
+
+
+# verify-theorem and cancellation reject (exit 2) any --n/--k/--n-max whose
+# `word_cost` exceeds this.  The acceptance grid's largest cell (n = 4, k = 5,
+# n_max = 4) costs 26592; the slowest admitted trial measured, a dense
+# `--n 11 --k 1 --n-max 3` (87868), takes about 1 s on a 2-core x86 VM.
+WORD_COST_LIMIT = 100_000
+# verify-theorem's multiset recursion nests two Python frames per letter, so
+# a longer word would hit the interpreter's recursion limit.
+WORD_LENGTH_LIMIT = 200
+# bernoulli --n-max 1000 takes about 4 s on a 2-core x86 VM, and the table
+# costs about n_max^3.
+BERNOULLI_N_MAX_LIMIT = 1000
+
+
+def word_cost(n: int, k: int, n_max: int) -> int:
+    """Cost estimate of one verify-theorem or cancellation trial, exact up to
+    `WORD_COST_LIMIT`.
+
+    It is the most multiset states a k-letter word over n letters has (its
+    sub-multisets, most with the letters spread evenly) times the terms of
+    all n generators of an order-n_max family, ``n * _generator_terms(n,
+    n_max)``.  The family is drawn up to n_max whatever the cutoff, so --d
+    adds no work and does not enter.  The product stops, and the order is
+    capped, where the estimate already passes the limit, so oversized flags
+    are rejected without big-number work.
+    """
+    q, r = divmod(k, n)
+    cost = n
+    for letter in range(min(n, k)):
+        cost *= q + 1 + (letter < r)
+        if cost > WORD_COST_LIMIT:
+            return cost
+    # a generator has at least 1 + n^2 * n_max terms, so a larger order is
+    # past the limit anyway
+    return cost * _generator_terms(n, min(n_max, WORD_COST_LIMIT // n**2 + 1))
 
 
 @dataclass(frozen=True)
@@ -228,8 +272,10 @@ def load_structure_constants(path: str) -> StructureConstants:
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
     command = args.command
     if command == "bernoulli":
-        if args.n_max < 0:
-            raise CLIInputError(f"--n-max must be >= 0, got {args.n_max}")
+        if not 0 <= args.n_max <= BERNOULLI_N_MAX_LIMIT:
+            raise CLIInputError(
+                f"--n-max must be in [0, {BERNOULLI_N_MAX_LIMIT}], got {args.n_max}"
+            )
         return RunConfig(command=command, n_max=args.n_max, output=args.output)
     if command == "verify-iota":
         if args.d < 0:
@@ -289,6 +335,14 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     k = args.k if args.k is not None else (3 if command == "verify-theorem" else 4)
     if n < 1 or k < 1 or n_max < 1:
         raise CLIInputError("--n, --k and --n-max must be >= 1")
+    cost = word_cost(n, k, n_max)
+    if cost > WORD_COST_LIMIT:
+        raise CLIInputError(
+            f"{command} cost estimate {cost} (multiset states times generator terms) "
+            f"exceeds the limit {WORD_COST_LIMIT}; lower --n, --k or --n-max"
+        )
+    if command == "verify-theorem" and k > WORD_LENGTH_LIMIT:
+        raise CLIInputError(f"--k must be <= {WORD_LENGTH_LIMIT}, got {k}")
     if command == "verify-theorem":
         d = args.d if args.d is not None else max(k - 1, n_max)
         if d < k - 1:

@@ -23,7 +23,7 @@ from itertools import combinations_with_replacement
 from typing import Iterator, Mapping
 
 from .rng import SplitMix64
-from .weyl import Immutable, MultiIndex, Rational, WeylElement
+from .weyl import Immutable, MultiIndex, Rational, WeylElement, _pack
 
 # (order N, l, i, j, monomial m with |m| = N - 1)
 FamilyKey = tuple[int, int, int, int, MultiIndex]
@@ -243,18 +243,26 @@ def build_generators(family: CoefficientFamily, max_d_degree: int) -> GeneratorS
     The order-N correction terms have d-degree exactly N, so the cutoff
     simply drops all orders beyond it.  One pass over the family fills a
     term dict per generator, seeded with the x_i key, which has d-degree 0
-    and so never collides with a correction term.
+    and so never collides with a correction term.  Terms are keyed by
+    their packed `WeylElement` keys from the start.
     """
     if max_d_degree < 0:
         raise ValueError(f"truncation order must be >= 0, got {max_d_degree}")
     n = family.n
     zero = (0,) * n
     units = [tuple(int(t == i) for t in range(n)) for i in range(n)]
-    buckets = [{(u, zero): Fraction(1)} for u in units]
+    x_keys = [_pack(u, zero) for u in units]
+    d_keys = [_pack(zero, u) for u in units]
+    m_keys: dict[MultiIndex, int] = {}  # few distinct monomials per family
+    buckets = [{k: Fraction(1)} for k in x_keys]
     for (order, l, i, j, m), v in family.items():
         if order <= max_d_degree:
             terms = buckets[i - 1]
-            key = (units[l - 1], m[: j - 1] + (m[j - 1] + 1,) + m[j:])
+            m_key = m_keys.get(m)
+            if m_key is None:
+                m_key = m_keys[m] = _pack(zero, m)
+            # keys are linear in the exponents: key(x_l d^(m + e_j))
+            key = x_keys[l - 1] + m_key + d_keys[j - 1]
             s = terms[key] + v if key in terms else v
             if s:
                 terms[key] = s

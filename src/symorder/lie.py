@@ -101,7 +101,9 @@ class StructureConstants(Immutable):
         """All antisymmetry and Jacobi violations (empty iff the table is valid).
 
         Violations are data, not errors; each names the offending index tuple
-        and the nonzero residual.  Results are cached (the table is immutable).
+        and the nonzero residual.  Results are cached as a tuple (the table
+        is immutable) and each call returns a fresh list, so a caller that
+        edits the list leaves the table's verdict alone.
 
         Jacobi is checked on sorted triples i < j < l only.  Once antisymmetry
         holds, the cyclic sum is totally antisymmetric in (i, j, l), so it
@@ -109,7 +111,7 @@ class StructureConstants(Immutable):
         triple up to sign; a table failing antisymmetry is already reported.
         """
         if self._violations is not None:
-            return self._violations
+            return list(self._violations)
         n = self.n
         out: list[Violation] = []
         for k in range(1, n + 1):
@@ -131,7 +133,7 @@ class StructureConstants(Immutable):
                             )
                         if r:
                             out.append(Violation("jacobi", (i, j, l, m), r))
-        object.__setattr__(self, "_violations", out)
+        object.__setattr__(self, "_violations", tuple(out))
         return out
 
     def is_valid(self) -> bool:

@@ -17,8 +17,23 @@ denominator and all numerators, so equal elements have equal fields.
 `mul`, `fock_apply`, ``+``, ``-``, `scale` and `truncate` compute on those
 integers and finish through `_reduced`, which drops zeros and divides out
 the common factor.  The accessors hand coefficients out as
-``fractions.Fraction`` values.  The reordering expansion of each d^b x^c
-pair is kept in a bounded LRU cache.
+``fractions.Fraction`` values.
+
+Each term is stored under one packed int key of 2n + 2 fields of
+`_WIDTH` = 16 bits, most significant first:
+
+    x_1 .. x_n | d_1 .. d_n | |xexp| + |dexp| | |dexp|
+
+Integer order is therefore ``(xexp, dexp)`` tuple order, `truncate` and
+`d_degree` read the bottom field alone, and the exponents of a product or
+Fock term are plain integer sums and differences of keys.  A term's total
+degree must stay at most `_FIELD` = 65535, which bounds every field: the
+constructor raises `OverflowError` on a larger term, and `mul` and
+`fock_apply` raise it before any work when the largest total degrees of
+their operands could sum past the limit, so a field never carries into its
+neighbour.  Keys are decoded to tuples only by `items`, `coefficient` and
+`sorted_terms`.  The reordering expansion of each d^b x^c pair is kept,
+with packed offsets, in one bounded LRU cache.
 
 Elements are immutable and all operations are pure, so values can be shared
 freely across threads.
@@ -31,7 +46,6 @@ derivative, the constant 1 as vacuum).
 
 from __future__ import annotations
 
-import operator
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -44,6 +58,16 @@ TermKey = tuple[MultiIndex, MultiIndex]
 
 # Maximum retained d-degree when truncating; plain int, must be >= 0.
 TruncationOrder = int
+
+# Bits per packed key field, and the mask of one field, which is also the
+# largest total degree a term may have.
+_WIDTH = 16
+_FIELD = (1 << _WIDTH) - 1
+# The total-degree field, in place.
+_TOTAL = _FIELD << _WIDTH
+# The two bottom fields, which carry n in a cache query (n < 2^32 always:
+# one key of 2^33 fields would not fit in memory).
+_LOW = (1 << 2 * _WIDTH) - 1
 
 
 class DimensionMismatchError(ValueError):
@@ -76,14 +100,62 @@ def _as_multi_index(exps: Iterable[int], n: int, what: str) -> MultiIndex:
     return t
 
 
+def _pack(xexp: MultiIndex, dexp: MultiIndex) -> int:
+    """The packed key of a term with these nonnegative exponents."""
+    dd = sum(dexp)
+    total = sum(xexp) + dd
+    if total > _FIELD:
+        raise OverflowError(
+            f"term x^{xexp} d^{dexp} has total degree {total}, above the packed "
+            f"key limit {_FIELD}"
+        )
+    key = 0
+    for e in xexp + dexp:
+        key = key << _WIDTH | e
+    return (key << _WIDTH | total) << _WIDTH | dd
+
+
+def _unpack(n: int, key: int) -> TermKey:
+    """The (xexp, dexp) tuples of a packed key."""
+    fields = [key >> s & _FIELD for s in range((2 * n + 1) * _WIDTH, _WIDTH, -_WIDTH)]
+    return tuple(fields[:n]), tuple(fields[n:])
+
+
+def _d_mask(n: int) -> int:
+    """The d fields of an n-dimensional key; shifted up n fields, the x fields."""
+    return ((1 << n * _WIDTH) - 1) << 2 * _WIDTH
+
+
+def _unit(n: int, i: int) -> int:
+    """The packed offset of x_i d^i (0-based i): one in the x_i and d_i
+    fields, two in the total and one in the d-degree field."""
+    sd = (n + 1 - i) * _WIDTH
+    return (1 << sd + n * _WIDTH) + (1 << sd) + (2 << _WIDTH) + 1
+
+
+def _top(nums: dict[int, int]) -> int:
+    """The largest total-degree field over a key set, in place; 0 if empty."""
+    return max(map(_TOTAL.__and__, nums), default=0)
+
+
+def _check_room(top: int) -> None:
+    """Raise unless a product whose factors' tops sum to top fits its fields."""
+    if top > _TOTAL:
+        raise OverflowError(
+            f"a product term could reach total degree {top >> _WIDTH}, above the "
+            f"packed key limit {_FIELD}"
+        )
+
+
 class WeylElement(Immutable):
     """A normal-ordered element of the n-th Weyl algebra.
 
-    The coefficient of ``(xexp, dexp)`` is ``_nums[(xexp, dexp)] / _den``:
-    numerators are nonzero ints, ``_den`` is a positive int and
-    ``gcd(_den, *_nums.values()) == 1``; zero is the empty map over 1.  The
-    constructor canonicalizes (coerces coefficients, drops zeros) and
-    validates exponent shapes.
+    The coefficient of ``(xexp, dexp)`` is ``_nums[key] / _den`` with
+    ``key = _pack(xexp, dexp)``: numerators are nonzero ints, ``_den`` is a
+    positive int and ``gcd(_den, *_nums.values()) == 1``; zero is the empty
+    map over 1.  The constructor canonicalizes (coerces coefficients, drops
+    zeros) and validates exponent shapes; a term of total degree above
+    `_FIELD` raises `OverflowError`.
     """
 
     __slots__ = ("n", "_den", "_nums")
@@ -91,13 +163,13 @@ class WeylElement(Immutable):
     def __init__(self, n: int, terms: Mapping[TermKey, Rational | int] | None = None):
         if n < 1:
             raise ValueError(f"ambient dimension must be >= 1, got {n}")
-        canonical: dict[TermKey, Fraction] = {}
+        canonical: dict[int, Fraction] = {}
         if terms:
             for (xexp, dexp), coeff in terms.items():
                 c = Fraction(coeff)
                 if c == 0:
                     continue
-                key = (_as_multi_index(xexp, n, "xexp"), _as_multi_index(dexp, n, "dexp"))
+                key = _pack(_as_multi_index(xexp, n, "xexp"), _as_multi_index(dexp, n, "dexp"))
                 s = canonical[key] + c if key in canonical else c
                 if s:
                     canonical[key] = s
@@ -109,48 +181,53 @@ class WeylElement(Immutable):
         object.__setattr__(self, "_nums", nums)
 
     @classmethod
-    def _raw(cls, n: int, terms: dict[TermKey, Fraction]) -> "WeylElement":
-        """The element of an already-canonical Fraction term dict, unchecked.
+    def _raw(cls, n: int, terms: dict[int, Fraction]) -> "WeylElement":
+        """The element of a packed-key dict of nonzero Fractions, unchecked.
 
-        Internal fast path; callers must guarantee canonical form.
+        Internal fast path; callers must guarantee keys built by `_pack`
+        from length-n exponent tuples.
         """
         return _element(n, *_cleared(terms))
 
     # -- inspection ---------------------------------------------------------
 
     def items(self) -> Iterator[tuple[TermKey, Fraction]]:
-        den = self._den
-        return ((key, Fraction(v, den)) for key, v in self._nums.items())
+        n, den = self.n, self._den
+        return ((_unpack(n, key), Fraction(v, den)) for key, v in self._nums.items())
 
     def coefficient(self, xexp: Iterable[int], dexp: Iterable[int]) -> Fraction:
-        key = (_as_multi_index(xexp, self.n, "xexp"), _as_multi_index(dexp, self.n, "dexp"))
-        return Fraction(self._nums.get(key, 0), self._den)
+        xexp = _as_multi_index(xexp, self.n, "xexp")
+        dexp = _as_multi_index(dexp, self.n, "dexp")
+        if sum(xexp) + sum(dexp) > _FIELD:
+            # no stored term has a degree past the key limit
+            return Fraction(0)
+        return Fraction(self._nums.get(_pack(xexp, dexp), 0), self._den)
 
     def term_count(self) -> int:
         return len(self._nums)
 
     def sorted_terms(self) -> list[tuple[TermKey, Fraction]]:
-        """Terms sorted lexicographically by (xexp, dexp); deterministic."""
-        return sorted(self.items())
+        """Terms sorted lexicographically by (xexp, dexp); deterministic.
+
+        Key order is that order, so the sort runs on the ints.
+        """
+        n, den = self.n, self._den
+        return [(_unpack(n, key), Fraction(v, den)) for key, v in sorted(self._nums.items())]
 
     def is_zero(self) -> bool:
         return not self._nums
 
     def is_polynomial(self) -> bool:
         """True iff every term has dexp identically zero."""
-        return all(not any(d) for (_x, d) in self._nums)
+        return not any(map(_FIELD.__and__, self._nums))
 
     def x_degree(self) -> int:
         """Max total x-degree over terms; -1 for the zero element."""
-        if not self._nums:
-            return -1
-        return max(sum(x) for (x, _d) in self._nums)
+        return max(((k >> _WIDTH & _FIELD) - (k & _FIELD) for k in self._nums), default=-1)
 
     def d_degree(self) -> int:
         """Max total d-degree over terms; -1 for the zero element."""
-        if not self._nums:
-            return -1
-        return max(sum(d) for (_x, d) in self._nums)
+        return max(map(_FIELD.__and__, self._nums), default=-1)
 
     # -- ring structure -----------------------------------------------------
 
@@ -242,7 +319,7 @@ class WeylElement(Immutable):
 Polynomial = WeylElement
 
 
-def _element(n: int, den: int, nums: dict[TermKey, int]) -> WeylElement:
+def _element(n: int, den: int, nums: dict[int, int]) -> WeylElement:
     """Wrap fields that already meet the class invariant, without copying."""
     a = object.__new__(WeylElement)
     object.__setattr__(a, "n", n)
@@ -251,7 +328,7 @@ def _element(n: int, den: int, nums: dict[TermKey, int]) -> WeylElement:
     return a
 
 
-def _cleared(terms: dict[TermKey, Fraction]) -> tuple[int, dict[TermKey, int]]:
+def _cleared(terms: dict[int, Fraction]) -> tuple[int, dict[int, int]]:
     """(den, nums) for nonzero reduced Fractions, den the lcm of their denominators.
 
     The result is already reduced: if p^e is the full power of a prime p in
@@ -262,7 +339,7 @@ def _cleared(terms: dict[TermKey, Fraction]) -> tuple[int, dict[TermKey, int]]:
     return den, {k: c.numerator * (den // c.denominator) for k, c in terms.items()}
 
 
-def _reduced(n: int, den: int, nums: dict[TermKey, int]) -> WeylElement:
+def _reduced(n: int, den: int, nums: dict[int, int]) -> WeylElement:
     """The element with coefficients nums / den: zeros dropped, common factor divided out."""
     nums = {k: v for k, v in nums.items() if v}
     g = gcd(den, *nums.values())
@@ -311,21 +388,18 @@ def _unit_index(n: int, i: int) -> MultiIndex:
 
 def weyl_x(n: int, i: int) -> WeylElement:
     """The generator x_i (1-based index)."""
-    zero = (0,) * n
-    return WeylElement._raw(n, {(_unit_index(n, i), zero): Fraction(1)})
+    return WeylElement._raw(n, {_pack(_unit_index(n, i), (0,) * n): Fraction(1)})
 
 
 def weyl_d(n: int, j: int) -> WeylElement:
     """The generator d^j (1-based index)."""
-    zero = (0,) * n
-    return WeylElement._raw(n, {(zero, _unit_index(n, j)): Fraction(1)})
+    return WeylElement._raw(n, {_pack((0,) * n, _unit_index(n, j)): Fraction(1)})
 
 
 def weyl_scalar(n: int, c: Rational | int) -> WeylElement:
     """The scalar element c*1; zero gives the empty term map."""
     c = Fraction(c)
-    zero = (0,) * n
-    return WeylElement._raw(n, {(zero, zero): c} if c else {})
+    return WeylElement._raw(n, {0: c} if c else {})
 
 
 def weyl_term(
@@ -342,15 +416,30 @@ def poly_monomial(n: int, exps: Iterable[int], coeff: Rational | int = 1) -> Pol
 
 # Bounded, so memory stays flat; typical suites meet a few hundred pairs.
 @lru_cache(maxsize=4096)
-def _contractions(da: MultiIndex, xb: MultiIndex) -> tuple[tuple[MultiIndex, MultiIndex, int], ...]:
-    """Reorderings of d^da x^xb as (xb - t, da - t, C(da,t) C(xb,t) t!) over t."""
+def _contractions(query: int) -> tuple[tuple[int, int], ...]:
+    """Reorderings of d^da x^xb as (offset, C(da,t) C(xb,t) t!) over t.
+
+    ``query`` holds da in the d fields and xb in the x fields of an
+    n-dimensional key, and n in the two bottom fields, so one int keys the
+    cache.  Subtracting ``offset`` from the sum of the two terms' keys gives
+    the key of x^(xa + xb - t) d^(da + db - t); t = 0 comes first with
+    offset 0 and factor 1.
+    """
+    n = query & _LOW
+    axes = []
+    for i in range(n):
+        sd = (n + 1 - i) * _WIDTH
+        da, xb = query >> sd & _FIELD, query >> sd + n * _WIDTH & _FIELD
+        if da and xb:
+            axes.append((da, xb, _unit(n, i)))
     out = []
-    for t in product(*(range(min(p, q) + 1) for p, q in zip(da, xb))):
-        f = 1
-        for ti, dai, xbi in zip(t, da, xb):
+    for t in product(*(range(min(da, xb) + 1) for da, xb, _u in axes)):
+        offset, f = 0, 1
+        for ti, (da, xb, unit) in zip(t, axes):
             if ti:
-                f *= comb(dai, ti) * comb(xbi, ti) * factorial(ti)
-        out.append((tuple(map(operator.sub, xb, t)), tuple(map(operator.sub, da, t)), f))
+                offset += ti * unit
+                f *= comb(da, ti) * comb(xb, ti) * factorial(ti)
+        out.append((offset, f))
     return tuple(out)
 
 
@@ -367,31 +456,60 @@ def mul(a: WeylElement, b: WeylElement) -> WeylElement:
 
     Term pairs multiply the operands' stored integer numerators and sum
     them over the product of the two denominators, which `_reduced` then
-    brings to lowest terms.  The expansion of each d^b x^c is cached per
-    (b, c) in a bounded LRU cache.
+    brings to lowest terms.  A pair's keys add, and each contraction
+    subtracts its packed offset from `_contractions`, cached per
+    (d-part of the left term, x-part of the right term).  Operands whose
+    largest total degrees sum past the key limit raise `OverflowError`.
     """
     _check_same_n(a, b)
-    out: dict[TermKey, int] = {}
+    n = a.n
+    nums_a, nums_b = a._nums, b._nums
+    _check_room(_top(nums_a) + _top(nums_b))
+    d_mask = _d_mask(n)
+    x_mask = d_mask << n * _WIDTH
+    out: dict[int, int] = {}
     get = out.get
-    plus = operator.add
-    terms_b = b._nums.items()
-    for (xa, da), ca in a._nums.items():
-        for (xb, db), cb in terms_b:
+    terms_b = nums_b.items()
+    for ka, ca in nums_a.items():
+        qa = ka & d_mask | n
+        for kb, cb in terms_b:
             c = ca * cb
-            for xs, ds, f in _contractions(da, xb):
-                key = (tuple(map(plus, xa, xs)), tuple(map(plus, ds, db)))
+            base = ka + kb
+            for offset, f in _contractions(qa | kb & x_mask):
+                key = base - offset
                 out[key] = get(key, 0) + c * f
-    return _reduced(a.n, a._den * b._den, out)
+    return _reduced(n, a._den * b._den, out)
 
 
 def truncate(a: WeylElement, max_d_degree: TruncationOrder) -> WeylElement:
     """Drop every term whose total d-degree exceeds the bound; idempotent."""
     if max_d_degree < 0:
         raise ValueError(f"truncation order must be >= 0, got {max_d_degree}")
-    kept = {k: v for k, v in a._nums.items() if sum(k[1]) <= max_d_degree}
+    kept = {k: v for k, v in a._nums.items() if k & _FIELD <= max_d_degree}
     if len(kept) == len(a._nums):
         return a
     return _reduced(a.n, a._den, kept)
+
+
+# Few distinct d-parts occur, so a small bound suffices.
+@lru_cache(maxsize=1024)
+def _fock_shift(query: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """(shift, ((position, e), ...)) of the d-part d^e packed in ``query``.
+
+    ``query`` is laid out as in `_contractions`, with no x fields.  x^a d^e
+    sends x^m to prod m_i!/(m_i - e_i)! x^(a + m - e) when e <= m: the key of
+    x^(a + m - e) is key(x^a d^e) + key(x^m) - shift, and each nonzero e_i
+    comes with the bit position of the x_i field whose m_i it needs.
+    """
+    n = query & _LOW
+    shift, fields = 0, []
+    for i in range(n):
+        sd = (n + 1 - i) * _WIDTH
+        e = query >> sd & _FIELD
+        if e:
+            shift += e * _unit(n, i)
+            fields.append((sd + n * _WIDTH, e))
+    return shift, tuple(fields)
 
 
 def fock_apply(a: WeylElement, p: Polynomial) -> Polynomial:
@@ -400,23 +518,34 @@ def fock_apply(a: WeylElement, p: Polynomial) -> Polynomial:
     A term x^a d^b sends the monomial x^c to  prod_i (c_i)!/(c_i-b_i)! *
     x^(a+c-b)  when b <= c componentwise, else to 0; extended bilinearly.
     As in `mul`, term pairs sum integer numerators over the product of the
-    two denominators.
+    two denominators, and keys combine by integer arithmetic: the shift
+    and the d fields of each operator term come from `_fock_shift`.
     """
     _check_same_n(a, p)
-    out: dict[TermKey, int] = {}
+    n = a.n
+    nums_a, nums_p = a._nums, p._nums
+    if any(map(_FIELD.__and__, nums_p)):
+        raise ValueError("fock_apply target must be a polynomial (dexp == 0)")
+    top_p = _top(nums_p)
+    _check_room(_top(nums_a) + top_p)
+    degree_p = top_p >> _WIDTH
+    d_mask = _d_mask(n)
+    out: dict[int, int] = {}
     get = out.get
-    terms_a = a._nums.items()
-    for (mexp, mz), q in p._nums.items():
-        if any(mz):
-            raise ValueError("fock_apply target must be a polynomial (dexp == 0)")
-        for (xexp, dexp), c in terms_a:
+    terms_p = nums_p.items()
+    for ka, c in nums_a.items():
+        if ka & _FIELD > degree_p:
+            continue  # d^e with |e| above the degree of p kills every term
+        shift, fields = _fock_shift(ka & d_mask | n)
+        base = ka - shift
+        for kp, q in terms_p:
             f = c * q
-            for d_i, m_i in zip(dexp, mexp):
-                if d_i:
-                    if d_i > m_i:
-                        break
-                    f *= perm(m_i, d_i)
+            for pos, e in fields:
+                m = kp >> pos & _FIELD
+                if e > m:
+                    break
+                f *= perm(m, e)
             else:
-                key = (tuple(map(operator.sub, map(operator.add, xexp, mexp), dexp)), mz)
+                key = base + kp
                 out[key] = get(key, 0) + f
-    return _reduced(a.n, a._den * p._den, out)
+    return _reduced(n, a._den * p._den, out)

@@ -6,6 +6,8 @@ import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from itertools import product
+from math import prod
 from pathlib import Path
 
 import pytest
@@ -14,11 +16,15 @@ from fractions import Fraction
 
 import symorder.cli as cli
 from symorder.cli import (
+    BERNOULLI_N_MAX_LIMIT,
     SPAN_COST_LIMIT,
+    WORD_COST_LIMIT,
+    WORD_LENGTH_LIMIT,
     CLIInputError,
     load_structure_constants,
     main,
     span_cost,
+    word_cost,
 )
 from symorder.generators import build_generators, monomials_of_degree, random_family
 from symorder.lie import heisenberg_table, sl2_table
@@ -294,6 +300,88 @@ def test_span_dim_cost_gate_exits_two_before_any_work(monkeypatch):
         assert code == 2, argv
         assert out == ""
         assert "cost estimate" in err, argv
+
+
+def _most_states(n: int, k: int) -> int:
+    """The most sub-multisets of any k-letter word over n letters, by brute force."""
+    return max(
+        prod(c + 1 for c in counts)
+        for counts in product(range(k + 1), repeat=n)
+        if sum(counts) == k
+    )
+
+
+def test_word_cost_counts_states_and_generator_terms():
+    rng = SplitMix64(0x3C0)
+    for _ in range(60):
+        n, k, n_max = 1 + rng.below(4), 1 + rng.below(6), 1 + rng.below(4)
+        terms = 1 + n * sum(len(monomials_of_degree(n, deg)) for deg in range(1, n_max + 1))
+        assert word_cost(n, k, n_max) == _most_states(n, k) * n * terms, (n, k, n_max)
+        # a dense family reaches no more terms per generator than the bound
+        gens = build_generators(random_family(n, n_max, Fraction(1), rng.next_u64()), n_max)
+        assert max(g.term_count() for g in gens.generators) <= terms
+
+
+def test_word_cost_admits_goldens_and_the_acceptance_grid():
+    # criterion 1 runs every cell of this grid, criterion 3 a part of it
+    for n, k, n_max in product(range(1, 5), range(1, 6), range(1, 5)):
+        assert word_cost(n, k, n_max) <= WORD_COST_LIMIT, (n, k, n_max)
+    assert word_cost(4, 5, 4) == 24 * 4 * 277
+    for _name, argv, _expected in GOLDEN_CASES:
+        if argv[0] in ("verify-theorem", "cancellation"):
+            config = cli._resolve_config(cli.build_parser().parse_args(argv))
+            assert word_cost(config.n, config.k, config.n_max) <= WORD_COST_LIMIT
+
+
+def test_word_cost_gate_exits_two_before_any_work(monkeypatch):
+    def forbidden(*_args, **_kwargs):
+        raise AssertionError("a word command started work past the cost gate")
+
+    for name in ("random_family", "build_generators", "derived_family",
+                 "symmetric_control_family", "theorem_check", "cancellation_check",
+                 "bernoulli"):
+        monkeypatch.setattr(cli, name, forbidden)
+    oversized = [
+        ["--n", "5", "--k", "5", "--n-max", "4"],
+        ["--n", "40", "--k", "1", "--n-max", "1"],
+        ["--n", "2", "--k", str(10**12)],
+        ["--n", "1", "--k", str(10**12)],
+        ["--n", str(10**30), "--k", "1"],
+        ["--n", str(10**30), "--k", str(10**12), "--n-max", str(10**9)],
+        ["--n", "2", "--k", "2", "--n-max", str(10**9)],
+        ["--sc", "data/sl2.json", "--n-max", str(10**9)],
+        ["--family", "symmetric-control", "--k", str(10**12)],
+    ]
+    rng = SplitMix64(0x90A7)
+    while len(oversized) < 40:
+        n, k, n_max = 1 + rng.below(40), 1 + rng.below(60), 1 + rng.below(12)
+        if word_cost(n, k, n_max) > WORD_COST_LIMIT:
+            oversized.append([f"--n={n}", f"--k={k}", f"--n-max={n_max}"])
+    for command in ("verify-theorem", "cancellation"):
+        for argv in oversized:
+            code, out, err = invoke([command, *argv])
+            assert code == 2, (command, argv)
+            assert out == ""
+            assert "cost estimate" in err, (command, argv)
+    # cheap but too deep for the multiset recursion
+    assert word_cost(1, WORD_LENGTH_LIMIT + 1, 1) <= WORD_COST_LIMIT
+    code, out, err = invoke(["verify-theorem", "--n", "1", "--k", str(WORD_LENGTH_LIMIT + 1)])
+    assert (code, out) == (2, "") and "--k must be" in err
+    for n_max in (BERNOULLI_N_MAX_LIMIT + 1, 3000, 10**12):
+        code, out, err = invoke(["bernoulli", "--n-max", str(n_max)])
+        assert (code, out) == (2, "") and "--n-max" in err, n_max
+
+
+def test_word_gate_admits_its_edges():
+    config = cli._resolve_config(cli.build_parser().parse_args(
+        ["verify-theorem", "--n", "1", "--k", str(WORD_LENGTH_LIMIT)]))
+    assert config.k == WORD_LENGTH_LIMIT
+    code, out, _err = invoke(["verify-theorem", "--n", "1", "--k", str(WORD_LENGTH_LIMIT),
+                              "--trials", "1"])
+    assert code == 0 and out.endswith("result: pass\n")
+    config = cli._resolve_config(cli.build_parser().parse_args(
+        ["bernoulli", "--n-max", str(BERNOULLI_N_MAX_LIMIT)]))
+    assert config.n_max == BERNOULLI_N_MAX_LIMIT
 
 
 def test_help_exits_zero():

@@ -10,6 +10,7 @@ from symorder.generators import build_generators
 from symorder.lie import (
     InvalidStructureConstantsError,
     StructureConstants,
+    Violation,
     abelian_table,
     bernoulli,
     cmatrix,
@@ -145,6 +146,22 @@ def test_structured_tables_are_valid():
         assert random_almost_abelian_table(4, seed).is_valid()
     assert random_two_step_table(4, 2, 9) == random_two_step_table(4, 2, 9)
     assert random_almost_abelian_table(4, 9) == random_almost_abelian_table(4, 9)
+
+
+def test_validate_hands_out_a_fresh_list():
+    # editing the returned list must not change the table's verdict
+    sc = sl2_table()
+    sc.validate().append(Violation("jacobi", (1, 2, 3, 1), Fraction(1)))
+    assert sc.is_valid() and sc.validate() == []
+    sc.require_valid()
+    bad = StructureConstants(2, {(1, 1, 2): 1})
+    first = bad.validate()
+    first.clear()
+    assert not bad.is_valid()
+    assert bad.validate() == [Violation("antisymmetry", (1, 1, 2), Fraction(1))]
+    assert bad.validate() is not bad.validate()
+    with pytest.raises(InvalidStructureConstantsError):
+        bad.require_valid()
 
 
 def test_require_valid_raises_with_violations():

@@ -375,6 +375,108 @@ def test_bilinearity():
         assert fock_apply(a.scale(s), p) == fock_apply(a, p).scale(s)
 
 
+def _wide_element(rng: SplitMix64, n: int, top: int, big_x: bool) -> WeylElement:
+    """A sparse element on n axes with one term of total degree top.
+
+    That term carries top - 2 on one x field (big_x) or one d field; every
+    other exponent is at most 2, so x-heavy left and d-heavy right operands
+    reorder cheaply.
+    """
+    data = {}
+    for _ in range(1 + rng.below(4)):
+        xexp = tuple(rng.below(3) for _ in range(n))
+        dexp = tuple(rng.below(3) for _ in range(n))
+        data[(xexp, dexp)] = rng.rational()
+    xexp, dexp = [0] * n, [0] * n
+    (xexp if big_x else dexp)[rng.below(n)] = top - 2
+    xexp[rng.below(n)] += 1
+    dexp[rng.below(n)] += 1
+    data[(tuple(xexp), tuple(dexp))] = rng.rational()
+    return WeylElement(n, data)
+
+
+def test_packed_kernel_matches_oracles_up_to_six_axes():
+    # mul, fock_apply, truncate and + on packed keys against the Fraction
+    # oracles, for n = 1..6, with terms just under the key limit among them
+    limit = weyl._FIELD
+    rng = SplitMix64(0x9AC4ED)
+    for trial in range(300):
+        n = 1 + trial % 6
+        if trial % 3 == 0:
+            # a product whose top terms sit just under (or at) the limit
+            top_a = 13 + rng.below(limit // 2)
+            a = _wide_element(rng, n, top_a, big_x=True)
+            b = _wide_element(rng, n, limit - top_a - rng.below(3), big_x=False)
+            p = random_poly(rng, n, terms=1 + rng.below(4))
+            p = p + poly_monomial(n, (limit - top_a,) + (0,) * (n - 1), rng.rational())
+        else:
+            a = random_element(rng, n, terms=1 + rng.below(6))
+            b = random_element(rng, n, terms=1 + rng.below(6))
+            p = random_poly(rng, n, terms=1 + rng.below(5))
+        d = rng.below(5)
+        ta, tb = dict(a.items()), dict(b.items())
+        cases = [
+            (mul(a, b), _reference_mul(a, b).sorted_terms()),
+            (fock_apply(a, p), _reference_fock_apply(a, p).sorted_terms()),
+            (truncate(a, d), sorted((k, v) for k, v in ta.items() if sum(k[1]) <= d)),
+            (a + b, sorted(_oracle_linear((1, ta), (1, tb)).items())),
+        ]
+        for got, want in cases:
+            assert got.sorted_terms() == want, (trial, n)
+            assert_canonical(got)
+            for (xexp, dexp), coeff in want:
+                assert got.coefficient(xexp, dexp) == coeff, trial
+        assert a.x_degree() == max(sum(x) for x, _d in ta)
+        assert a.d_degree() == max(sum(d) for _x, d in ta)
+        for fn in (weyl._contractions, weyl._fock_shift):
+            info = fn.cache_info()
+            assert info.currsize <= info.maxsize
+
+
+def test_overflowing_term_raises_instead_of_carrying():
+    limit = weyl._FIELD
+    for n in (1, 2, 5):
+        e1 = tuple(int(i == 0) for i in range(n))
+        big = WeylElement(n, {((limit - 1,) + (0,) * (n - 1), e1): 1})  # total == limit
+        assert big.d_degree() == 1 and big.x_degree() == limit - 1
+        assert big.coefficient((limit - 1,) + (0,) * (n - 1), e1) == 1
+        assert big.coefficient((limit,) + (0,) * (n - 1), e1) == 0
+        assert big.coefficient((limit + 1,) + (0,) * (n - 1), (0,) * n) == 0
+        for xexp, dexp in (((limit,) + (0,) * (n - 1), e1),
+                           ((0,) * n, (limit + 1,) + (0,) * (n - 1)),
+                           ((limit // 2 + 1,) * n, (limit // 2 + 1,) * n)):
+            with pytest.raises(OverflowError):
+                WeylElement(n, {(xexp, dexp): 1})
+        one = weyl_x(n, 1)
+        with pytest.raises(OverflowError):
+            mul(big, one)
+        with pytest.raises(OverflowError):
+            mul(weyl_d(n, n), big)
+        with pytest.raises(OverflowError):
+            fock_apply(big, poly_monomial(n, e1))
+        # at the limit a product still fits: x1^(limit-2) d1 * x1 has terms
+        # x1^(limit-1) d1 and x1^(limit-2), nothing carried
+        edge = WeylElement(n, {((limit - 2,) + (0,) * (n - 1), e1): 1})
+        assert mul(edge, one).sorted_terms() == _reference_mul(edge, one).sorted_terms()
+        assert fock_apply(edge, poly_monomial(n, e1)) == poly_monomial(n, (limit - 2,) + (0,) * (n - 1))
+
+
+def test_sorted_terms_follow_tuple_order():
+    rng = SplitMix64(0x50E7)
+    for trial in range(200):
+        n = 1 + rng.below(6)
+        data = {}
+        for _ in range(1 + rng.below(12)):
+            xexp = tuple(rng.below(5) for _ in range(n))
+            dexp = tuple(rng.below(5) for _ in range(n))
+            data[(xexp, dexp)] = rng.rational()
+        want = sorted(key for key, c in data.items() if c)
+        a = WeylElement(n, data)
+        assert [key for key, _c in a.sorted_terms()] == want, trial
+        # the packed keys themselves sort in that order
+        assert [weyl._unpack(n, k) for k in sorted(a._nums)] == want, trial
+
+
 def test_truncate_examples():
     a = weyl_term(2, (1, 0), (1, 0)) + weyl_term(2, (1, 0), (0, 3))
     assert truncate(a, 2) == weyl_term(2, (1, 0), (1, 0))
