@@ -63,6 +63,7 @@ from .weyl import (
     Rational,
     WeylElement,
     fock_apply,
+    linear_combination,
     mul,
     poly_monomial,
     truncate,
@@ -101,6 +102,7 @@ __all__ = [
     "homomorphism_defect",
     "identity_cmatrix",
     "iota",
+    "linear_combination",
     "monomials_of_degree",
     "mul",
     "pi_project",

@@ -15,7 +15,9 @@ Exit status: 0 all checks passed, 1 at least one check failed, 2 usage or
 input error, including a run past its cost gate: span-dim whose `span_cost`
 exceeds `SPAN_COST_LIMIT`, verify-theorem or cancellation whose `word_cost`
 exceeds `WORD_COST_LIMIT` (or, for verify-theorem, whose word is longer than
-`WORD_LENGTH_LIMIT`), and bernoulli past `BERNOULLI_N_MAX_LIMIT`.
+`WORD_LENGTH_LIMIT`), verify-iota whose `iota_cost` exceeds
+`IOTA_COST_LIMIT`, bernoulli past `BERNOULLI_N_MAX_LIMIT`, and any --trials
+past `TRIALS_LIMIT`.
 
 Structure-constant files are JSON documents
 
@@ -90,13 +92,14 @@ def span_cost(n: int, k: int, n_max: int, d: int) -> int:
         if products > SPAN_COST_LIMIT:
             return products
     top = min(n_max, d, SPAN_COST_LIMIT)
-    return products * _generator_terms(n, top)
+    return products * _generator_terms(n, n, top)
 
 
-def _generator_terms(n: int, top: int) -> int:
+def _generator_terms(n: int, axes: int, top: int) -> int:
     """The most terms one generator can have at d-cutoff top: x_i plus x_l d^mu
-    for every l and every d-monomial mu with 1 <= |mu| <= top."""
-    return 1 + n * (comb(n + top, top) - 1)
+    for every l and every monomial mu in `axes` of the n derivatives with
+    1 <= |mu| <= top."""
+    return 1 + n * (comb(axes + top, top) - 1)
 
 
 # verify-theorem and cancellation reject (exit 2) any --n/--k/--n-max whose
@@ -110,6 +113,10 @@ WORD_LENGTH_LIMIT = 200
 # bernoulli --n-max 1000 takes about 4 s on a 2-core x86 VM, and the table
 # costs about n_max^3.
 BERNOULLI_N_MAX_LIMIT = 1000
+# Every command with --trials rejects (exit 2) more than this: each trial is
+# bounded by its cost gate, and the report grows by one record per trial.
+# The goldens use at most 4 trials and the README examples at most 50.
+TRIALS_LIMIT = 1000
 
 
 def word_cost(n: int, k: int, n_max: int) -> int:
@@ -118,7 +125,7 @@ def word_cost(n: int, k: int, n_max: int) -> int:
 
     It is the most multiset states a k-letter word over n letters has (its
     sub-multisets, most with the letters spread evenly) times the terms of
-    all n generators of an order-n_max family, ``n * _generator_terms(n,
+    all n generators of an order-n_max family, ``n * _generator_terms(n, n,
     n_max)``.  The family is drawn up to n_max whatever the cutoff, so --d
     adds no work and does not enter.  The product stops, and the order is
     capped, where the estimate already passes the limit, so oversized flags
@@ -132,7 +139,46 @@ def word_cost(n: int, k: int, n_max: int) -> int:
             return cost
     # a generator has at least 1 + n^2 * n_max terms, so a larger order is
     # past the limit anyway
-    return cost * _generator_terms(n, min(n_max, WORD_COST_LIMIT // n**2 + 1))
+    return cost * _generator_terms(n, n, min(n_max, WORD_COST_LIMIT // n**2 + 1))
+
+
+# verify-iota rejects (exit 2) any table and --d whose `iota_cost` exceeds
+# this.  The golden and benchmark argvs cost at most 97949388 (a dense
+# 4-dimensional almost-abelian table at --d 8); data/sl2.json is admitted up
+# to --d 26, about 0.6 s on a 2-core x86 VM, and --d 60, which took 24 s,
+# costs 93735000600.
+IOTA_COST_LIMIT = 10**9
+
+
+def iota_cost(sc: StructureConstants, d: int) -> int:
+    """Cost estimate of one verify-iota run, exact up to `IOTA_COST_LIMIT`.
+
+    `homomorphism_defect` forms two products of embedding images for each
+    of the n(n - 1)/2 pairs, so the estimate is that many products times
+    the most term pairs one of them can have, the square of
+    ``_generator_terms(n, a, top)``.  The images only use the a derivatives
+    d^j for which some C^k_ij is nonzero, and their d-degree stops at
+    top = min(d + 1, L + 1) where L is the longest path in the graph with
+    an edge k -> i for every nonzero C^k_ij: the image series stops at the
+    first vanishing power of `lie.cmatrix`, whose entry (k, i) is nonzero
+    only on such an edge, so its L + 1-st power vanishes.  A cycle leaves
+    top = d + 1, capped where the estimate already passes the limit, so
+    oversized flags are rejected without big-number work.
+    """
+    edges: dict[int, set[int]] = {}
+    derivatives = set()
+    for (k, i, j), _v in sc.items():
+        edges.setdefault(k, set()).add(i)
+        derivatives.add(j)
+    top, paths, starts = min(d + 1, IOTA_COST_LIMIT), 0, set(edges)
+    while starts and paths < sc.n:
+        paths += 1
+        # the vertices that start a path of paths + 1 edges
+        starts = {k for k in starts if edges[k] & starts}
+    if not starts:
+        top = min(top, paths + 1)
+    pairs = sc.n * (sc.n - 1) // 2
+    return 2 * pairs * _generator_terms(sc.n, len(derivatives), top) ** 2
 
 
 @dataclass(frozen=True)
@@ -280,15 +326,22 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     if command == "verify-iota":
         if args.d < 0:
             raise CLIInputError(f"--d must be >= 0, got {args.d}")
-        return RunConfig(command=command, d=args.d, sc_path=args.sc,
-                         sc=load_structure_constants(args.sc), output=args.output)
+        sc = load_structure_constants(args.sc)
+        cost = iota_cost(sc, args.d)
+        if cost > IOTA_COST_LIMIT:
+            raise CLIInputError(
+                f"verify-iota cost estimate {cost} (commutator products times term pairs) "
+                f"exceeds the limit {IOTA_COST_LIMIT}; lower --d"
+            )
+        return RunConfig(command=command, d=args.d, sc_path=args.sc, sc=sc,
+                         output=args.output)
 
     if not 0 <= args.seed < _U64:
         raise CLIInputError(f"--seed must be in [0, 2^64), got {args.seed}")
     if not 0 <= args.sparsity <= 1:
         raise CLIInputError(f"--sparsity must be in [0, 1], got {args.sparsity}")
-    if args.trials < 1:
-        raise CLIInputError(f"--trials must be >= 1, got {args.trials}")
+    if not 1 <= args.trials <= TRIALS_LIMIT:
+        raise CLIInputError(f"--trials must be in [1, {TRIALS_LIMIT}], got {args.trials}")
 
     if command == "span-dim":
         if args.n < 1 or args.k < 1 or args.n_max < 1:
@@ -422,9 +475,9 @@ def _run_cancellation(config: RunConfig) -> tuple[dict, int]:
 
 def _run_span_dim(config: RunConfig) -> tuple[dict, int]:
     master = SplitMix64(config.seed)
-    seeds = [master.next_u64() for _ in range(config.trials)]
     records = []
-    for t, fam_seed in enumerate(seeds):
+    for t in range(config.trials):
+        fam_seed = master.next_u64()
         fam = random_family(config.n, config.n_max, config.sparsity, fam_seed)
         gens = build_generators(fam, config.d)
         rank, symmetric_dim = span_dimension(gens, config.k)

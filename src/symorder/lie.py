@@ -32,6 +32,7 @@ from .weyl import (
     Immutable,
     Rational,
     WeylElement,
+    linear_combination,
     mul,
     truncate,
     weyl_scalar,
@@ -184,11 +185,9 @@ def _mat_mul(a: CMatrix, b: CMatrix, n: int) -> CMatrix:
     for r in range(n):
         row = []
         for c in range(n):
-            acc = weyl_scalar(n, 0)
-            for s in range(n):
-                if a[r][s] and b[s][c]:
-                    acc = acc + mul(a[r][s], b[s][c])
-            row.append(acc)
+            row.append(linear_combination(
+                n, [(1, mul(a[r][s], b[s][c])) for s in range(n) if a[r][s] and b[s][c]]
+            ))
         rows.append(tuple(row))
     return tuple(rows)
 
@@ -273,12 +272,9 @@ def homomorphism_defect(
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             a, b = images[i - 1], images[j - 1]
-            residual = mul(a, b) - mul(b, a)
-            for k in range(1, n + 1):
-                c = sc.get(k, i, j)
-                if c:
-                    residual = residual - images[k - 1].scale(c)
-            defects[(i, j)] = truncate(residual, max_d_degree)
+            parts = [(1, mul(a, b)), (-1, mul(b, a))]
+            parts += [(-sc.get(k, i, j), images[k - 1]) for k in range(1, n + 1)]
+            defects[(i, j)] = truncate(linear_combination(n, parts), max_d_degree)
     return defects
 
 

@@ -37,6 +37,7 @@ from .weyl import (
     Polynomial,
     WeylElement,
     fock_apply,
+    linear_combination,
     mul,
     truncate,
     weyl_scalar,
@@ -86,10 +87,11 @@ def _word_sum(
 
     Permutations grouped by first letter give S(M) = sum_c m_c * act(X_c,
     S(M - c)) with S(empty) = 1, where ``act`` is `fock_apply` for the
-    vacuum action and `mul` for the operator product.  Results are cached
-    in the generator set's word cache under ``(tag, counts)``.  The entry
-    points look ``act`` and themselves (as ``recurse``) up as module
-    globals on every call, so a rebound name reaches every level.
+    vacuum action and `mul` for the operator product; the sum over c is one
+    `linear_combination`.  Results are cached in the generator set's word
+    cache under ``(tag, counts)``.  The entry points look ``act`` and
+    themselves (as ``recurse``) up as module globals on every call, so a
+    rebound name reaches every level.
     """
     cache = gens._word_cache
     key = (tag, counts)
@@ -99,12 +101,12 @@ def _word_sum(
     if not any(counts):
         result = weyl_scalar(gens.n, 1)
     else:
-        result = weyl_scalar(gens.n, 0)
+        parts = []
         for c, mult in enumerate(counts):
             if mult:
                 sub = counts[:c] + (mult - 1,) + counts[c + 1 :]
-                part = act(gens.generators[c], recurse(gens, sub))
-                result = result + part.scale(mult)
+                parts.append((mult, act(gens.generators[c], recurse(gens, sub))))
+        result = linear_combination(gens.n, parts)
     cache[key] = result
     return result
 
@@ -159,7 +161,9 @@ def theorem_check(gens: GeneratorSet, word: Word) -> CheckResult:
     k = len(word)
     counts = word_counts(gens.n, word)
     sufficient = _warn_if_insufficient(gens, k)
-    residual = _vacuum_action(gens, counts) - word_monomial(gens.n, word).scale(factorial(k))
+    residual = linear_combination(
+        gens.n, ((1, _vacuum_action(gens, counts)), (-factorial(k), word_monomial(gens.n, word)))
+    )
     return CheckResult(word, residual.is_zero(), residual, sufficient)
 
 
@@ -193,7 +197,7 @@ def cancellation_terms(
     for idx in range(len(word)):
         rest = word[:idx] + word[idx + 1 :]
         rest_counts = word_counts(n, rest)
-        acc = weyl_scalar(n, 0)
+        parts = []
         for s in range(1, n + 1):
             mult = rest_counts[s - 1]
             if not mult:
@@ -203,8 +207,8 @@ def cancellation_terms(
                 continue
             deleted = rest_counts[: s - 1] + (mult - 1,) + rest_counts[s:]
             monomial = WeylElement(n, {(deleted, (0,) * n): 1})
-            acc = acc + mul(monomial, pair).scale(mult)
-        out.append(acc)
+            parts.append((mult, mul(monomial, pair)))
+        out.append(linear_combination(n, parts))
     return out
 
 
@@ -212,10 +216,9 @@ def cancellation_check(
     family: CoefficientFamily, word: Word, l: int, order: int
 ) -> WeylElement:
     """Sum of the per-position contributions; zero iff they cancel."""
-    total = weyl_scalar(family.n, 0)
-    for term in cancellation_terms(family, word, l, order):
-        total = total + term
-    return total
+    return linear_combination(
+        family.n, [(1, term) for term in cancellation_terms(family, word, l, order)]
+    )
 
 
 # -- section and projection ----------------------------------------------------
@@ -233,10 +236,9 @@ def e_tilde(p: Polynomial, gens: GeneratorSet) -> WeylElement:
         raise ValueError("e_tilde argument must be a polynomial (dexp == 0)")
     if not p.is_zero():
         _warn_if_insufficient(gens, p.x_degree())
-    acc = weyl_scalar(gens.n, 0)
-    for (xexp, _d), coeff in p.items():
-        acc = acc + _operator_sum(gens, xexp).scale(coeff)
-    return acc
+    return linear_combination(
+        gens.n, [(coeff, _operator_sum(gens, xexp)) for (xexp, _d), coeff in p.items()]
+    )
 
 
 def e_map(p: Polynomial, gens: GeneratorSet) -> WeylElement:

@@ -14,10 +14,13 @@ with this kernel hold structurally or not at all.
 An element stores its coefficients in one representation: integer
 numerators over one positive denominator, with no factor common to the
 denominator and all numerators, so equal elements have equal fields.
-`mul`, `fock_apply`, ``+``, ``-``, `scale` and `truncate` compute on those
+`mul`, `fock_apply`, `linear_combination` and `truncate` compute on those
 integers and finish through `_reduced`, which drops zeros and divides out
-the common factor.  The accessors hand coefficients out as
-``fractions.Fraction`` values.
+the common factor.  `linear_combination` is the one route for sums of
+scaled elements: ``+``, ``-`` and `scale` call it, and so does every
+caller that sums many parts; it takes the lcm of the parts' denominators,
+accumulates in one pass and reduces once.  The accessors hand coefficients
+out as ``fractions.Fraction`` values.
 
 Each term is stored under one packed int key of 2n + 2 fields of
 `_WIDTH` = 16 bits, most significant first:
@@ -33,7 +36,9 @@ constructor raises `OverflowError` on a larger term, and `mul` and
 their operands could sum past the limit, so a field never carries into its
 neighbour.  Keys are decoded to tuples only by `items`, `coefficient` and
 `sorted_terms`.  The reordering expansion of each d^b x^c pair is kept,
-with packed offsets, in one bounded LRU cache.
+with packed offsets, in one bounded LRU cache.  `mul` buckets the left
+operand's terms by d-part and the right operand's by x-part and looks the
+expansion up once per bucket pair, not once per term pair.
 
 Elements are immutable and all operations are pure, so values can be shared
 freely across threads.
@@ -247,28 +252,15 @@ class WeylElement(Immutable):
     def __add__(self, other: "WeylElement") -> "WeylElement":
         if not isinstance(other, WeylElement):
             return NotImplemented
-        _check_same_n(self, other)
-        if not self._nums:
-            return other
-        if not other._nums:
-            return self
-        den = lcm(self._den, other._den)
-        fa, fb = den // self._den, den // other._den
-        out = {k: v * fa for k, v in self._nums.items()}
-        get = out.get
-        for k, v in other._nums.items():
-            out[k] = get(k, 0) + v * fb
-        return _reduced(self.n, den, out)
+        return linear_combination(self.n, ((1, self), (1, other)))
 
     def __sub__(self, other: "WeylElement") -> "WeylElement":
         if not isinstance(other, WeylElement):
             return NotImplemented
-        return self + (-other)
+        return linear_combination(self.n, ((1, self), (-1, other)))
 
     def scale(self, c: Rational | int) -> "WeylElement":
-        c = Fraction(c)
-        p = c.numerator
-        return _reduced(self.n, self._den * c.denominator, {k: v * p for k, v in self._nums.items()})
+        return linear_combination(self.n, ((Fraction(c), self),))
 
     def __mul__(self, other: object) -> "WeylElement":
         if isinstance(other, WeylElement):
@@ -354,6 +346,41 @@ def _check_same_n(a: WeylElement, b: WeylElement) -> None:
         raise DimensionMismatchError(f"ambient dimensions differ: {a.n} != {b.n}")
 
 
+def linear_combination(
+    n: int, parts: Iterable[tuple[Rational | int, WeylElement]]
+) -> WeylElement:
+    """The sum of c * a over the (c, a) parts, in the n-th Weyl algebra.
+
+    This is the one route for sums of scaled elements: ``+``, ``-`` and
+    `scale` go through it, and so do the callers that sum many of them.
+    Scalars are ints or Fractions.  It takes the lcm of the parts'
+    denominators (each element's times its scalar's), accumulates every
+    part's integer numerators over it in one pass and reduces once.  Parts
+    with a zero scalar or a zero element drop out; a lone remaining part
+    with scalar 1 is returned as it is.  An element of another dimension
+    raises `DimensionMismatchError`.
+    """
+    live = []
+    for c, a in parts:
+        if a.n != n:
+            raise DimensionMismatchError(f"ambient dimensions differ: {a.n} != {n}")
+        if c and a._nums:
+            live.append((c, a))
+    if len(live) == 1 and live[0][0] == 1:
+        return live[0][1]
+    den = lcm(*(c.denominator * a._den for c, a in live))
+    out: dict[int, int] = {}
+    for c, a in live:
+        f = c.numerator * (den // (c.denominator * a._den))
+        if out:
+            get = out.get
+            for k, v in a._nums.items():
+                out[k] = get(k, 0) + v * f
+        else:
+            out = {k: v * f for k, v in a._nums.items()}
+    return _reduced(n, den, out)
+
+
 def format_term(xexp: MultiIndex, dexp: MultiIndex, coeff: Fraction) -> str:
     """Render one normal-ordered term, e.g. ``-1/2*x1^2*d3``."""
     factors = []
@@ -414,16 +441,17 @@ def poly_monomial(n: int, exps: Iterable[int], coeff: Rational | int = 1) -> Pol
     return weyl_term(n, exps, (0,) * n, coeff)
 
 
-# Bounded, so memory stays flat; typical suites meet a few hundred pairs.
+# Bounded, so memory stays flat; typical suites meet a few thousand pairs.
 @lru_cache(maxsize=4096)
 def _contractions(query: int) -> tuple[tuple[int, int], ...]:
-    """Reorderings of d^da x^xb as (offset, C(da,t) C(xb,t) t!) over t.
+    """Reorderings of d^da x^xb past t = 0, as (offset, C(da,t) C(xb,t) t!).
 
     ``query`` holds da in the d fields and xb in the x fields of an
     n-dimensional key, and n in the two bottom fields, so one int keys the
     cache.  Subtracting ``offset`` from the sum of the two terms' keys gives
-    the key of x^(xa + xb - t) d^(da + db - t); t = 0 comes first with
-    offset 0 and factor 1.
+    the key of x^(xa + xb - t) d^(da + db - t).  The t = 0 term, offset 0
+    and factor 1, is left out: `mul` adds it directly, so the tuple is
+    empty when da and xb share no axis.
     """
     n = query & _LOW
     axes = []
@@ -440,7 +468,15 @@ def _contractions(query: int) -> tuple[tuple[int, int], ...]:
                 offset += ti * unit
                 f *= comb(da, ti) * comb(xb, ti) * factorial(ti)
         out.append((offset, f))
-    return tuple(out)
+    return tuple(out[1:])
+
+
+def _buckets(nums: dict[int, int], mask: int) -> dict[int, list[tuple[int, int]]]:
+    """The (key, numerator) terms grouped by the masked part of their key."""
+    out: dict[int, list[tuple[int, int]]] = {}
+    for key, v in nums.items():
+        out.setdefault(key & mask, []).append((key, v))
+    return out
 
 
 def mul(a: WeylElement, b: WeylElement) -> WeylElement:
@@ -454,30 +490,43 @@ def mul(a: WeylElement, b: WeylElement) -> WeylElement:
     the combinatorial factor is a product over coordinates.  This fixes
     d^j * x_i = x_i * d^j + delta(i,j).
 
-    Term pairs multiply the operands' stored integer numerators and sum
-    them over the product of the two denominators, which `_reduced` then
-    brings to lowest terms.  A pair's keys add, and each contraction
-    subtracts its packed offset from `_contractions`, cached per
-    (d-part of the left term, x-part of the right term).  Operands whose
-    largest total degrees sum past the key limit raise `OverflowError`.
+    A pair's contractions depend only on the d-part of its left term and
+    the x-part of its right term, so the left operand's terms are bucketed
+    by d-part, the right operand's by x-part, and `_contractions` is looked
+    up once per bucket pair.  Each term pair multiplies the stored integer
+    numerators and adds the t = 0 term at the sum of its keys, then every
+    other contraction at that sum minus its packed offset; a bucket pair
+    with no other contraction, such as one with a d-free left bucket, runs
+    a loop with no offset arithmetic.  The sums are over the product of the
+    two denominators, which `_reduced` then brings to lowest terms.
+    Operands whose largest total degrees sum past the key limit raise
+    `OverflowError`.
     """
     _check_same_n(a, b)
     n = a.n
     nums_a, nums_b = a._nums, b._nums
     _check_room(_top(nums_a) + _top(nums_b))
     d_mask = _d_mask(n)
-    x_mask = d_mask << n * _WIDTH
+    right = _buckets(nums_b, d_mask << n * _WIDTH).items()
     out: dict[int, int] = {}
     get = out.get
-    terms_b = nums_b.items()
-    for ka, ca in nums_a.items():
-        qa = ka & d_mask | n
-        for kb, cb in terms_b:
-            c = ca * cb
-            base = ka + kb
-            for offset, f in _contractions(qa | kb & x_mask):
-                key = base - offset
-                out[key] = get(key, 0) + c * f
+    for da, terms_a in _buckets(nums_a, d_mask).items():
+        for xb, terms_b in right:
+            rest = _contractions(da | xb | n)
+            if rest:
+                for ka, ca in terms_a:
+                    for kb, cb in terms_b:
+                        key = ka + kb
+                        c = ca * cb
+                        out[key] = get(key, 0) + c
+                        for offset, f in rest:
+                            k = key - offset
+                            out[k] = get(k, 0) + c * f
+            else:
+                for ka, ca in terms_a:
+                    for kb, cb in terms_b:
+                        key = ka + kb
+                        out[key] = get(key, 0) + ca * cb
     return _reduced(n, a._den * b._den, out)
 
 

@@ -7,7 +7,7 @@ import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from itertools import product
-from math import prod
+from math import comb, prod
 from pathlib import Path
 
 import pytest
@@ -17,17 +17,29 @@ from fractions import Fraction
 import symorder.cli as cli
 from symorder.cli import (
     BERNOULLI_N_MAX_LIMIT,
+    IOTA_COST_LIMIT,
     SPAN_COST_LIMIT,
+    TRIALS_LIMIT,
     WORD_COST_LIMIT,
     WORD_LENGTH_LIMIT,
     CLIInputError,
+    iota_cost,
     load_structure_constants,
     main,
     span_cost,
     word_cost,
 )
 from symorder.generators import build_generators, monomials_of_degree, random_family
-from symorder.lie import heisenberg_table, sl2_table
+from symorder.lie import (
+    StructureConstants,
+    _embedding_images,
+    abelian_table,
+    direct_sum,
+    heisenberg_table,
+    random_almost_abelian_table,
+    random_two_step_table,
+    sl2_table,
+)
 from symorder.rng import SplitMix64
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -382,6 +394,173 @@ def test_word_gate_admits_its_edges():
     config = cli._resolve_config(cli.build_parser().parse_args(
         ["bernoulli", "--n-max", str(BERNOULLI_N_MAX_LIMIT)]))
     assert config.n_max == BERNOULLI_N_MAX_LIMIT
+
+
+def _dense_almost_abelian(n: int) -> StructureConstants:
+    """[X_n, X_i] = sum_{k < n} X_k for i < n: every action entry present."""
+    entries = {}
+    for i in range(1, n):
+        for k in range(1, n):
+            entries[(k, n, i)], entries[(k, i, n)] = 1, -1
+    return StructureConstants(n, entries)
+
+
+def _dense_two_step(n: int, n_central: int) -> StructureConstants:
+    """Every bracket of the first n - n_central generators hits every central one."""
+    r = n - n_central
+    entries = {}
+    for i in range(1, r + 1):
+        for j in range(i + 1, r + 1):
+            for k in range(r + 1, n + 1):
+                entries[(k, i, j)], entries[(k, j, i)] = 1, -1
+    return StructureConstants(n, entries)
+
+
+def _longest_path(sc: StructureConstants) -> int | None:
+    """Edges of the longest path k -> i over nonzero C^k_ij, None on a cycle,
+    by depth-first search from every vertex."""
+    edges: dict = {}
+    for (k, i, _j), _v in sc.items():
+        edges.setdefault(k, set()).add(i)
+
+    def longest(v, seen):
+        best = 0
+        for w in edges.get(v, ()):
+            if w in seen:
+                return None
+            sub = longest(w, seen | {w})
+            if sub is None:
+                return None
+            best = max(best, 1 + sub)
+        return best
+
+    lengths = [longest(v, {v}) for v in edges]
+    return None if None in lengths else max(lengths, default=0)
+
+
+def test_iota_cost_bounds_the_commutator_term_pairs():
+    rng = SplitMix64(0x107A)
+    tables = [abelian_table(2), heisenberg_table(), sl2_table(), _dense_almost_abelian(3),
+              _dense_two_step(4, 1), direct_sum(sl2_table(), heisenberg_table())]
+    for _ in range(6):
+        tables.append(random_almost_abelian_table(2 + rng.below(3), rng.next_u64()))
+        tables.append(random_two_step_table(3 + rng.below(3), 1 + rng.below(2), rng.next_u64()))
+    for sc in tables:
+        n = sc.n
+        derivatives = len({j for (_k, _i, j), _v in sc.items()})
+        path = _longest_path(sc)
+        for d in range(6):
+            top = d + 1 if path is None else min(d + 1, path + 1)
+            terms = 1 + n * sum(comb(derivatives + deg - 1, deg) for deg in range(1, top + 1))
+            assert iota_cost(sc, d) == n * (n - 1) * terms**2, (sc, d)
+            # the images reach no more terms, and no higher d-degree, than the bound
+            images = _embedding_images(sc, d + 1)
+            assert max(g.term_count() for g in images) <= terms, (sc, d)
+            assert max(g.d_degree() for g in images) <= top, (sc, d)
+        if path is not None:
+            # past the depth of the series the cutoff adds no work
+            assert iota_cost(sc, path) == iota_cost(sc, 10**12), sc
+    assert iota_cost(sl2_table(), 60) == 93735000600
+
+
+def test_iota_cost_admits_goldens_and_the_bench_argvs():
+    tables = {path: load_structure_constants(path) for path in
+              ("data/abelian2.json", "data/heisenberg.json", "data/sl2.json")}
+    tables["sl2+almost-abelian-2"] = direct_sum(sl2_table(), _dense_almost_abelian(2))
+    for n in (3, 4):
+        tables[f"almost-abelian-{n}"] = _dense_almost_abelian(n)
+    tables["two-step-4-1"] = _dense_two_step(4, 1)
+    tables["two-step-5-2"] = _dense_two_step(5, 2)
+    # the benchmark cycles --d 4, 6, 8 over its tables, then adds sl2 --d 10
+    for (name, sc), d in zip(tables.items(), [4, 6, 8] * 3):
+        assert iota_cost(sc, d) <= IOTA_COST_LIMIT, (name, d)
+    assert iota_cost(sl2_table(), 10) <= IOTA_COST_LIMIT
+    code, out, _err = invoke(["verify-iota", "--sc", "data/sl2.json", "--d", "3"])
+    assert code == 0 and out == (GOLDEN_DIR / "verify-iota-sl2.txt").read_text(encoding="utf-8")
+
+
+def test_verify_iota_cost_gate_exits_two_before_any_work(monkeypatch, tmp_path):
+    def forbidden(*_args, **_kwargs):
+        raise AssertionError("verify-iota started work past the cost gate")
+
+    for name in ("homomorphism_defect", "derived_family", "build_generators"):
+        monkeypatch.setattr(cli, name, forbidden)
+    oversized = [("data/sl2.json", 60), ("data/sl2.json", 27), ("data/sl2.json", 10**30)]
+    rng = SplitMix64(0x10CA7E)
+    while len(oversized) < 40:
+        pick = rng.below(3)
+        if pick == 0:
+            sc = sl2_table()
+        elif pick == 1:
+            sc = random_almost_abelian_table(2 + rng.below(4), rng.next_u64())
+        else:
+            sc = direct_sum(sl2_table(), random_two_step_table(3 + rng.below(3), 1, rng.next_u64()))
+        d = rng.below(10**rng.below(7))
+        if iota_cost(sc, d) > IOTA_COST_LIMIT:
+            path = tmp_path / f"table{len(oversized)}.json"
+            entries = [{"k": k, "i": i, "j": j, "num": v.numerator, "den": v.denominator}
+                       for (k, i, j), v in sorted(sc.items())]
+            path.write_text(json.dumps({"n": sc.n, "entries": entries}), encoding="utf-8")
+            oversized.append((str(path), d))
+    for path, d in oversized:
+        code, out, err = invoke(["verify-iota", "--sc", path, "--d", str(d)])
+        assert (code, out) == (2, ""), (path, d)
+        assert "cost estimate" in err, (path, d)
+
+
+def test_trials_limit_exits_two_before_any_work(monkeypatch):
+    def forbidden(*_args, **_kwargs):
+        raise AssertionError("a trial command started work past --trials")
+
+    for name in ("random_family", "build_generators", "derived_family",
+                 "theorem_check", "cancellation_check", "span_dimension"):
+        monkeypatch.setattr(cli, name, forbidden)
+    for command in ("verify-theorem", "cancellation", "span-dim"):
+        for trials in (TRIALS_LIMIT + 1, 10**12):
+            code, out, err = invoke([command, "--trials", str(trials)])
+            assert (code, out) == (2, "") and "--trials" in err, (command, trials)
+        parsed = cli.build_parser().parse_args([command, "--trials", str(TRIALS_LIMIT)])
+        assert cli._resolve_config(parsed).trials == TRIALS_LIMIT
+
+
+def test_readme_examples_pass_every_gate():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    examples = [line.split("#")[0].split()[1:] for line in readme.splitlines()
+                if line.startswith("symorder ")]
+    assert len(examples) >= 5
+    cwd = os.getcwd()
+    os.chdir(ROOT)
+    try:
+        for argv in examples:
+            cli._resolve_config(cli.build_parser().parse_args(argv))
+    finally:
+        os.chdir(cwd)
+
+
+def test_span_dim_draws_each_seed_at_its_trial(monkeypatch):
+    draws = []
+
+    class Counted(SplitMix64):
+        def next_u64(self):
+            draws.append(None)
+            return super().next_u64()
+
+    seen = []
+    real_family = random_family
+
+    def family(n, n_max, sparsity, seed):
+        seen.append((len(draws), seed))
+        return real_family(n, n_max, sparsity, seed)
+
+    monkeypatch.setattr(cli, "SplitMix64", Counted)
+    monkeypatch.setattr(cli, "random_family", family)
+    monkeypatch.setattr(cli, "span_dimension", lambda gens, k: (3, 3))
+    code, out, _err = invoke(["span-dim", "--trials", "4", "--seed", "7"])
+    assert code == 0
+    master = SplitMix64(7)
+    assert seen == [(t + 1, master.next_u64()) for t in range(4)]
+    for t, (_drawn, seed) in enumerate(seen):
+        assert f"trial {t}: seed={seed} rank=3" in out
 
 
 def test_help_exits_zero():

@@ -15,6 +15,7 @@ from symorder.weyl import (
     WeylElement,
     fock_apply,
     format_term,
+    linear_combination,
     mul,
     poly_monomial,
     truncate,
@@ -431,6 +432,105 @@ def test_packed_kernel_matches_oracles_up_to_six_axes():
         for fn in (weyl._contractions, weyl._fock_shift):
             info = fn.cache_info()
             assert info.currsize <= info.maxsize
+
+
+def _bucketed_operands(rng: SplitMix64, n: int, shape: int) -> tuple[WeylElement, WeylElement]:
+    """Operands for one bucket case of `mul`: 0 a left operand with d-free
+    terms, 1 d-parts and x-parts on disjoint axes (no contraction past
+    t = 0), 2 few shared d-parts and x-parts with many contractions each,
+    3 an empty operand, 4 unshaped."""
+    def element(xs, ds, terms):
+        return WeylElement(n, {(xs[rng.below(len(xs))], ds[rng.below(len(ds))]): rng.rational()
+                               for _ in range(terms)})
+
+    def parts(count, axes, top):
+        return [tuple(rng.below(top + 1) if i in axes else 0 for i in range(n))
+                for _ in range(count)]
+
+    every = set(range(n))
+    if shape == 0:
+        a = random_poly(rng, n, terms=1 + rng.below(4)) + random_element(rng, n, terms=rng.below(3))
+        return a, random_element(rng, n, terms=1 + rng.below(5))
+    if shape == 1:
+        left = {i for i in range(n) if rng.below(2)}
+        a = element(parts(4, every, 2), parts(1 + rng.below(3), left, 3), 1 + rng.below(6))
+        b = element(parts(1 + rng.below(3), every - left, 3), parts(4, every, 2), 1 + rng.below(6))
+        return a, b
+    if shape == 2:
+        a = element(parts(5, every, 2), parts(1 + rng.below(2), every, 3), 2 + rng.below(6))
+        b = element(parts(1 + rng.below(2), every, 3), parts(5, every, 2), 2 + rng.below(6))
+        return a.scale(Fraction(1, 1 + rng.below(9))), b
+    a, b = random_element(rng, n, terms=1 + rng.below(5)), random_element(rng, n, terms=1 + rng.below(5))
+    if shape == 3:
+        pick = rng.below(3)
+        return (WeylElement(n) if pick != 1 else a), (WeylElement(n) if pick != 0 else b)
+    return a, b
+
+
+def test_bucketed_mul_matches_reference_up_to_six_axes():
+    rng = SplitMix64(0xB0C4E7)
+    seen = set()
+    for trial in range(300):
+        n = 1 + trial % 6
+        shape = trial // 6 % 5
+        a, b = _bucketed_operands(rng, n, shape)
+        got = mul(a, b)
+        assert got.sorted_terms() == _reference_mul(a, b).sorted_terms(), (trial, n, shape)
+        assert_canonical(got)
+        d_mask = weyl._d_mask(n)
+        left = weyl._buckets(a._nums, d_mask)
+        right = weyl._buckets(b._nums, d_mask << n * weyl._WIDTH)
+        assert sorted(t for ts in left.values() for t in ts) == sorted(a._nums.items())
+        assert sorted(t for ts in right.values() for t in ts) == sorted(b._nums.items())
+        for da in left:
+            for xb in right:
+                rest = weyl._contractions(da | xb | n)
+                seen.add((shape, "d-free" if not da else "multi" if len(rest) > 1
+                          else "single" if rest else "t=0 only"))
+                if shape == 1:
+                    assert rest == (), trial
+        if left and right and min(max(map(len, left.values())), max(map(len, right.values()))) > 1:
+            seen.add((shape, "shared buckets"))
+        if shape == 3:
+            assert got.is_zero()
+    assert {(0, "d-free"), (1, "t=0 only"), (2, "single"), (2, "multi"),
+            (2, "shared buckets")} <= seen
+    info = weyl._contractions.cache_info()
+    assert info.currsize <= info.maxsize
+
+
+def test_linear_combination_matches_fraction_oracle():
+    rng = SplitMix64(0x11C0)
+    for trial in range(300):
+        n = 1 + rng.below(4)
+        parts = []
+        for _ in range(rng.below(5)):
+            pick = rng.below(5)
+            c = (0 if pick == 0 else 1 + rng.below(7) - 4 if pick == 1
+                 else Fraction(rng.below(9) - 4, 1 + rng.below(35)))
+            a = WeylElement(n) if rng.below(6) == 0 else random_element(rng, n, 1 + rng.below(5))
+            parts.append((c, a))
+        if trial % 4 == 0 and parts:
+            # the last part cancels the first in full
+            c, a = parts[0]
+            parts.append((-c, a))
+        got = linear_combination(n, parts)
+        want = _oracle_linear(*((c, dict(a.items())) for c, a in parts))
+        assert got.sorted_terms() == sorted(want.items()), trial
+        assert_canonical(got)
+        if trial % 4 == 0:
+            assert got == linear_combination(n, parts[1:-1]), trial
+        # a lone part with scalar 1, whatever zero parts come with it, is itself
+        a = random_element(rng, n)
+        for lone in ([(1, a)], [(Fraction(1), a)], [(0, a), (1, a), (5, WeylElement(n))]):
+            assert linear_combination(n, lone) is a, trial
+    assert linear_combination(3, []) == WeylElement(3)
+    x = weyl_x(2, 1)
+    assert linear_combination(2, [(Fraction(1, 2), x), (Fraction(1, 2), x)]) == x
+    assert linear_combination(2, [(3, x), (-3, x)]) == WeylElement(2)
+    for parts in ([(1, x), (1, weyl_x(3, 1))], [(0, weyl_x(3, 1))], [(1, WeylElement(1))]):
+        with pytest.raises(DimensionMismatchError):
+            linear_combination(2, parts)
 
 
 def test_overflowing_term_raises_instead_of_carrying():
