@@ -19,6 +19,9 @@ exceeds `WORD_COST_LIMIT` (or, for verify-theorem, whose word is longer than
 `IOTA_COST_LIMIT`, bernoulli past `BERNOULLI_N_MAX_LIMIT`, and any --trials
 past `TRIALS_LIMIT`.
 
+Flags that several subcommands take are declared once, in argparse parent
+parsers, and every per-command default sits in one table, `_DEFAULTS`.
+
 Structure-constant files are JSON documents
 
     {"n": 3, "entries": [{"k": 3, "i": 1, "j": 2, "num": 1, "den": 1}]}
@@ -33,6 +36,7 @@ Jacobi identity after completion, is rejected.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -107,8 +111,9 @@ def _generator_terms(n: int, axes: int, top: int) -> int:
 # n_max = 4) costs 26592; the slowest admitted trial measured, a dense
 # `--n 11 --k 1 --n-max 3` (87868), takes about 1 s on a 2-core x86 VM.
 WORD_COST_LIMIT = 100_000
-# verify-theorem's multiset recursion nests two Python frames per letter, so
-# a longer word would hit the interpreter's recursion limit.
+# verify-theorem also caps the word length.  For n = 1, `word_cost` alone
+# admits words of up to 49,999 letters, and the word cache would then hold
+# m! * x^m for every m <= k: summing log2(m!) over those m gives about 2 GB.
 WORD_LENGTH_LIMIT = 200
 # bernoulli --n-max 1000 takes about 4 s on a 2-core x86 VM, and the table
 # costs about n_max^3.
@@ -199,6 +204,18 @@ class RunConfig:
     output: str = "text"
 
 
+# Each command's defaults for the flags that parse to None.  A callable `d` is
+# derived from the resolved k and n_max.
+_DEFAULTS: dict[str, dict] = {
+    "verify-theorem": {"n": 2, "k": 3, "n_max": 2, "trials": 10,
+                       "d": lambda k, n_max: max(k - 1, n_max)},
+    "cancellation": {"n": 3, "k": 4, "n_max": 2, "trials": 10},
+    "span-dim": {"n": 2, "k": 2, "n_max": 2, "trials": 3, "d": lambda k, _n_max: 2 * k},
+    "verify-iota": {"d": 4},
+    "bernoulli": {"n_max": 8},
+}
+
+
 def _fraction_arg(text: str) -> Fraction:
     try:
         return Fraction(text)
@@ -206,59 +223,48 @@ def _fraction_arg(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from exc
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by later calls.
+
+    Children share their parent parsers' actions, so a child's `set_defaults`
+    would change a default for every subcommand: per-command defaults parse
+    to None and come from `_DEFAULTS`.
+    """
+    report = argparse.ArgumentParser(add_help=False)
+    report.add_argument("--output", choices=("text", "json"), default="text",
+                        help="report format")
+    cutoff = argparse.ArgumentParser(add_help=False)
+    cutoff.add_argument("--d", type=int, help="truncation order")
+    trial = argparse.ArgumentParser(add_help=False)
+    trial.add_argument("--n", type=int, help="ambient dimension")
+    trial.add_argument("--k", type=int, help="word length")
+    trial.add_argument("--n-max", type=int, help="max family order")
+    trial.add_argument("--trials", type=int, help="number of trials")
+    trial.add_argument("--seed", type=int, default=0, help="64-bit master seed")
+    trial.add_argument("--sparsity", type=_fraction_arg, default=Fraction(1, 2),
+                       help="density of random family entries, rational in [0, 1]")
+    source = argparse.ArgumentParser(add_help=False)
+    source.add_argument("--sc", help="structure-constant file; uses the derived family")
+    source.add_argument("--family", choices=("random", "symmetric-control"),
+                        help="family source (default random)")
+
     parser = argparse.ArgumentParser(
         prog="symorder",
         description="Exact verification suites for symmetric-ordering identities.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p: argparse.ArgumentParser, *, trials: bool = True) -> None:
-        p.add_argument("--seed", type=int, default=0, help="64-bit master seed")
-        p.add_argument("--sparsity", type=_fraction_arg, default=Fraction(1, 2),
-                       help="density of random family entries, rational in [0, 1]")
-        if trials:
-            p.add_argument("--trials", type=int, default=10, help="number of trials")
-        p.add_argument("--output", choices=("text", "json"), default="text",
-                       help="report format")
-
-    t = sub.add_parser("verify-theorem", help="check the symmetrized ordering identity")
-    t.add_argument("--n", type=int, default=None, help="ambient dimension (default 2)")
-    t.add_argument("--k", type=int, default=None, help="word length (default 3)")
-    t.add_argument("--n-max", type=int, default=None, help="max family order (default 2)")
-    t.add_argument("--d", type=int, default=None,
-                   help="generator truncation order (default max(k-1, n_max))")
-    t.add_argument("--sc", default=None, help="structure-constant file; uses the derived family")
-    t.add_argument("--family", choices=("random", "symmetric-control"), default=None,
-                   help="family source (default random)")
-    add_common(t)
-
-    i = sub.add_parser("verify-iota", help="check the embedding sends brackets to commutators")
-    i.add_argument("--sc", required=True, help="structure-constant file")
-    i.add_argument("--d", type=int, default=4, help="report truncation order (default 4)")
-    i.add_argument("--output", choices=("text", "json"), default="text", help="report format")
-
-    c = sub.add_parser("cancellation", help="check the pairwise cancellation identity")
-    c.add_argument("--n", type=int, default=None, help="ambient dimension (default 3)")
-    c.add_argument("--k", type=int, default=None, help="word length (default 4)")
-    c.add_argument("--n-max", type=int, default=None, help="max family order (default 2)")
-    c.add_argument("--sc", default=None, help="structure-constant file; uses the derived family")
-    c.add_argument("--family", choices=("random", "symmetric-control"), default=None,
-                   help="family source (default random)")
-    add_common(c)
-
-    s = sub.add_parser("span-dim", help="rank of degree-k word products")
-    s.add_argument("--n", type=int, default=2, help="ambient dimension")
-    s.add_argument("--k", type=int, default=2, help="word length")
-    s.add_argument("--n-max", type=int, default=2, help="max family order")
-    s.add_argument("--d", type=int, default=None, help="truncation order (default 2k)")
-    add_common(s)
-    s.set_defaults(trials=3)
-
-    b = sub.add_parser("bernoulli", help="print Bernoulli numbers B_0..B_n_max")
-    b.add_argument("--n-max", type=int, default=8, help="largest index")
-    b.add_argument("--output", choices=("text", "json"), default="text", help="report format")
-
+    sub.add_parser("verify-theorem", parents=[trial, source, cutoff, report],
+                   help="check the symmetrized ordering identity")
+    sub.add_parser("verify-iota", parents=[cutoff, report],
+                   help="check the embedding sends brackets to commutators",
+                   ).add_argument("--sc", required=True, help="structure-constant file")
+    sub.add_parser("cancellation", parents=[trial, source, report],
+                   help="check the pairwise cancellation identity")
+    sub.add_parser("span-dim", parents=[trial, cutoff, report],
+                   help="rank of degree-k word products")
+    sub.add_parser("bernoulli", parents=[report], help="print Bernoulli numbers B_0..B_n_max",
+                   ).add_argument("--n-max", type=int, help="largest index")
     return parser
 
 
@@ -296,17 +302,11 @@ def load_structure_constants(path: str) -> StructureConstants:
         if key in explicit:
             raise CLIInputError(f"{path}: duplicate entry for C{list(key)}")
         explicit[key] = value
+    # Only missing mirrors are filled in; an inconsistent mirror or a nonzero
+    # diagonal entry is left for require_valid to report.
     completed = dict(explicit)
     for (k, i, j), v in explicit.items():
-        mirror = (k, j, i)
-        if mirror in explicit:
-            if explicit[mirror] != -v:
-                raise CLIInputError(
-                    f"{path}: antisymmetry violation at ({k},{i},{j}): "
-                    f"C = {v}, mirror = {explicit[mirror]}"
-                )
-        else:
-            completed[mirror] = -v
+        completed.setdefault((k, j, i), -v)
     sc = StructureConstants(n, completed)
     try:
         sc.require_valid()
@@ -315,97 +315,74 @@ def load_structure_constants(path: str) -> StructureConstants:
     return sc
 
 
+def _gate(command: str, cost: int, limit: int, counted: str, flags: str) -> None:
+    """Reject (exit 2) a run whose cost estimate exceeds its limit."""
+    if cost > limit:
+        raise CLIInputError(
+            f"{command} cost estimate {cost} ({counted}) exceeds the limit {limit}; "
+            f"lower {flags}"
+        )
+
+
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
     command = args.command
+    typed = {name: value for name, value in vars(args).items() if value is not None}
+    flags = {**_DEFAULTS[command], **typed}
     if command == "bernoulli":
-        if not 0 <= args.n_max <= BERNOULLI_N_MAX_LIMIT:
-            raise CLIInputError(
-                f"--n-max must be in [0, {BERNOULLI_N_MAX_LIMIT}], got {args.n_max}"
-            )
-        return RunConfig(command=command, n_max=args.n_max, output=args.output)
+        n_max = flags["n_max"]
+        if not 0 <= n_max <= BERNOULLI_N_MAX_LIMIT:
+            raise CLIInputError(f"--n-max must be in [0, {BERNOULLI_N_MAX_LIMIT}], got {n_max}")
+        return RunConfig(command=command, n_max=n_max, output=args.output)
     if command == "verify-iota":
-        if args.d < 0:
-            raise CLIInputError(f"--d must be >= 0, got {args.d}")
+        d = flags["d"]
+        if d < 0:
+            raise CLIInputError(f"--d must be >= 0, got {d}")
         sc = load_structure_constants(args.sc)
-        cost = iota_cost(sc, args.d)
-        if cost > IOTA_COST_LIMIT:
-            raise CLIInputError(
-                f"verify-iota cost estimate {cost} (commutator products times term pairs) "
-                f"exceeds the limit {IOTA_COST_LIMIT}; lower --d"
-            )
-        return RunConfig(command=command, d=args.d, sc_path=args.sc, sc=sc,
-                         output=args.output)
+        _gate(command, iota_cost(sc, d), IOTA_COST_LIMIT,
+              "commutator products times term pairs", "--d")
+        return RunConfig(command=command, d=d, sc_path=args.sc, sc=sc, output=args.output)
 
+    # verify-theorem, cancellation and span-dim: the trial commands.
     if not 0 <= args.seed < _U64:
         raise CLIInputError(f"--seed must be in [0, 2^64), got {args.seed}")
     if not 0 <= args.sparsity <= 1:
         raise CLIInputError(f"--sparsity must be in [0, 1], got {args.sparsity}")
-    if not 1 <= args.trials <= TRIALS_LIMIT:
-        raise CLIInputError(f"--trials must be in [1, {TRIALS_LIMIT}], got {args.trials}")
-
-    if command == "span-dim":
-        if args.n < 1 or args.k < 1 or args.n_max < 1:
-            raise CLIInputError("--n, --k and --n-max must be >= 1")
-        d = 2 * args.k if args.d is None else args.d
-        if d < args.k - 1:
-            raise CLIInputError(f"--d must be >= k - 1 = {args.k - 1}, got {d}")
-        cost = span_cost(args.n, args.k, args.n_max, d)
-        if cost > SPAN_COST_LIMIT:
-            raise CLIInputError(
-                f"span-dim cost estimate {cost} (word products times generator terms) "
-                f"exceeds the limit {SPAN_COST_LIMIT}; lower --n, --k, --n-max or --d"
-            )
-        return RunConfig(
-            command=command, n=args.n, k=args.k, n_max=args.n_max, d=d,
-            trials=args.trials, seed=args.seed, sparsity=args.sparsity,
-            output=args.output,
-        )
-
-    # verify-theorem and cancellation share family-source resolution.
-    sc_path = args.sc
-    sc = None
-    family = args.family
-    if sc_path is not None and family == "symmetric-control":
-        raise CLIInputError("--sc and --family symmetric-control are mutually exclusive")
+    if not 1 <= flags["trials"] <= TRIALS_LIMIT:
+        raise CLIInputError(f"--trials must be in [1, {TRIALS_LIMIT}], got {flags['trials']}")
+    sc_path, sc, family = typed.get("sc"), None, typed.get("family", "random")
     if sc_path is not None:
-        family = "derived"
-        sc = load_structure_constants(sc_path)
-        if args.n is not None and args.n != sc.n:
-            raise CLIInputError(f"--n {args.n} does not match the file dimension {sc.n}")
-        n = sc.n
-        n_max = args.n_max if args.n_max is not None else 2
+        if family == "symmetric-control":
+            raise CLIInputError("--sc and --family symmetric-control are mutually exclusive")
+        family, sc = "derived", load_structure_constants(sc_path)
+        if typed.get("n", sc.n) != sc.n:
+            raise CLIInputError(f"--n {typed['n']} does not match the file dimension {sc.n}")
+        flags["n"] = sc.n
     elif family == "symmetric-control":
-        if args.n is not None and args.n != 2:
+        if typed.get("n", 2) != 2:
             raise CLIInputError("--family symmetric-control requires n = 2")
-        if args.n_max is not None and args.n_max != 1:
+        if typed.get("n_max", 1) != 1:
             raise CLIInputError("--family symmetric-control requires n_max = 1")
-        n = 2
-        n_max = 1
-    else:
-        family = "random"
-        n = args.n if args.n is not None else (2 if command == "verify-theorem" else 3)
-        n_max = args.n_max if args.n_max is not None else 2
-    k = args.k if args.k is not None else (3 if command == "verify-theorem" else 4)
+        flags.update(n=2, n_max=1)
+    n, k, n_max = flags["n"], flags["k"], flags["n_max"]
     if n < 1 or k < 1 or n_max < 1:
         raise CLIInputError("--n, --k and --n-max must be >= 1")
-    cost = word_cost(n, k, n_max)
-    if cost > WORD_COST_LIMIT:
-        raise CLIInputError(
-            f"{command} cost estimate {cost} (multiset states times generator terms) "
-            f"exceeds the limit {WORD_COST_LIMIT}; lower --n, --k or --n-max"
-        )
+    cutoff = {}  # cancellation builds no generators, so it resolves no d
+    if "d" in flags:
+        cutoff["d"] = d = flags["d"](k, n_max) if callable(flags["d"]) else flags["d"]
+        if d < k - 1:
+            raise CLIInputError(f"--d must be >= k - 1 = {k - 1} for an exact check, got {d}")
+    if command == "span-dim":
+        _gate(command, span_cost(n, k, n_max, cutoff["d"]), SPAN_COST_LIMIT,
+              "word products times generator terms", "--n, --k, --n-max or --d")
+    else:
+        _gate(command, word_cost(n, k, n_max), WORD_COST_LIMIT,
+              "multiset states times generator terms", "--n, --k or --n-max")
     if command == "verify-theorem" and k > WORD_LENGTH_LIMIT:
         raise CLIInputError(f"--k must be <= {WORD_LENGTH_LIMIT}, got {k}")
-    if command == "verify-theorem":
-        d = args.d if args.d is not None else max(k - 1, n_max)
-        if d < k - 1:
-            raise CLIInputError(f"--d must be >= k - 1 = {k - 1} for an exact check")
-    else:
-        d = max(k - 1, n_max)
     return RunConfig(
-        command=command, n=n, k=k, n_max=n_max, d=d, trials=args.trials,
-        seed=args.seed, sparsity=args.sparsity, sc_path=sc_path, sc=sc, family=family,
-        output=args.output,
+        command=command, n=n, k=k, n_max=n_max, trials=flags["trials"], seed=args.seed,
+        sparsity=args.sparsity, sc_path=sc_path, sc=sc, family=family, output=args.output,
+        **cutoff,
     )
 
 
@@ -510,19 +487,13 @@ def _run_bernoulli(config: RunConfig) -> tuple[dict, int]:
 
 
 def _report(config: RunConfig, records: list[dict]) -> tuple[dict, int]:
-    echo: dict = {
-        "n": config.n,
-        "k": config.k,
-        "n_max": config.n_max,
-        "d": config.d,
-        "trials": config.trials,
-        "seed": str(config.seed),
-        "sparsity": f"{config.sparsity.numerator}/{config.sparsity.denominator}",
-        "family": config.family,
-    }
+    echo: dict = {"n": config.n, "k": config.k, "n_max": config.n_max, "d": config.d,
+                  "trials": config.trials, "seed": str(config.seed),
+                  "sparsity": f"{config.sparsity.numerator}/{config.sparsity.denominator}",
+                  "family": config.family}
     if config.command == "span-dim":
         del echo["family"]
-    if config.command == "cancellation":
+    if config.command == "cancellation":  # no generators, so no cutoff
         del echo["d"]
     if config.sc_path is not None:
         echo["sc"] = config.sc_path
@@ -607,9 +578,8 @@ def render_json(report: dict) -> str:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     start = time.perf_counter()

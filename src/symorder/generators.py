@@ -207,11 +207,14 @@ def symmetric_control_family() -> CoefficientFamily:
     return CoefficientFamily(2, 1, entries, check_antisymmetry=False)
 
 
-class GeneratorSet:
+class GeneratorSet(Immutable):
     """Truncated generators together with the family and cutoff they came from.
 
     ``generators[i - 1]`` is X_i.  The word cache memoizes symmetrization
-    results per word; see `symorder.ordering`.
+    results per word; see `symorder.ordering`.  Threads may share a set
+    without a lock: a cache entry is an immutable value that is never
+    removed, dict reads and writes are atomic, and two threads that fill the
+    same state write equal values.
     """
 
     __slots__ = ("n", "max_d_degree", "family", "generators", "_word_cache")
@@ -222,11 +225,9 @@ class GeneratorSet:
         max_d_degree: int,
         generators: tuple[WeylElement, ...],
     ):
-        self.n = family.n
-        self.max_d_degree = max_d_degree
-        self.family = family
-        self.generators = generators
-        self._word_cache: dict[object, object] = {}
+        values = (family.n, max_d_degree, family, generators, {})
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
 
     def generator(self, i: int) -> WeylElement:
         if not 1 <= i <= self.n:

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from itertools import product
 from math import comb, factorial
 from typing import Callable
 
@@ -81,7 +82,7 @@ def _word_sum(
     counts: MultiIndex,
     tag: str,
     act: Callable[[WeylElement, WeylElement], WeylElement],
-    recurse: Callable[[GeneratorSet, MultiIndex], WeylElement],
+    entry: Callable[[GeneratorSet, MultiIndex], WeylElement],
 ) -> WeylElement:
     """The multiset recursion behind `_vacuum_action` and `_operator_sum`.
 
@@ -89,26 +90,27 @@ def _word_sum(
     S(M - c)) with S(empty) = 1, where ``act`` is `fock_apply` for the
     vacuum action and `mul` for the operator product; the sum over c is one
     `linear_combination`.  Results are cached in the generator set's word
-    cache under ``(tag, counts)``.  The entry points look ``act`` and
-    themselves (as ``recurse``) up as module globals on every call, so a
-    rebound name reaches every level.
+    cache under ``(tag, counts)``.  The sub-multisets are walked in
+    `itertools.product` order, where each M - c comes before M, so no Python
+    recursion is needed and any word length works.  Each S(M - c) is read
+    through ``entry``, the entry point the caller looked up as a module
+    global, so a rebound name sees one call per child, as a recursion would.
     """
     cache = gens._word_cache
-    key = (tag, counts)
-    hit = cache.get(key)
+    hit = cache.get((tag, counts))
     if hit is not None:
         return hit
-    if not any(counts):
-        result = weyl_scalar(gens.n, 1)
-    else:
+    for state in product(*(range(m + 1) for m in counts)):
+        if (tag, state) in cache:
+            continue
         parts = []
-        for c, mult in enumerate(counts):
+        for c, mult in enumerate(state):
             if mult:
-                sub = counts[:c] + (mult - 1,) + counts[c + 1 :]
-                parts.append((mult, act(gens.generators[c], recurse(gens, sub))))
-        result = linear_combination(gens.n, parts)
-    cache[key] = result
-    return result
+                sub = state[:c] + (mult - 1,) + state[c + 1 :]
+                parts.append((mult, act(gens.generators[c], entry(gens, sub))))
+        result = linear_combination(gens.n, parts) if parts else weyl_scalar(gens.n, 1)
+        cache[(tag, state)] = result
+    return cache[(tag, counts)]
 
 
 def _warn_if_insufficient(gens: GeneratorSet, k: int) -> bool:
@@ -254,7 +256,7 @@ def pi_project(a: WeylElement) -> Polynomial:
     return truncate(a, 0)
 
 
-def span_dimension(gens: GeneratorSet, k: int, max_d_degree: int | None = None) -> tuple[int, int]:
+def span_dimension(gens: GeneratorSet, k: int) -> tuple[int, int]:
     """Rank of the length-k word products next to the symmetric dimension.
 
     All n^k ordered products X_{w_1} ... X_{w_k} are formed and restricted
@@ -273,17 +275,10 @@ def span_dimension(gens: GeneratorSet, k: int, max_d_degree: int | None = None) 
     """
     if k < 1:
         raise ValueError(f"degree must be >= 1, got {k}")
-    if max_d_degree is None:
-        max_d_degree = gens.max_d_degree
-    if max_d_degree > gens.max_d_degree:
-        raise ValueError(
-            f"window order {max_d_degree} exceeds the generator cutoff "
-            f"{gens.max_d_degree}"
-        )
-    window = max_d_degree - (k - 1)
+    window = gens.max_d_degree - (k - 1)
     if window < 0:
         raise ValueError(
-            f"truncation order {max_d_degree} leaves no exact window for "
+            f"truncation order {gens.max_d_degree} leaves no exact window for "
             f"degree {k}; need at least {k - 1}"
         )
     n = gens.n

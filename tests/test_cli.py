@@ -566,7 +566,31 @@ def test_span_dim_draws_each_seed_at_its_trial(monkeypatch):
 def test_help_exits_zero():
     code, out, _ = invoke(["--help"])
     assert code == 0
-    assert "verify-theorem" in out
+    for command in ("verify-theorem", "verify-iota", "cancellation", "span-dim", "bernoulli"):
+        assert command in out
+        assert invoke([command, "--help"])[0] == 0
+
+
+def test_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_trial_command_defaults():
+    # A child parser's set_defaults would rewrite the shared parent flag for
+    # every subcommand; each command must keep its own defaults.
+    expected = {
+        "verify-theorem": (2, 3, 2, 10, 2),
+        "cancellation": (3, 4, 2, 10, cli.RunConfig.d),  # no cutoff resolved
+        "span-dim": (2, 2, 2, 3, 4),
+    }
+    for command, pinned in expected.items():
+        config = cli._resolve_config(cli.build_parser().parse_args([command]))
+        assert (config.n, config.k, config.n_max, config.trials, config.d) == pinned, command
+        assert (config.seed, config.sparsity, config.output) == (0, Fraction(1, 2), "text")
+    bernoulli = cli._resolve_config(cli.build_parser().parse_args(["bernoulli"]))
+    assert bernoulli.n_max == 8
+    assert cli._resolve_config(cli.build_parser().parse_args(
+        ["verify-iota", "--sc", str(ROOT / "data" / "sl2.json")])).d == 4
 
 
 def sc_file(tmp_path, payload) -> str:

@@ -280,3 +280,18 @@ def test_value_types_pickle_and_copy():
     assert sent.generators == gens.generators and sent.family == gens.family
     one = weyl_scalar(3, 1)
     assert [fock_apply(g, one) for g in sent.generators] == [weyl_x(3, i) for i in range(1, 4)]
+
+
+def test_generator_set_is_immutable_and_round_trips():
+    gens = build_generators(random_family(3, 2, seed=5), 3)
+    for name, value in (("n", 4), ("max_d_degree", 1), ("generators", ()), ("_word_cache", {})):
+        with pytest.raises(AttributeError):
+            setattr(gens, name, value)
+    with pytest.raises(AttributeError):
+        gens.extra = 1
+    assert type(gens._word_cache) is dict
+    for copied in (pickle.loads(pickle.dumps(gens)), copy.deepcopy(gens)):
+        assert (copied.n, copied.max_d_degree) == (gens.n, gens.max_d_degree)
+        assert copied.family == gens.family and copied.generators == gens.generators
+        with pytest.raises(AttributeError):
+            copied.max_d_degree = 0
