@@ -35,7 +35,6 @@ from .lie import (
     direct_sum,
     heisenberg_table,
     homomorphism_defect,
-    identity_cmatrix,
     iota,
     random_almost_abelian_table,
     random_two_step_table,
@@ -52,7 +51,6 @@ from .ordering import (
     pi_project,
     span_dimension,
     symmetrized_product,
-    symmetrized_vacuum_action,
     theorem_check,
     word_monomial,
 )
@@ -60,7 +58,6 @@ from .rng import SplitMix64
 from .weyl import (
     DimensionMismatchError,
     Polynomial,
-    Rational,
     WeylElement,
     fock_apply,
     linear_combination,
@@ -80,7 +77,6 @@ __all__ = [
     "GeneratorSet",
     "InvalidStructureConstantsError",
     "Polynomial",
-    "Rational",
     "SplitMix64",
     "StructureConstants",
     "TruncationWarning",
@@ -100,7 +96,6 @@ __all__ = [
     "fock_apply",
     "heisenberg_table",
     "homomorphism_defect",
-    "identity_cmatrix",
     "iota",
     "linear_combination",
     "monomials_of_degree",
@@ -114,7 +109,6 @@ __all__ = [
     "span_dimension",
     "symmetric_control_family",
     "symmetrized_product",
-    "symmetrized_vacuum_action",
     "theorem_check",
     "truncate",
     "weyl_d",

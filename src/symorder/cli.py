@@ -26,11 +26,12 @@ Structure-constant files are JSON documents
 
     {"n": 3, "entries": [{"k": 3, "i": 1, "j": 2, "num": 1, "den": 1}]}
 
-listing C^k_{ij} values as exact fractions (``den`` defaults to 1).  Every
-field must be a JSON integer; booleans, floats and strings are rejected.  The
-(j, i) mirror of each entry may be omitted and is completed by antisymmetry;
-giving both with inconsistent values, or a table failing antisymmetry or the
-Jacobi identity after completion, is rejected.
+listing C^k_{ij} values as exact fractions (``den`` defaults to 1).  Both
+top-level fields are required and no other field is accepted, at either
+level.  Every field must be a JSON integer; booleans, floats and strings are
+rejected.  The (j, i) mirror of each entry may be omitted and is completed by
+antisymmetry; giving both with inconsistent values, or a table failing
+antisymmetry or the Jacobi identity after completion, is rejected.
 """
 
 from __future__ import annotations
@@ -204,13 +205,22 @@ class RunConfig:
     output: str = "text"
 
 
+def _theorem_d(k: int, n_max: int) -> int:
+    """max(k - 1, n_max)"""
+    return max(k - 1, n_max)
+
+
+def _span_d(k: int, _n_max: int) -> int:
+    """2k"""
+    return 2 * k
+
+
 # Each command's defaults for the flags that parse to None.  A callable `d` is
-# derived from the resolved k and n_max.
+# derived from the resolved k and n_max; its docstring states the rule in --help.
 _DEFAULTS: dict[str, dict] = {
-    "verify-theorem": {"n": 2, "k": 3, "n_max": 2, "trials": 10,
-                       "d": lambda k, n_max: max(k - 1, n_max)},
+    "verify-theorem": {"n": 2, "k": 3, "n_max": 2, "trials": 10, "d": _theorem_d},
     "cancellation": {"n": 3, "k": 4, "n_max": 2, "trials": 10},
-    "span-dim": {"n": 2, "k": 2, "n_max": 2, "trials": 3, "d": lambda k, _n_max: 2 * k},
+    "span-dim": {"n": 2, "k": 2, "n_max": 2, "trials": 3, "d": _span_d},
     "verify-iota": {"d": 4},
     "bernoulli": {"n_max": 8},
 }
@@ -229,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     Children share their parent parsers' actions, so a child's `set_defaults`
     would change a default for every subcommand: per-command defaults parse
-    to None and come from `_DEFAULTS`.
+    to None and come from `_DEFAULTS`, which each child's help epilog lists.
     """
     report = argparse.ArgumentParser(add_help=False)
     report.add_argument("--output", choices=("text", "json"), default="text",
@@ -265,6 +275,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="rank of degree-k word products")
     sub.add_parser("bernoulli", parents=[report], help="print Bernoulli numbers B_0..B_n_max",
                    ).add_argument("--n-max", type=int, help="largest index")
+    for command, child in sub.choices.items():
+        child.epilog = "defaults: " + ", ".join(
+            f"--{name.replace('_', '-')} {value.__doc__ if callable(value) else value}"
+            for name, value in _DEFAULTS[command].items())
     return parser
 
 
@@ -277,16 +291,16 @@ def load_structure_constants(path: str) -> StructureConstants:
         raise CLIInputError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise CLIInputError(f"{path} is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict) or "n" not in data:
-        raise CLIInputError(f"{path}: expected an object with fields 'n' and 'entries'")
+    if type(data) is not dict or set(data) != {"n", "entries"} or type(data["entries"]) is not list:
+        raise CLIInputError(f"{path}: expected an object with only 'n' and an 'entries' list")
     n = data["n"]
     # type() rather than isinstance(): JSON true/false load as bool, an int subclass.
     if type(n) is not int or n < 1:
         raise CLIInputError(f"{path}: 'n' must be a positive integer, got {n!r}")
     explicit: dict[tuple[int, int, int], Fraction] = {}
-    for pos, rec in enumerate(data.get("entries", [])):
-        if not isinstance(rec, dict):
-            raise CLIInputError(f"{path}: entry {pos} is not an object")
+    for pos, rec in enumerate(data["entries"]):
+        if not (isinstance(rec, dict) and set(rec) <= {"k", "i", "j", "num", "den"}):
+            raise CLIInputError(f"{path}: entry {pos} must be an object of k, i, j, num[, den]")
         fields = {"den": 1, **rec}
         for name in ("k", "i", "j", "num", "den"):
             if type(got := fields.get(name)) is not int:
@@ -525,11 +539,6 @@ _RUNNERS = {
 }
 
 
-def run(config: RunConfig) -> tuple[dict, int]:
-    """Execute the configured suite; returns (report, exit status)."""
-    return _RUNNERS[config.command](config)
-
-
 # -- rendering ------------------------------------------------------------------
 
 
@@ -585,7 +594,7 @@ def main(argv: list[str] | None = None) -> int:
     start = time.perf_counter()
     try:
         config = _resolve_config(args)
-        report, status = run(config)
+        report, status = _RUNNERS[config.command](config)
     except CLIInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -23,7 +23,7 @@ from itertools import combinations_with_replacement
 from typing import Iterator, Mapping
 
 from .rng import SplitMix64
-from .weyl import Immutable, MultiIndex, Rational, WeylElement, _pack
+from .weyl import Immutable, MultiIndex, WeylElement, _pack
 
 # (order N, l, i, j, monomial m with |m| = N - 1)
 FamilyKey = tuple[int, int, int, int, MultiIndex]
@@ -67,7 +67,7 @@ class CoefficientFamily(Immutable):
         self,
         n: int,
         n_max: int,
-        entries: Mapping[FamilyKey, Rational | int] | None = None,
+        entries: Mapping[FamilyKey, Fraction | int] | None = None,
         *,
         check_antisymmetry: bool = True,
     ):

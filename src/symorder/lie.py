@@ -30,7 +30,6 @@ from .generators import CoefficientFamily, build_generators
 from .rng import SplitMix64
 from .weyl import (
     Immutable,
-    Rational,
     WeylElement,
     linear_combination,
     mul,
@@ -66,7 +65,7 @@ class StructureConstants(Immutable):
 
     __slots__ = ("n", "_table", "_violations")
 
-    def __init__(self, n: int, entries: Mapping[tuple[int, int, int], Rational | int] | None = None):
+    def __init__(self, n: int, entries: Mapping[tuple[int, int, int], Fraction | int] | None = None):
         if n < 1:
             raise ValueError(f"dimension must be >= 1, got {n}")
         table: dict[tuple[int, int, int], Fraction] = {}
@@ -172,14 +171,6 @@ def cmatrix(sc: StructureConstants) -> CMatrix:
     return tuple(rows)
 
 
-def identity_cmatrix(n: int) -> CMatrix:
-    one = weyl_scalar(n, 1)
-    zero = weyl_scalar(n, 0)
-    return tuple(
-        tuple(one if i == j else zero for j in range(n)) for i in range(n)
-    )
-
-
 def _mat_mul(a: CMatrix, b: CMatrix, n: int) -> CMatrix:
     rows = []
     for r in range(n):
@@ -190,10 +181,6 @@ def _mat_mul(a: CMatrix, b: CMatrix, n: int) -> CMatrix:
             ))
         rows.append(tuple(row))
     return tuple(rows)
-
-
-def _is_zero_matrix(m: CMatrix) -> bool:
-    return all(e.is_zero() for row in m for e in row)
 
 
 # -- Bernoulli numbers --------------------------------------------------------
@@ -222,12 +209,6 @@ def bernoulli(index: int) -> Fraction:
                     binom = binom * (m + 1 - k) // (k + 1)
                 _bernoulli_cache.append(-acc / (m + 1))
     return _bernoulli_cache[index]
-
-
-def _series_coefficient(order: int) -> Fraction:
-    """The weight (-1)^N B_N / N! multiplying the N-th matrix power."""
-    sign = -1 if order % 2 else 1
-    return sign * bernoulli(order) / factorial(order)
 
 
 # -- the universal embedding ---------------------------------------------------
@@ -295,13 +276,14 @@ def derived_family(sc: StructureConstants, n_max: int) -> CoefficientFamily:
     n = sc.n
     m = cmatrix(sc)
     entries: dict[tuple[int, int, int, int, tuple[int, ...]], Fraction] = {}
-    power = identity_cmatrix(n)  # M^(N-1), starting at N = 1
-    for order in range(1, n_max + 1):
+    one, zero = weyl_scalar(n, 1), weyl_scalar(n, 0)
+    power = tuple(tuple(one if r == c else zero for c in range(n)) for r in range(n))
+    for order in range(1, n_max + 1):  # power is M^(order - 1)
         if order > 1:
             power = _mat_mul(power, m, n)
-            if _is_zero_matrix(power):
+            if all(e.is_zero() for row in power for e in row):
                 break
-        coeff = _series_coefficient(order)
+        coeff = (-1) ** order * bernoulli(order) / factorial(order)
         if not coeff:
             continue
         for (s, i, j), c in sc.items():

@@ -36,16 +36,15 @@ from __future__ import annotations
 
 import sys
 from array import array
+from fractions import Fraction
 from math import isqrt, lcm
 from operator import mul
 from typing import Iterator, Sequence
 
-from .weyl import Rational
-
 _LANE_MASK = (1 << 64) - 1
 
 
-def exact_rank(rows: Sequence[Sequence[Rational | int]]) -> int:
+def exact_rank(rows: Sequence[Sequence[Fraction | int]]) -> int:
     """Rank of the matrix with the given rows, computed exactly.
 
     Entries are ints or `Fraction`s; the argument is left unchanged.  Rows

@@ -31,7 +31,7 @@ from itertools import product
 from math import comb, factorial
 from typing import Callable
 
-from .generators import CoefficientFamily, GeneratorSet, monomials_of_degree
+from .generators import CoefficientFamily, GeneratorSet
 from .linalg import exact_rank
 from .weyl import (
     MultiIndex,
@@ -130,13 +130,6 @@ def symmetrized_product(gens: GeneratorSet, word: Word) -> WeylElement:
     counts = word_counts(gens.n, word)
     _warn_if_insufficient(gens, len(word))
     return _operator_sum(gens, counts)
-
-
-def symmetrized_vacuum_action(gens: GeneratorSet, word: Word) -> Polynomial:
-    """e_tilde(word) applied to the constant polynomial 1."""
-    counts = word_counts(gens.n, word)
-    _warn_if_insufficient(gens, len(word))
-    return _vacuum_action(gens, counts)
 
 
 @dataclass(frozen=True)
@@ -259,19 +252,22 @@ def pi_project(a: WeylElement) -> Polynomial:
 def span_dimension(gens: GeneratorSet, k: int) -> tuple[int, int]:
     """Rank of the length-k word products next to the symmetric dimension.
 
-    All n^k ordered products X_{w_1} ... X_{w_k} are formed and restricted
-    to the d-degree window where products of truncated generators agree with
+    All n^k ordered products X_{w_1} ... X_{w_k} are restricted to the
+    d-degree window where products of truncated generators agree with
     untruncated ones (d-degree <= D - (k - 1): a single multiplication can
     lower a term's d-degree by at most one, its x-degree-1 cofactor admits
-    one contraction, so dropped tail terms never reach the window).  Returns
-    the exact rank of their coefficient matrix and C(n + k - 1, k), the
-    number of degree-k monomials.  Each row holds a product's stored integer
-    numerators, i.e. its coefficients times its denominator, so the matrix
-    reaches `exact_rank` as ints with no `Fraction` in between; the rank
-    there is modular elimination with an exact certificate, so it is the
-    rank over Q.  The word products generically span more than the
-    symmetrized images, so rank >= C(n + k - 1, k) is the expected shape;
-    the builder default D = 2k gives a window of width k + 1.
+    one contraction, so dropped tail terms never reach the window).  They
+    are built level by level in word order, so any k works, and level depth
+    is cut at d-degree window + (k - depth), past which no term can contract
+    back into the window.  Returns the exact rank of their coefficient
+    matrix and C(n + k - 1, k), the number of degree-k monomials.  Each row
+    holds a product's stored integer numerators, i.e. its coefficients times
+    its denominator, so the matrix reaches `exact_rank` as ints with no
+    `Fraction` in between; the rank there is modular elimination with an
+    exact certificate, so it is the rank over Q.  The word products
+    generically span more than the symmetrized images, so rank >=
+    C(n + k - 1, k) is the expected shape; the builder default D = 2k gives
+    a window of width k + 1.
     """
     if k < 1:
         raise ValueError(f"degree must be >= 1, got {k}")
@@ -282,19 +278,10 @@ def span_dimension(gens: GeneratorSet, k: int) -> tuple[int, int]:
             f"degree {k}; need at least {k - 1}"
         )
     n = gens.n
-    ops: list[WeylElement] = []
-
-    def extend(prefix: WeylElement, depth: int) -> None:
-        if depth == k:
-            ops.append(truncate(prefix, window))
-            return
-        # Terms deeper than window + remaining factors can never contract
-        # down into the window, so they can be dropped as we go.
-        cap = window + (k - depth - 1)
-        for g in gens.generators:
-            extend(truncate(mul(prefix, g), cap), depth + 1)
-
-    extend(weyl_scalar(n, 1), 0)
+    ops = [weyl_scalar(n, 1)]
+    for depth in range(1, k + 1):
+        cap = window + (k - depth)
+        ops = [truncate(mul(p, g), cap) for p in ops for g in gens.generators]
     keys = sorted({key for op in ops for key in op._nums})
     index = {key: pos for pos, key in enumerate(keys)}
     rows = []

@@ -19,8 +19,9 @@ integers and finish through `_reduced`, which drops zeros and divides out
 the common factor.  `linear_combination` is the one route for sums of
 scaled elements: ``+``, ``-`` and `scale` call it, and so does every
 caller that sums many parts; it takes the lcm of the parts' denominators,
-accumulates in one pass and reduces once.  The accessors hand coefficients
-out as ``fractions.Fraction`` values.
+accumulates in one pass and reduces once.  `mul` is the one route for
+products: elements define no ``*``, ``/`` or ``**``.  The accessors hand
+coefficients out as ``fractions.Fraction`` values.
 
 Each term is stored under one packed int key of 2n + 2 fields of
 `_WIDTH` = 16 bits, most significant first:
@@ -57,12 +58,8 @@ from itertools import product
 from math import comb, factorial, gcd, lcm, perm
 from typing import Iterable, Iterator, Mapping
 
-Rational = Fraction
 MultiIndex = tuple[int, ...]
 TermKey = tuple[MultiIndex, MultiIndex]
-
-# Maximum retained d-degree when truncating; plain int, must be >= 0.
-TruncationOrder = int
 
 # Bits per packed key field, and the mask of one field, which is also the
 # largest total degree a term may have.
@@ -165,7 +162,7 @@ class WeylElement(Immutable):
 
     __slots__ = ("n", "_den", "_nums")
 
-    def __init__(self, n: int, terms: Mapping[TermKey, Rational | int] | None = None):
+    def __init__(self, n: int, terms: Mapping[TermKey, Fraction | int] | None = None):
         if n < 1:
             raise ValueError(f"ambient dimension must be >= 1, got {n}")
         canonical: dict[int, Fraction] = {}
@@ -259,33 +256,8 @@ class WeylElement(Immutable):
             return NotImplemented
         return linear_combination(self.n, ((1, self), (-1, other)))
 
-    def scale(self, c: Rational | int) -> "WeylElement":
+    def scale(self, c: Fraction | int) -> "WeylElement":
         return linear_combination(self.n, ((Fraction(c), self),))
-
-    def __mul__(self, other: object) -> "WeylElement":
-        if isinstance(other, WeylElement):
-            return mul(self, other)
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
-
-    def __rmul__(self, other: object) -> "WeylElement":
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
-
-    def __truediv__(self, other: object) -> "WeylElement":
-        if isinstance(other, (int, Fraction)):
-            return self.scale(Fraction(1, 1) / Fraction(other))
-        return NotImplemented
-
-    def __pow__(self, exponent: int) -> "WeylElement":
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        out = weyl_scalar(self.n, 1)
-        for _ in range(exponent):
-            out = mul(out, self)
-        return out
 
     def __repr__(self) -> str:
         return f"WeylElement({self.n}, {self!s})"
@@ -347,7 +319,7 @@ def _check_same_n(a: WeylElement, b: WeylElement) -> None:
 
 
 def linear_combination(
-    n: int, parts: Iterable[tuple[Rational | int, WeylElement]]
+    n: int, parts: Iterable[tuple[Fraction | int, WeylElement]]
 ) -> WeylElement:
     """The sum of c * a over the (c, a) parts, in the n-th Weyl algebra.
 
@@ -423,20 +395,20 @@ def weyl_d(n: int, j: int) -> WeylElement:
     return WeylElement._raw(n, {_pack((0,) * n, _unit_index(n, j)): Fraction(1)})
 
 
-def weyl_scalar(n: int, c: Rational | int) -> WeylElement:
+def weyl_scalar(n: int, c: Fraction | int) -> WeylElement:
     """The scalar element c*1; zero gives the empty term map."""
     c = Fraction(c)
     return WeylElement._raw(n, {0: c} if c else {})
 
 
 def weyl_term(
-    n: int, xexp: Iterable[int], dexp: Iterable[int], coeff: Rational | int = 1
+    n: int, xexp: Iterable[int], dexp: Iterable[int], coeff: Fraction | int = 1
 ) -> WeylElement:
     """A single normal-ordered term coeff * x^xexp * d^dexp."""
     return WeylElement(n, {(tuple(xexp), tuple(dexp)): Fraction(coeff)})
 
 
-def poly_monomial(n: int, exps: Iterable[int], coeff: Rational | int = 1) -> Polynomial:
+def poly_monomial(n: int, exps: Iterable[int], coeff: Fraction | int = 1) -> Polynomial:
     """The commutative monomial coeff * x^exps as a dexp-free element."""
     return weyl_term(n, exps, (0,) * n, coeff)
 
@@ -530,7 +502,7 @@ def mul(a: WeylElement, b: WeylElement) -> WeylElement:
     return _reduced(n, a._den * b._den, out)
 
 
-def truncate(a: WeylElement, max_d_degree: TruncationOrder) -> WeylElement:
+def truncate(a: WeylElement, max_d_degree: int) -> WeylElement:
     """Drop every term whose total d-degree exceeds the bound; idempotent."""
     if max_d_degree < 0:
         raise ValueError(f"truncation order must be >= 0, got {max_d_degree}")

@@ -202,6 +202,16 @@ def test_control_family_reports_failure_details():
             assert rec["first_offending"] is not None
 
 
+def test_span_dim_long_word_passes():
+    # one product level per letter: a recursion per letter would overflow
+    # the interpreter's stack long before the cost gate objects
+    argv = ["span-dim", "--n", "1", "--k", "1200", "--n-max", "1", "--trials", "1"]
+    assert span_cost(1, 1200, 1, 2400) <= SPAN_COST_LIMIT
+    code, out, _err = invoke(argv)
+    assert code == 0
+    assert out.endswith("result: pass\n")
+
+
 def test_span_dim_record_fields():
     code, out, _ = invoke(["span-dim", "--trials", "2", "--output", "json"])
     assert code == 0
@@ -568,7 +578,15 @@ def test_help_exits_zero():
     assert code == 0
     for command in ("verify-theorem", "verify-iota", "cancellation", "span-dim", "bernoulli"):
         assert command in out
-        assert invoke([command, "--help"])[0] == 0
+        code, help_text, _ = invoke([command, "--help"])
+        assert code == 0
+        # each default of cli._DEFAULTS is listed, a derived --d by its rule
+        shown = " ".join(help_text.split())
+        for name, value in cli._DEFAULTS[command].items():
+            rule = value.__doc__ if callable(value) else value
+            assert f"--{name.replace('_', '-')} {rule}" in shown, (command, name)
+    assert "--d max(k - 1, n_max)" in " ".join(invoke(["verify-theorem", "--help"])[1].split())
+    assert "--d 2k" in " ".join(invoke(["span-dim", "--help"])[1].split())
 
 
 def test_parser_is_built_once():
@@ -649,10 +667,30 @@ def test_load_rejects_bad_files(tmp_path):
         {"n": 3, "entries": [{"k": 3.9, "i": 1, "j": 2, "num": 1}]},
         {"n": 3, "entries": [{"k": 3, "i": True, "j": "2", "num": 1}]},
         {"n": 3, "entries": [{"k": 3, "i": 1, "j": 2, "num": 1, "den": "1"}]},
+        # entries must be a list, and no field outside the format is ignored
+        {"n": 2, "entries": 5},
+        {"n": 2, "entries": None},
+        {"n": 2, "entries": {}},
+        {"n": 2},
+        {"n": 2, "entires": []},
+        {"n": 2, "entries": [], "comment": "x"},
+        {"n": 3, "entries": [{"k": 3, "i": 1, "j": 2, "num": 1, "dem": 2}]},
+        {"n": 3, "entries": [{"k": 3, "i": 1, "j": 2, "num": 1, "den": 1, "note": 0}]},
     ]
     for payload in cases:
         with pytest.raises(CLIInputError):
             load_structure_constants(sc_file(tmp_path, payload))
+
+
+def test_malformed_entries_exit_two(tmp_path):
+    for payload, message in [
+        ({"n": 2, "entries": 5}, "'entries' list"),
+        ({"n": 2, "entires": []}, "'entries' list"),
+        ({"n": 3, "entries": [{"k": 3, "i": 1, "j": 2, "num": 1, "dem": 2}]}, "entry 0"),
+    ]:
+        code, out, err = invoke(["verify-iota", "--sc", sc_file(tmp_path, payload)])
+        assert (code, out) == (2, ""), payload
+        assert message in err, payload
 
 
 def test_load_rejects_unreadable_and_unparsable(tmp_path):

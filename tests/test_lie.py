@@ -18,14 +18,19 @@ from symorder.lie import (
     direct_sum,
     heisenberg_table,
     homomorphism_defect,
-    identity_cmatrix,
     iota,
     random_almost_abelian_table,
     random_two_step_table,
     sl2_table,
 )
 from symorder.rng import SplitMix64
-from symorder.weyl import WeylElement, mul, truncate, weyl_d, weyl_x
+from symorder.weyl import WeylElement, mul, truncate, weyl_d, weyl_scalar, weyl_x
+
+
+def identity_cmatrix(n: int) -> lie.CMatrix:
+    """The n x n identity matrix over the Weyl algebra."""
+    one, zero = weyl_scalar(n, 1), weyl_scalar(n, 0)
+    return tuple(tuple(one if r == c else zero for c in range(n)) for r in range(n))
 
 
 def cmatrix_power(m: lie.CMatrix, power: int) -> lie.CMatrix:

@@ -653,17 +653,6 @@ def test_immutability():
     assert a == weyl_x(2, 1)
 
 
-def test_operator_sugar():
-    x1, d1 = weyl_x(1, 1), weyl_d(1, 1)
-    assert x1 * d1 == mul(x1, d1)
-    assert 2 * x1 == x1 * 2 == x1.scale(2)
-    assert x1 / 2 == x1.scale(Fraction(1, 2))
-    assert (x1 + d1) ** 2 == mul(x1 + d1, x1 + d1)
-    assert x1 ** 0 == weyl_scalar(1, 1)
-    with pytest.raises(ValueError):
-        x1 ** -1
-
-
 def test_formatting():
     assert format_term((2, 0), (0, 1), Fraction(-1, 2)) == "-1/2*x1^2*d2"
     assert format_term((0, 0), (0, 0), Fraction(3)) == "3"
