@@ -20,10 +20,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import lcm
 from typing import Iterator, Mapping
 
 from .rng import SplitMix64
-from .weyl import Immutable, MultiIndex, WeylElement, _pack
+from .weyl import Immutable, MultiIndex, WeylElement, _pack, _reduced
 
 # (order N, l, i, j, monomial m with |m| = N - 1)
 FamilyKey = tuple[int, int, int, int, MultiIndex]
@@ -170,14 +171,20 @@ def random_family(
 
     Each (N, l, i < j, m) slot is filled with probability ``sparsity``; the
     mirrored (j, i) entry is the negation.  Iteration order is fixed, so a
-    seed fully determines the family.  The entries are valid by construction
-    (nonzero draws, degree-(N - 1) monomials, mirrored pairs), so the family
-    is wrapped without the constructor's checks.
+    seed fully determines the family.  The stream is drawn exactly as by
+    ``rng.bernoulli(sparsity)`` and ``rng.rational()`` per slot, and each
+    distinct value is built once and shared (Fractions are immutable).  The
+    entries are valid by construction (nonzero draws, degree-(N - 1)
+    monomials, mirrored pairs), so the family is wrapped without the
+    constructor's checks.
     """
     _check_shape(n, n_max)
     if not 0 <= sparsity <= 1:
         raise ValueError(f"sparsity must be in [0, 1], got {sparsity}")
     rng = SplitMix64(seed)
+    next_u64, below = rng.next_u64, rng.below
+    den, threshold = sparsity.denominator, sparsity.numerator << 64  # as rng.bernoulli
+    pairs: dict[tuple[int, int, int], tuple[Fraction, Fraction]] = {}  # draw -> (v, -v)
     entries: dict[FamilyKey, Fraction] = {}
     for order in range(1, n_max + 1):
         monomials = monomials_of_degree(n, order - 1)
@@ -185,10 +192,14 @@ def random_family(
             for i in range(1, n + 1):
                 for j in range(i + 1, n + 1):
                     for m in monomials:
-                        if rng.bernoulli(sparsity):
-                            v = rng.rational()
-                            entries[(order, l, i, j, m)] = v
-                            entries[(order, l, j, i, m)] = -v
+                        if next_u64() * den < threshold:
+                            draw = (below(9), below(2), below(4))  # as rng.rational()
+                            pair = pairs.get(draw)
+                            if pair is None:
+                                mag, sign, d = draw
+                                v = Fraction(-1 - mag if sign else 1 + mag, d + 1)
+                                pair = pairs[draw] = (v, -v)
+                            entries[(order, l, i, j, m)], entries[(order, l, j, i, m)] = pair
     return CoefficientFamily._raw(n, n_max, entries)
 
 
@@ -245,7 +256,9 @@ def build_generators(family: CoefficientFamily, max_d_degree: int) -> GeneratorS
     simply drops all orders beyond it.  One pass over the family fills a
     term dict per generator, seeded with the x_i key, which has d-degree 0
     and so never collides with a correction term.  Terms are keyed by
-    their packed `WeylElement` keys from the start.
+    their packed `WeylElement` keys from the start, and coefficients are
+    summed as integer numerators over the lcm of the kept entries'
+    denominators; `_reduced` then divides out each generator's common factor.
     """
     if max_d_degree < 0:
         raise ValueError(f"truncation order must be >= 0, got {max_d_degree}")
@@ -255,18 +268,21 @@ def build_generators(family: CoefficientFamily, max_d_degree: int) -> GeneratorS
     x_keys = [_pack(u, zero) for u in units]
     d_keys = [_pack(zero, u) for u in units]
     m_keys: dict[MultiIndex, int] = {}  # few distinct monomials per family
-    buckets = [{k: Fraction(1)} for k in x_keys]
+    den = lcm(*{v.denominator for key, v in family.items() if key[0] <= max_d_degree})
+    buckets = [{k: den} for k in x_keys]
     for (order, l, i, j, m), v in family.items():
-        if order <= max_d_degree:
-            terms = buckets[i - 1]
-            m_key = m_keys.get(m)
-            if m_key is None:
-                m_key = m_keys[m] = _pack(zero, m)
-            # keys are linear in the exponents: key(x_l d^(m + e_j))
-            key = x_keys[l - 1] + m_key + d_keys[j - 1]
-            s = terms[key] + v if key in terms else v
-            if s:
-                terms[key] = s
-            else:
-                del terms[key]
-    return GeneratorSet(family, max_d_degree, tuple(WeylElement._raw(n, t) for t in buckets))
+        if order > max_d_degree:
+            continue
+        terms = buckets[i - 1]
+        m_key = m_keys.get(m)
+        if m_key is None:
+            m_key = m_keys[m] = _pack(zero, m)
+        # keys are linear in the exponents: key(x_l d^(m + e_j))
+        key = x_keys[l - 1] + m_key + d_keys[j - 1]
+        num = v.numerator * (den // v.denominator)
+        s = terms[key] + num if key in terms else num
+        if s:
+            terms[key] = s
+        else:
+            del terms[key]
+    return GeneratorSet(family, max_d_degree, tuple(_reduced(n, den, t) for t in buckets))

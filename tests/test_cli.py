@@ -632,6 +632,13 @@ def test_load_completes_missing_mirrors(tmp_path):
     assert sc.is_valid()
 
 
+def test_load_validates_a_large_empty_table(tmp_path):
+    # validate works from the stored entries; the dense n^5 / 6 sweep it
+    # replaced would take over an hour at n = 64
+    sc = load_structure_constants(sc_file(tmp_path, {"n": 64, "entries": []}))
+    assert sc == abelian_table(64) and sc.is_valid()
+
+
 def test_load_accepts_explicit_consistent_mirrors():
     # the bundled sl2 file lists one orientation per bracket
     sc = load_structure_constants(str(ROOT / "data" / "sl2.json"))

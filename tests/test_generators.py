@@ -3,7 +3,7 @@
 import copy
 import pickle
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 import pytest
 
@@ -14,7 +14,13 @@ from symorder.generators import (
     random_family,
     symmetric_control_family,
 )
-from symorder.lie import derived_family, heisenberg_table, sl2_table
+from symorder.lie import (
+    derived_family,
+    direct_sum,
+    heisenberg_table,
+    random_almost_abelian_table,
+    sl2_table,
+)
 from symorder.rng import SplitMix64
 from symorder.weyl import WeylElement, fock_apply, mul, weyl_d, weyl_scalar, weyl_x
 
@@ -34,6 +40,24 @@ def _reference_build_generators(family: CoefficientFamily, max_d_degree: int) ->
             terms[(xexp, dexp)] = terms.get((xexp, dexp), Fraction(0)) + v
         gens.append(weyl_x(n, i) + WeylElement(n, terms))
     return gens
+
+
+def _reference_random_family(n: int, n_max: int, sparsity: Fraction, seed: int) -> dict:
+    """Independent oracle for `random_family`'s stream: one `bernoulli` and,
+    on success, one `rational` draw per (N, l, i < j, m) slot, in loop order;
+    returns the entry dict, mirrors inserted right after their slot."""
+    rng = SplitMix64(seed)
+    entries = {}
+    for order in range(1, n_max + 1):
+        for l in range(1, n + 1):
+            for i in range(1, n + 1):
+                for j in range(i + 1, n + 1):
+                    for m in monomials_of_degree(n, order - 1):
+                        if rng.bernoulli(sparsity):
+                            v = rng.rational()
+                            entries[(order, l, i, j, m)] = v
+                            entries[(order, l, j, i, m)] = -v
+    return entries
 
 
 def _colliding_family(rng: SplitMix64, n: int, n_max: int) -> tuple[CoefficientFamily, int, tuple]:
@@ -141,6 +165,33 @@ def test_random_family_edge_cases():
         random_family(2, 1, Fraction(3, 2), seed=0)
 
 
+def test_random_family_matches_reference_stream():
+    # same draws, same entries and the same insertion order as one
+    # bernoulli() and rational() call per slot
+    seeds = SplitMix64(0xF00D)
+    for n in range(1, 6):
+        for n_max in range(1, 5):
+            for sparsity in (Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1)):
+                for _ in range(40):
+                    seed = seeds.next_u64()
+                    fam = random_family(n, n_max, sparsity, seed)
+                    ref = _reference_random_family(n, n_max, sparsity, seed)
+                    assert fam._entries == ref, (n, n_max, sparsity, seed)
+                    assert list(fam._entries) == list(ref), (n, n_max, sparsity, seed)
+
+
+def test_random_family_shares_reduced_values():
+    # each distinct (magnitude, sign, denominator) draw is built once, as a
+    # reduced Fraction v and its mirror -v
+    fam = random_family(4, 3, Fraction(1), seed=11)
+    for (order, l, i, j, m), v in fam.items():
+        assert type(v) is Fraction and v
+        assert gcd(v.numerator, v.denominator) == 1 and v.denominator > 0
+        assert fam._entries[(order, l, j, i, m)] == -v
+    values = [v for _, v in fam.items()]
+    assert len({id(v) for v in values}) <= 2 * 9 * 2 * 4 < len(values)
+
+
 def test_random_family_matches_validating_constructor():
     # random_family skips the constructor's checks; rebuilding each family
     # through them must give the same entries, in the same order
@@ -227,23 +278,36 @@ def test_build_generators_truncation_drops_high_orders():
 
 def test_build_generators_matches_reference_builder():
     rng = SplitMix64(0xB11D)
-    families = [(symmetric_control_family(), None)]
+    families = [(symmetric_control_family(), None), (CoefficientFamily(3, 2), None)]
     for _ in range(40):
         fam, i, key = _colliding_family(rng, 3 + rng.below(2), 2 + rng.below(2))
         families.append((fam, (i, key)))
         n = 1 + rng.below(4)
         families.append((random_family(n, 1 + rng.below(3), Fraction(rng.below(5), 4),
                                        rng.next_u64()), None))
+    # Bernoulli-series families: their denominators make the integer route's
+    # lcm large (28 bits or more for sl2 + almost-abelian at D = 10)
+    tables = [sl2_table(), heisenberg_table()]
+    tables += [direct_sum(sl2_table(), random_almost_abelian_table(k, seed)) for k, seed in
+               ((2, 1), (3, 2), (4, 3))]
+    for sc in tables:
+        for d in (1, 4, 10):
+            families.append((derived_family(sc, d), None))
     for trial, (fam, collision) in enumerate(families):
         for cutoff in range(fam.n_max + 2):
             got = build_generators(fam, cutoff).generators
             ref = _reference_build_generators(fam, cutoff)
             assert [g.sorted_terms() for g in got] == [r.sorted_terms() for r in ref], trial
+            # equal fields: one reduced denominator and the same numerators
+            assert list(got) == ref, trial
+            assert [g._den for g in got] == [r._den for r in ref], trial
             for g in got:
                 assert all(type(c) is Fraction and c != 0 for _key, c in g.items()), trial
             if collision:
                 i, (xexp, dexp) = collision
                 assert (xexp, dexp) not in dict(got[i - 1].items()), trial
+    assert max(g._den for g in build_generators(derived_family(tables[-1], 10), 10).generators
+               ).bit_length() >= 28
 
 
 def test_generator_index_range():

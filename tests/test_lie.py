@@ -72,6 +72,41 @@ def bernoulli_oracle(n: int) -> Fraction:
     return a[0] if n % 2 == 0 else -a[0]
 
 
+def _reference_validate(sc: StructureConstants) -> list[Violation]:
+    """Dense oracle for `StructureConstants.validate`: antisymmetry at every
+    (k, i <= j), then the cyclic Jacobi sum at every (i < j < l, m), summed
+    over every s with `get` lookups, in loop order."""
+    n = sc.n
+    out = []
+    for k in range(1, n + 1):
+        for i in range(1, n + 1):
+            for j in range(i, n + 1):
+                r = sc.get(k, i, j) + sc.get(k, j, i)
+                if r:
+                    out.append(Violation("antisymmetry", (k, i, j), r))
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            for l in range(j + 1, n + 1):
+                for m in range(1, n + 1):
+                    r = Fraction(0)
+                    for s in range(1, n + 1):
+                        r += (
+                            sc.get(s, i, j) * sc.get(m, s, l)
+                            + sc.get(s, j, l) * sc.get(m, s, i)
+                            + sc.get(s, l, i) * sc.get(m, s, j)
+                        )
+                    if r:
+                        out.append(Violation("jacobi", (i, j, l, m), r))
+    return out
+
+
+def _assert_validate_matches_reference(sc: StructureConstants, context) -> None:
+    got, ref = sc.validate(), _reference_validate(sc)
+    assert got == ref, context
+    # Fraction == int would pass the line above; the residuals must stay exact
+    assert all(type(v.residual) is Fraction for v in got), context
+
+
 def brute_force_violation_free(sc: StructureConstants) -> bool:
     """Literal quantifier sweep of antisymmetry and Jacobi, written fresh."""
     n = sc.n
@@ -138,9 +173,56 @@ def test_validate_matches_brute_force_on_fuzzed_tables():
         sc = StructureConstants(n, entries)
         ok = not sc.validate()
         assert ok == brute_force_violation_free(sc), (trial, entries)
+        _assert_validate_matches_reference(sc, (trial, entries))
         accepted += ok
     # the fuzz must exercise both outcomes
     assert 0 < accepted < 60
+
+
+def test_validate_matches_dense_reference_on_perturbed_tables():
+    # Valid tables with seeded edits: a changed value, a dropped or added
+    # entry, a diagonal entry and a mirror that does not match.  Each edit
+    # can break antisymmetry and Jacobi at once, and the sparse join must
+    # report the same violations, in the same order, as the dense sweep.
+    bases = [
+        sl2_table(),
+        heisenberg_table(),
+        direct_sum(sl2_table(), heisenberg_table()),
+        direct_sum(heisenberg_table(), random_almost_abelian_table(3, seed=5)),
+        direct_sum(sl2_table(), random_two_step_table(4, 2, seed=6)),
+    ]
+    rng = SplitMix64(0x5CA7)
+    kinds = set()
+    for base in bases:
+        _assert_validate_matches_reference(base, base)
+        for trial in range(25):
+            n = base.n
+            entries = dict(base.items())
+            for _ in range(1 + rng.below(3)):
+                k, i, j = (1 + rng.below(n) for _ in range(3))
+                edit = rng.below(4)
+                if edit == 0:  # diagonal entry
+                    entries[(k, i, i)] = rng.rational()
+                elif edit == 1:  # mirror that does not match
+                    v = rng.rational()
+                    entries[(k, i, j)], entries[(k, j, i)] = v, v + rng.rational()
+                elif edit == 2 and entries:  # drop one stored entry
+                    del entries[sorted(entries)[rng.below(len(entries))]]
+                else:  # a consistent pair, which can break Jacobi alone
+                    v = rng.rational()
+                    entries[(k, i, j)], entries[(k, j, i)] = v, -v
+            sc = StructureConstants(n, entries)
+            _assert_validate_matches_reference(sc, (base, trial, entries))
+            kinds.update(v.kind for v in sc.validate())
+    assert kinds == {"antisymmetry", "jacobi"}
+
+
+def test_validate_work_follows_the_entries():
+    # a dense sweep at n = 63 would take about an hour; the join reads entries
+    big = direct_sum(abelian_table(60), sl2_table())
+    assert big.n == 63 and big.validate() == []
+    broken = StructureConstants(64, {(64, 1, 2): 1})
+    assert broken.validate() == [Violation("antisymmetry", (64, 1, 2), Fraction(1))]
 
 
 def test_structured_tables_are_valid():
