@@ -30,7 +30,6 @@ from .lie import (
     Violation,
     abelian_table,
     bernoulli,
-    cmatrix,
     derived_family,
     direct_sum,
     heisenberg_table,
@@ -87,7 +86,6 @@ __all__ = [
     "build_generators",
     "cancellation_check",
     "cancellation_terms",
-    "cmatrix",
     "derived_family",
     "direct_sum",
     "e_map",

@@ -166,10 +166,11 @@ def iota_cost(sc: StructureConstants, d: int) -> int:
     d^j for which some C^k_ij is nonzero, and their d-degree stops at
     top = min(d + 1, L + 1) where L is the longest path in the graph with
     an edge k -> i for every nonzero C^k_ij: the image series stops at the
-    first vanishing power of `lie.cmatrix`, whose entry (k, i) is nonzero
-    only on such an edge, so its L + 1-st power vanishes.  A cycle leaves
-    top = d + 1, capped where the estimate already passes the limit, so
-    oversized flags are rejected without big-number work.
+    first vanishing power of the matrix M with M[k][i] = sum_j C^k_ij d^j,
+    whose entry (k, i) is nonzero only on such an edge, so its L + 1-st
+    power vanishes.  A cycle leaves top = d + 1, capped where the estimate
+    already passes the limit, so oversized flags are rejected without
+    big-number work.
     """
     edges: dict[int, set[int]] = {}
     derivatives = set()

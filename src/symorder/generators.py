@@ -21,6 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import lcm
+from operator import index
 from typing import Iterator, Mapping
 
 from .rng import SplitMix64
@@ -56,10 +57,11 @@ class CoefficientFamily(Immutable):
     """Sparse coefficient table for generator corrections.
 
     Keys are ``(N, l, i, j, m)`` with 1-based indices in 1..n, orders N in
-    1..n_max, and ``m`` a length-n exponent tuple with ``sum(m) == N - 1``.
-    Zero values are dropped.  By default the constructor rejects families
-    that are not antisymmetric under swapping (i, j); pass
-    ``check_antisymmetry=False`` to build a broken family on purpose.
+    1..n_max, and ``m`` a length-n exponent tuple with ``sum(m) == N - 1``;
+    a non-integral exponent raises `TypeError`.  Zero values are dropped.
+    By default the constructor rejects families that are not antisymmetric
+    under swapping (i, j); pass ``check_antisymmetry=False`` to build a
+    broken family on purpose.
     """
 
     __slots__ = ("n", "n_max", "_entries", "_antisymmetric")
@@ -80,7 +82,7 @@ class CoefficientFamily(Immutable):
                     raise ValueError(f"order {order} out of range 1..{n_max}")
                 if not (1 <= l <= n and 1 <= i <= n and 1 <= j <= n):
                     raise IndexError(f"index {(l, i, j)} out of range 1..{n}")
-                mi = tuple(map(int, m))
+                mi = tuple(map(index, m))
                 if len(mi) != n or min(mi) < 0:
                     raise ValueError(f"bad monomial {m} for dimension {n}")
                 if sum(mi) != order - 1:

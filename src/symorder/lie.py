@@ -5,8 +5,9 @@ bracket of elements i and j) is valid when it is antisymmetric in (i, j) and
 satisfies the quadratic Jacobi constraint.  From a valid table this module
 builds:
 
-  * the n x n matrix of linear derivative forms  M[i][j] = sum_k C[i][j,k] d^k,
   * the coefficient family that carries the Bernoulli series term for term,
+    from the powers of the n x n matrix of linear derivative forms
+    M[i][j] = sum_k C[i][j,k] d^k, kept as commuting polynomials in the d's,
   * the Bernoulli-weighted embedding  embed(i) = sum_l x_l sum_N c_N (M^N)[l][i]
     with c_N = (-1)^N B_N / N!,  truncated at a chosen d-degree, built as
     the generators of that family (see `symorder.generators`), and
@@ -28,16 +29,7 @@ from typing import Iterator, Mapping
 
 from .generators import CoefficientFamily, build_generators
 from .rng import SplitMix64
-from .weyl import (
-    Immutable,
-    WeylElement,
-    linear_combination,
-    mul,
-    truncate,
-    weyl_scalar,
-)
-
-CMatrix = tuple[tuple[WeylElement, ...], ...]
+from .weyl import Immutable, WeylElement, linear_combination, mul, truncate
 
 
 @dataclass(frozen=True)
@@ -157,37 +149,6 @@ class StructureConstants(Immutable):
             raise InvalidStructureConstantsError(violations)
 
 
-# -- the matrix of linear derivative forms -----------------------------------
-
-
-def cmatrix(sc: StructureConstants) -> CMatrix:
-    """Matrix M with M[i][j] = sum_k C[i][j,k] d^k (1-based math indices).
-
-    Entries are pure derivative forms (no x part, every term of d-degree 1),
-    so they commute with one another and matrix powers behave as over a
-    commutative ring.
-    """
-    n = sc.n
-    zero = (0,) * n
-    units = [tuple(int(t == k) for t in range(n)) for k in range(n)]
-    cells: list[list[dict]] = [[{} for _ in range(n)] for _ in range(n)]
-    for (i, j, k), c in sorted(sc.items()):
-        cells[i - 1][j - 1][(zero, units[k - 1])] = c
-    return tuple(tuple(WeylElement(n, terms) for terms in row) for row in cells)
-
-
-def _mat_mul(a: CMatrix, b: CMatrix, n: int) -> CMatrix:
-    rows = []
-    for r in range(n):
-        row = []
-        for c in range(n):
-            row.append(linear_combination(
-                n, [(1, mul(a[r][s], b[s][c])) for s in range(n) if a[r][s] and b[s][c]]
-            ))
-        rows.append(tuple(row))
-    return tuple(rows)
-
-
 # -- Bernoulli numbers --------------------------------------------------------
 
 _bernoulli_lock = threading.Lock()
@@ -264,39 +225,60 @@ def homomorphism_defect(
     return defects
 
 
+# A row of a power of M: column -> {d-monomial: coefficient}, nonzero cells only.
+_Row = dict[int, dict[tuple[int, ...], Fraction]]
+
+
 def derived_family(sc: StructureConstants, n_max: int) -> CoefficientFamily:
     """Coefficient family reproducing the embedding: at order N the (l, i, j)
     polynomial is (-1)^N B_N / N! * sum_s (M^(N-1))[l][s] * C[s][i,j].
 
     Generators built from it at truncation D are the embedding images
     (`iota`) at D: since (M^N)[l][i] = sum_{s,j} (M^(N-1))[l][s] C[s][i,j] d^j,
-    the term x_l d^(m + e_j) of X_i collects the order-N series term.  The
-    powers stop at the first zero one, which makes every later one zero.
-    Antisymmetry in (i, j) is inherited from the table and re-checked by the
-    family constructor.
+    the term x_l d^(m + e_j) of X_i collects the order-N series term.
+    The entries of M commute, so its powers are plain polynomial algebra in
+    the d's: row l of M^(N-1) maps each column s to a {d-monomial: Fraction}
+    cell, and one step to M^N reads the table once, cell t times C[t][s,k]
+    adding each monomial m + e_k to cell s.  The powers stop at the first
+    zero one, which makes every later one zero.  Antisymmetry in (i, j) is
+    inherited from the table and re-checked by the family constructor.
     """
     sc.require_valid()
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     n = sc.n
-    m = cmatrix(sc)
+    table = list(sc.items())
+    rows: list[_Row] = [{l: {(0,) * n: Fraction(1)}} for l in range(1, n + 1)]  # M^0
     entries: dict[tuple[int, int, int, int, tuple[int, ...]], Fraction] = {}
-    one, zero = weyl_scalar(n, 1), weyl_scalar(n, 0)
-    power = tuple(tuple(one if r == c else zero for c in range(n)) for r in range(n))
-    for order in range(1, n_max + 1):  # power is M^(order - 1)
+    for order in range(1, n_max + 1):  # rows hold M^(order - 1)
         if order > 1:
-            power = _mat_mul(power, m, n)
-            if all(e.is_zero() for row in power for e in row):
+            rows = [_times_m(row, table) for row in rows]
+            if not any(rows):
                 break
         coeff = (-1) ** order * bernoulli(order) / factorial(order)
         if not coeff:
             continue
-        for (s, i, j), c in sc.items():
-            for l in range(1, n + 1):
-                for (_x, dexp), value in power[l - 1][s - 1].items():
-                    key = (order, l, i, j, dexp)
-                    entries[key] = entries.get(key, 0) + coeff * c * value
+        for (s, i, j), c in table:
+            cc = coeff * c
+            for l, row in enumerate(rows, 1):
+                for m, value in row.get(s, {}).items():
+                    key = (order, l, i, j, m)
+                    entries[key] = entries.get(key, 0) + cc * value
     return CoefficientFamily(n, n_max, entries)
+
+
+def _times_m(row: _Row, table: list[tuple[tuple[int, int, int], Fraction]]) -> _Row:
+    """One row of a power of M times M, zero terms and cells dropped."""
+    out: _Row = {}
+    for (t, s, k), c in table:
+        cell = row.get(t)
+        if cell:
+            target = out.setdefault(s, {})
+            for m, v in cell.items():
+                mk = m[:k - 1] + (m[k - 1] + 1,) + m[k:]
+                target[mk] = target.get(mk, 0) + v * c
+    kept = {s: {m: v for m, v in cell.items() if v} for s, cell in out.items()}
+    return {s: cell for s, cell in kept.items() if cell}
 
 
 # -- ready-made and structured random tables ----------------------------------

@@ -56,6 +56,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import comb, factorial, gcd, lcm, perm
+from operator import index
 from typing import Iterable, Iterator, Mapping
 
 MultiIndex = tuple[int, ...]
@@ -94,7 +95,7 @@ class Immutable:
 
 
 def _as_multi_index(exps: Iterable[int], n: int, what: str) -> MultiIndex:
-    t = tuple(int(e) for e in exps)
+    t = tuple(map(index, exps))
     if len(t) != n:
         raise ValueError(f"{what} has length {len(t)}, expected {n}")
     if any(e < 0 for e in t):
@@ -156,8 +157,8 @@ class WeylElement(Immutable):
     ``key = _pack(xexp, dexp)``: numerators are nonzero ints, ``_den`` is a
     positive int and ``gcd(_den, *_nums.values()) == 1``; zero is the empty
     map over 1.  The constructor canonicalizes (coerces coefficients, drops
-    zeros) and validates exponent shapes; a term of total degree above
-    `_FIELD` raises `OverflowError`.
+    zeros) and validates exponent shapes; a non-integral exponent raises
+    `TypeError` and a term of total degree above `_FIELD` `OverflowError`.
     """
 
     __slots__ = ("n", "_den", "_nums")
@@ -181,15 +182,6 @@ class WeylElement(Immutable):
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "_den", den)
         object.__setattr__(self, "_nums", nums)
-
-    @classmethod
-    def _raw(cls, n: int, terms: dict[int, Fraction]) -> "WeylElement":
-        """The element of a packed-key dict of nonzero Fractions, unchecked.
-
-        Internal fast path; callers must guarantee keys built by `_pack`
-        from length-n exponent tuples.
-        """
-        return _element(n, *_cleared(terms))
 
     # -- inspection ---------------------------------------------------------
 
@@ -387,18 +379,18 @@ def _unit_index(n: int, i: int) -> MultiIndex:
 
 def weyl_x(n: int, i: int) -> WeylElement:
     """The generator x_i (1-based index)."""
-    return WeylElement._raw(n, {_pack(_unit_index(n, i), (0,) * n): Fraction(1)})
+    return _element(n, 1, {_pack(_unit_index(n, i), (0,) * n): 1})
 
 
 def weyl_d(n: int, j: int) -> WeylElement:
     """The generator d^j (1-based index)."""
-    return WeylElement._raw(n, {_pack((0,) * n, _unit_index(n, j)): Fraction(1)})
+    return _element(n, 1, {_pack((0,) * n, _unit_index(n, j)): 1})
 
 
 def weyl_scalar(n: int, c: Fraction | int) -> WeylElement:
     """The scalar element c*1; zero gives the empty term map."""
     c = Fraction(c)
-    return WeylElement._raw(n, {0: c} if c else {})
+    return _reduced(n, c.denominator, {0: c.numerator})
 
 
 def weyl_term(

@@ -114,6 +114,9 @@ def test_family_invariant_enforcement():
         CoefficientFamily(2, 1, {(2, 1, 1, 2, (1, 0)): 1})
     with pytest.raises(IndexError):
         CoefficientFamily(2, 1, {(1, 3, 1, 2, (0, 0)): 1})
+    # a non-integral exponent is refused, not truncated to (1, 0)
+    with pytest.raises(TypeError):
+        CoefficientFamily(2, 2, {(2, 1, 1, 2, (1.9, 0)): 1, (2, 1, 2, 1, (1.9, 0)): -1})
     # broken antisymmetry rejected unless explicitly allowed
     sym = {(1, 1, 1, 2, (0, 0)): 1, (1, 1, 2, 1, (0, 0)): 1}
     with pytest.raises(ValueError):

@@ -13,7 +13,6 @@ from symorder.lie import (
     Violation,
     abelian_table,
     bernoulli,
-    cmatrix,
     derived_family,
     direct_sum,
     heisenberg_table,
@@ -24,21 +23,53 @@ from symorder.lie import (
     sl2_table,
 )
 from symorder.rng import SplitMix64
-from symorder.weyl import WeylElement, mul, truncate, weyl_d, weyl_scalar, weyl_x
+from symorder.weyl import (
+    WeylElement,
+    linear_combination,
+    mul,
+    truncate,
+    weyl_d,
+    weyl_scalar,
+    weyl_x,
+)
 
 
-def identity_cmatrix(n: int) -> lie.CMatrix:
+CMatrix = tuple[tuple[WeylElement, ...], ...]
+
+
+def cmatrix(sc: StructureConstants) -> CMatrix:
+    """M[i][j] = sum_k C[i][j,k] d^k as a matrix of Weyl elements, one `get`
+    per (i, j, k): the oracle's route to the powers `derived_family` forms."""
+    n = sc.n
+    return tuple(
+        tuple(
+            linear_combination(n, [(sc.get(i, j, k), weyl_d(n, k)) for k in range(1, n + 1)])
+            for j in range(1, n + 1)
+        )
+        for i in range(1, n + 1)
+    )
+
+
+def identity_cmatrix(n: int) -> CMatrix:
     """The n x n identity matrix over the Weyl algebra."""
     one, zero = weyl_scalar(n, 1), weyl_scalar(n, 0)
     return tuple(tuple(one if r == c else zero for c in range(n)) for r in range(n))
 
 
-def cmatrix_power(m: lie.CMatrix, power: int) -> lie.CMatrix:
+def cmatrix_product(a: CMatrix, b: CMatrix) -> CMatrix:
+    """a b over the Weyl algebra, every cell product through `mul`."""
+    n = len(a)
+    return tuple(
+        tuple(linear_combination(n, [(1, mul(a[r][s], b[s][c])) for s in range(n)]) for c in range(n))
+        for r in range(n)
+    )
+
+
+def cmatrix_power(m: CMatrix, power: int) -> CMatrix:
     """m**power by repeated multiplication; power 0 gives the identity."""
-    n = len(m)
-    out = identity_cmatrix(n)
+    out = identity_cmatrix(len(m))
     for _ in range(power):
-        out = lie._mat_mul(out, m, n)
+        out = cmatrix_product(out, m)
     return out
 
 
@@ -56,6 +87,34 @@ def _reference_embedding_images(sc: StructureConstants, max_d_degree: int) -> li
             for l in range(n):
                 images[i] = images[i] + mul(weyl_x(n, l + 1), power[l][i]).scale(coeff)
     return images
+
+
+def _reference_family(sc: StructureConstants, n_max: int) -> tuple[dict, int | None]:
+    """`derived_family`'s entries through the C-matrix powers, and the
+    exponent of the first zero power below n_max (None if there is none).
+
+    Order N's (l, i, j) polynomial is (-1)^N B_N / N! times the sum over s
+    of (M^(N-1))[l][s] C[s][i,j], summed over every index with `get`
+    lookups and the Bernoulli numbers of `bernoulli_oracle`; the powers run
+    on past a zero one."""
+    n = sc.n
+    m, power = cmatrix(sc), identity_cmatrix(n)
+    entries: dict = {}
+    first_zero = None
+    for order in range(1, n_max + 1):  # power is M^(order - 1)
+        if first_zero is None and all(e.is_zero() for row in power for e in row):
+            first_zero = order - 1
+        coeff = (-1) ** order * bernoulli_oracle(order) / factorial(order)
+        for l in range(1, n + 1):
+            for i in range(1, n + 1):
+                for j in range(1, n + 1):
+                    for s in range(1, n + 1):
+                        c = coeff * sc.get(s, i, j)
+                        for (_x, dexp), value in power[l - 1][s - 1].items():
+                            key = (order, l, i, j, dexp)
+                            entries[key] = entries.get(key, 0) + c * value
+        power = cmatrix_product(power, m)
+    return {k: v for k, v in entries.items() if v}, first_zero
 
 
 def bernoulli_oracle(n: int) -> Fraction:
@@ -449,6 +508,34 @@ def test_derived_family_generators_match_iota():
             for i in range(1, sc.n + 1):
                 assert gens.generator(i) == images[i - 1], (sc, i, order)
                 assert iota(sc, i, order) == images[i - 1], (sc, i, order)
+
+
+def test_derived_family_matches_cmatrix_powers(monkeypatch):
+    # The row-dict powers against the Weyl-element C-matrix powers, orders
+    # 1..10, and the series stops at the first zero power: no Bernoulli
+    # number is asked for past it.
+    rng = SplitMix64(1313)
+    tables = ALL_TABLES + [
+        direct_sum(sl2_table(), sl2_table()),
+        direct_sum(sl2_table(), random_almost_abelian_table(2, seed=13)),
+    ]
+    for trial in range(20):
+        tables.append(random_almost_abelian_table(2 + rng.below(3), seed=trial))
+        n = 3 + rng.below(3)
+        tables.append(random_two_step_table(n, 1 + rng.below(n - 1), seed=trial))
+    asked = []
+    real_bernoulli = lie.bernoulli
+    monkeypatch.setattr(lie, "bernoulli", lambda index: asked.append(index) or real_bernoulli(index))
+    for sc in tables:
+        reference, first_zero = _reference_family(sc, 10)
+        for n_max in range(1, 11):
+            asked.clear()
+            family = derived_family(sc, n_max)
+            expected = {k: v for k, v in reference.items() if k[0] <= n_max}
+            assert family.n_max == n_max
+            assert family._entries == expected, (sc, n_max)
+            last = n_max if first_zero is None else min(n_max, first_zero)
+            assert asked == list(range(1, last + 1)), (sc, n_max)
 
 
 def test_direct_sum_indexing():

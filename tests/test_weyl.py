@@ -645,6 +645,20 @@ def test_constructor_canonicalizes():
         WeylElement(1, {((-1,), (0,)): 1})
 
 
+def test_non_integral_exponents_raise():
+    # Exponents go through operator.index: a float is refused, not truncated.
+    with pytest.raises(TypeError):
+        WeylElement(1, {((2.7,), (0,)): 1})
+    with pytest.raises(TypeError):
+        weyl_term(2, (1.5, 0), (0, 0))
+    with pytest.raises(TypeError):
+        poly_monomial(2, (1, 1)).coefficient((1.2, 1), (0, 0))
+    with pytest.raises(TypeError):
+        poly_monomial(2, (1, 1)).coefficient((1, 1), (0.0, 0))
+    # integral exponents of other int types still pass
+    assert weyl_term(2, (True, 0), (0, 0)) == weyl_x(2, 1)
+
+
 def test_immutability():
     a = weyl_x(2, 1)
     for name, value in (("n", 3), ("_den", 2), ("_nums", {}), ("_terms", {})):
