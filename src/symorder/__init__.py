@@ -49,14 +49,12 @@ from .ordering import (
     e_tilde,
     pi_project,
     span_dimension,
-    symmetrized_product,
     theorem_check,
     word_monomial,
 )
 from .rng import SplitMix64
 from .weyl import (
     DimensionMismatchError,
-    Polynomial,
     WeylElement,
     fock_apply,
     linear_combination,
@@ -75,7 +73,6 @@ __all__ = [
     "DimensionMismatchError",
     "GeneratorSet",
     "InvalidStructureConstantsError",
-    "Polynomial",
     "SplitMix64",
     "StructureConstants",
     "TruncationWarning",
@@ -106,7 +103,6 @@ __all__ = [
     "sl2_table",
     "span_dimension",
     "symmetric_control_family",
-    "symmetrized_product",
     "theorem_check",
     "truncate",
     "weyl_d",

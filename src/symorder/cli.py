@@ -14,10 +14,10 @@ is printed to standard error only, so it never perturbs the report bytes.
 Exit status: 0 all checks passed, 1 at least one check failed, 2 usage or
 input error, including a run past its cost gate: span-dim whose `span_cost`
 exceeds `SPAN_COST_LIMIT`, verify-theorem or cancellation whose `word_cost`
-exceeds `WORD_COST_LIMIT` (or, for verify-theorem, whose word is longer than
-`WORD_LENGTH_LIMIT`), verify-iota whose `iota_cost` exceeds
-`IOTA_COST_LIMIT`, bernoulli past `BERNOULLI_N_MAX_LIMIT`, and any --trials
-past `TRIALS_LIMIT`.
+exceeds `WORD_COST_LIMIT` or whose word is longer than `WORD_LENGTH_LIMIT`,
+verify-iota whose `iota_cost` exceeds `IOTA_COST_LIMIT`, bernoulli past
+`BERNOULLI_N_MAX_LIMIT`, any --trials past `TRIALS_LIMIT`, and a --sparsity
+past 2^64 in numerator or denominator, or past `_FRACTION_TEXT_LIMIT` as text.
 
 Flags that several subcommands take are declared once, in argparse parent
 parsers, and every per-command default sits in one table, `_DEFAULTS`.
@@ -112,10 +112,12 @@ def _generator_terms(n: int, axes: int, top: int) -> int:
 # n_max = 4) costs 26592; the slowest admitted trial measured, a dense
 # `--n 11 --k 1 --n-max 3` (87868), takes about 1 s on a 2-core x86 VM.
 WORD_COST_LIMIT = 100_000
-# verify-theorem also caps the word length.  For n = 1, `word_cost` alone
-# admits words of up to 49,999 letters, and the word cache would then hold
-# m! * x^m for every m <= k: summing log2(m!) over those m gives about 2 GB.
+# verify-theorem and cancellation also cap the word length.  For n = 1,
+# `word_cost` alone admits 49,999 letters, which each record would echo, and
+# the verify-theorem word cache would hold m! * x^m for every m <= k (~2 GB).
 WORD_LENGTH_LIMIT = 200
+# The longest --sparsity text, and the largest exponent, that `Fraction` reads.
+_FRACTION_TEXT_LIMIT = 100
 # bernoulli --n-max 1000 takes about 4 s on a 2-core x86 VM, and the table
 # costs about n_max^3.
 BERNOULLI_N_MAX_LIMIT = 1000
@@ -228,10 +230,20 @@ _DEFAULTS: dict[str, dict] = {
 
 
 def _fraction_arg(text: str) -> Fraction:
+    """A rational with numerator and denominator at most 2^64; its text's length
+    and exponent are held to `_FRACTION_TEXT_LIMIT` before `Fraction` reads it."""
+    limit = _FRACTION_TEXT_LIMIT
     try:
-        return Fraction(text)
+        if len(text) > limit or abs(int(text.lower().partition("e")[2] or 0)) > limit:
+            raise ValueError(text)
+        value = Fraction(text)
+        if max(abs(value.numerator), value.denominator) > _U64:
+            raise ValueError(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from exc
+        raise argparse.ArgumentTypeError(
+            f"not a rational of at most {limit} characters, exponent within +-{limit}, "
+            f"numerator and denominator at most 2^64: {text[:limit]!r}") from exc
+    return value
 
 
 @functools.cache
@@ -392,8 +404,8 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     else:
         _gate(command, word_cost(n, k, n_max), WORD_COST_LIMIT,
               "multiset states times generator terms", "--n, --k or --n-max")
-    if command == "verify-theorem" and k > WORD_LENGTH_LIMIT:
-        raise CLIInputError(f"--k must be <= {WORD_LENGTH_LIMIT}, got {k}")
+        if k > WORD_LENGTH_LIMIT:
+            raise CLIInputError(f"--k must be <= {WORD_LENGTH_LIMIT}, got {k}")
     return RunConfig(
         command=command, n=n, k=k, n_max=n_max, trials=flags["trials"], seed=args.seed,
         sparsity=args.sparsity, sc_path=sc_path, sc=sc, family=family, output=args.output,

@@ -133,15 +133,6 @@ class CoefficientFamily(Immutable):
     def get(self, order: int, l: int, i: int, j: int, m: MultiIndex) -> Fraction:
         return self._entries.get((order, l, i, j, tuple(m)), Fraction(0))
 
-    def polynomial(self, order: int, l: int, i: int, j: int) -> WeylElement:
-        """The (l, i, j) polynomial at the given order as a pure-d element."""
-        zero = (0,) * self.n
-        terms = {}
-        for (o, ll, ii, jj, m), v in self._entries.items():
-            if (o, ll, ii, jj) == (order, l, i, j):
-                terms[(zero, m)] = v
-        return WeylElement(self.n, terms)
-
     def is_antisymmetric(self) -> bool:
         return self._antisymmetric
 
@@ -221,25 +212,20 @@ def symmetric_control_family() -> CoefficientFamily:
 
 
 class GeneratorSet(Immutable):
-    """Truncated generators together with the family and cutoff they came from.
+    """Truncated generators and the d-degree cutoff they were built at.
 
-    ``generators[i - 1]`` is X_i.  The word cache memoizes symmetrization
-    results per word; see `symorder.ordering`.  Threads may share a set
-    without a lock: a cache entry is an immutable value that is never
-    removed, dict reads and writes are atomic, and two threads that fill the
-    same state write equal values.
+    ``generators[i - 1]`` is X_i.  The set records no family, so any builder
+    can make one.  The word cache memoizes symmetrization results per word;
+    see `symorder.ordering`.  Threads may share a set without a lock: a
+    cache entry is an immutable value that is never removed, dict reads and
+    writes are atomic, and two threads that fill the same state write equal
+    values.
     """
 
-    __slots__ = ("n", "max_d_degree", "family", "generators", "_word_cache")
+    __slots__ = ("n", "max_d_degree", "generators", "_word_cache")
 
-    def __init__(
-        self,
-        family: CoefficientFamily,
-        max_d_degree: int,
-        generators: tuple[WeylElement, ...],
-    ):
-        values = (family.n, max_d_degree, family, generators, {})
-        for name, value in zip(self.__slots__, values):
+    def __init__(self, n: int, max_d_degree: int, generators: tuple[WeylElement, ...]):
+        for name, value in zip(self.__slots__, (n, max_d_degree, generators, {})):
             object.__setattr__(self, name, value)
 
     def generator(self, i: int) -> WeylElement:
@@ -287,4 +273,4 @@ def build_generators(family: CoefficientFamily, max_d_degree: int) -> GeneratorS
             terms[key] = s
         else:
             del terms[key]
-    return GeneratorSet(family, max_d_degree, tuple(_reduced(n, den, t) for t in buckets))
+    return GeneratorSet(n, max_d_degree, tuple(_reduced(n, den, t) for t in buckets))

@@ -12,10 +12,11 @@ monomial:
 
 The checker works on vacuum actions directly: grouping permutations by their
 first letter turns the k!-term sum into a recursion over sub-multisets of
-the word, at most 2^k polynomial states.  The operator-level permutation sum
-(`symmetrized_product`, `e_tilde`, `e_map`) uses the same recursion with
-operator products in place of vacuum actions.  Independent oracles, such as
-the literal k!-term sum, live in the tests.
+the word, at most 2^k polynomial states.  `e_tilde` and `e_map` run the same
+recursion with operator products in place of vacuum actions.  The
+cancellation terms are read straight off the family: each is a d-free
+monomial times an x-free pair polynomial, so no product reorders anything.
+Independent oracles, such as the literal k!-term sum, live in the tests.
 
 Truncation: the vacuum action of a k-letter word only ever differentiates
 polynomials of degree < k, so generators truncated at d-degree D behave
@@ -35,7 +36,6 @@ from .generators import CoefficientFamily, GeneratorSet
 from .linalg import exact_rank
 from .weyl import (
     MultiIndex,
-    Polynomial,
     WeylElement,
     fock_apply,
     linear_combination,
@@ -61,13 +61,13 @@ def word_counts(n: int, word: Word) -> MultiIndex:
     return tuple(counts)
 
 
-def word_monomial(n: int, word: Word) -> Polynomial:
+def word_monomial(n: int, word: Word) -> WeylElement:
     """The commutative monomial x_{a_1} ... x_{a_k} of a word."""
     zero = (0,) * n
     return WeylElement(n, {(word_counts(n, word), zero): 1})
 
 
-def _vacuum_action(gens: GeneratorSet, counts: MultiIndex) -> Polynomial:
+def _vacuum_action(gens: GeneratorSet, counts: MultiIndex) -> WeylElement:
     """Permutation-summed vacuum action of the word with these multiplicities."""
     return _word_sum(gens, counts, "vacuum", fock_apply, _vacuum_action)
 
@@ -125,13 +125,6 @@ def _warn_if_insufficient(gens: GeneratorSet, k: int) -> bool:
     return sufficient
 
 
-def symmetrized_product(gens: GeneratorSet, word: Word) -> WeylElement:
-    """The permutation sum e_tilde(word) as an operator."""
-    counts = word_counts(gens.n, word)
-    _warn_if_insufficient(gens, len(word))
-    return _operator_sum(gens, counts)
-
-
 @dataclass(frozen=True)
 class CheckResult:
     """Outcome of one ordering-identity check.
@@ -144,7 +137,7 @@ class CheckResult:
 
     word: Word
     passed: bool
-    residual: Polynomial
+    residual: WeylElement
     truncation_sufficient: bool
 
 
@@ -179,7 +172,8 @@ def cancellation_terms(
 
     Summing over idx visits every ordered pair (idx, p) once, so for
     antisymmetric families the contributions cancel pairwise; symmetric
-    families leave a nonzero total.
+    families leave a nonzero total.  The family is indexed by i once per
+    call, and each term is built in normal order with no `mul`.
     """
     word = tuple(word)
     n = family.n
@@ -187,23 +181,20 @@ def cancellation_terms(
         raise IndexError(f"index l={l} out of range 1..{n}")
     if not 1 <= order <= family.n_max:
         raise ValueError(f"order {order} out of range 1..{family.n_max}")
-    word_counts(n, word)  # validates letters
+    counts = word_counts(n, word)
+    pairs: dict[int, list] = {}  # i -> (s, m, value) of the (order, l) entries
+    for (o, ll, i, s, m), v in family.items():
+        if o == order and ll == l:
+            pairs.setdefault(i, []).append((s, m, v))
     out = []
-    for idx in range(len(word)):
-        rest = word[:idx] + word[idx + 1 :]
-        rest_counts = word_counts(n, rest)
-        parts = []
-        for s in range(1, n + 1):
-            mult = rest_counts[s - 1]
-            if not mult:
-                continue
-            pair = family.polynomial(order, l, word[idx], s)
-            if pair.is_zero():
-                continue
-            deleted = rest_counts[: s - 1] + (mult - 1,) + rest_counts[s:]
-            monomial = WeylElement(n, {(deleted, (0,) * n): 1})
-            parts.append((mult, mul(monomial, pair)))
-        out.append(linear_combination(n, parts))
+    for a in word:
+        rest = counts[: a - 1] + (counts[a - 1] - 1,) + counts[a:]
+        terms = {}
+        for s, m, v in pairs.get(a, ()):
+            mult = rest[s - 1]
+            if mult:
+                terms[(rest[: s - 1] + (mult - 1,) + rest[s:], m)] = mult * v
+        out.append(WeylElement(n, terms))
     return out
 
 
@@ -219,7 +210,7 @@ def cancellation_check(
 # -- section and projection ----------------------------------------------------
 
 
-def e_tilde(p: Polynomial, gens: GeneratorSet) -> WeylElement:
+def e_tilde(p: WeylElement, gens: GeneratorSet) -> WeylElement:
     """Linear extension of the permutation sum to a polynomial argument.
 
     A monomial maps to the permutation sum of the word with its letter
@@ -236,7 +227,7 @@ def e_tilde(p: Polynomial, gens: GeneratorSet) -> WeylElement:
     )
 
 
-def e_map(p: Polynomial, gens: GeneratorSet) -> WeylElement:
+def e_map(p: WeylElement, gens: GeneratorSet) -> WeylElement:
     """The normalized symmetrization e = e_tilde / k! per degree-k monomial."""
     if not p.is_polynomial():
         raise ValueError("e_map argument must be a polynomial (dexp == 0)")
@@ -244,7 +235,7 @@ def e_map(p: Polynomial, gens: GeneratorSet) -> WeylElement:
     return e_tilde(WeylElement(p.n, normalized), gens)
 
 
-def pi_project(a: WeylElement) -> Polynomial:
+def pi_project(a: WeylElement) -> WeylElement:
     """The d-free part of an element, which equals its vacuum action a |> 1."""
     return truncate(a, 0)
 

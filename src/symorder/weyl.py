@@ -45,9 +45,10 @@ Elements are immutable and all operations are pure, so values can be shared
 freely across threads.
 
 The same class doubles as the commutative polynomial module the algebra acts
-on: a *polynomial* is an element whose every term has ``dexp == 0``, and
-``fock_apply`` implements the action (x as multiplication, d as partial
-derivative, the constant 1 as vacuum).
+on: a *polynomial* is an element whose every term has ``dexp == 0``, as
+`WeylElement.is_polynomial` tests, with no class of its own.  ``fock_apply``
+implements the action (x as multiplication, d as partial derivative, the
+constant 1 as vacuum) and returns a polynomial.
 """
 
 from __future__ import annotations
@@ -269,12 +270,6 @@ class WeylElement(Immutable):
         return out
 
 
-# A Polynomial is a WeylElement whose terms all have dexp == 0; the kernel
-# does not give it its own class, only the predicate `is_polynomial` and the
-# guarantee that `fock_apply` returns one.
-Polynomial = WeylElement
-
-
 def _element(n: int, den: int, nums: dict[int, int]) -> WeylElement:
     """Wrap fields that already meet the class invariant, without copying."""
     a = object.__new__(WeylElement)
@@ -400,7 +395,7 @@ def weyl_term(
     return WeylElement(n, {(tuple(xexp), tuple(dexp)): Fraction(coeff)})
 
 
-def poly_monomial(n: int, exps: Iterable[int], coeff: Fraction | int = 1) -> Polynomial:
+def poly_monomial(n: int, exps: Iterable[int], coeff: Fraction | int = 1) -> WeylElement:
     """The commutative monomial coeff * x^exps as a dexp-free element."""
     return weyl_term(n, exps, (0,) * n, coeff)
 
@@ -525,7 +520,7 @@ def _fock_shift(query: int) -> tuple[int, tuple[tuple[int, int], ...]]:
     return shift, tuple(fields)
 
 
-def fock_apply(a: WeylElement, p: Polynomial) -> Polynomial:
+def fock_apply(a: WeylElement, p: WeylElement) -> WeylElement:
     """Apply a as a differential operator to the commutative polynomial p.
 
     A term x^a d^b sends the monomial x^c to  prod_i (c_i)!/(c_i-b_i)! *

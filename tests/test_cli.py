@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from itertools import product
 from math import comb, prod
@@ -270,6 +271,34 @@ def test_config_errors_exit_two():
         assert err.strip(), argv
 
 
+def test_sparsity_past_its_bounds_exits_two_before_any_work(monkeypatch):
+    def forbidden(*_args, **_kwargs):
+        raise AssertionError("a trial command started work with an oversized --sparsity")
+
+    for name in ("random_family", "build_generators", "theorem_check",
+                 "cancellation_check", "span_dimension"):
+        monkeypatch.setattr(cli, name, forbidden)
+    oversized = [
+        ["verify-theorem", "--trials", "1", "--sparsity", "1e-4300"],
+        ["span-dim", "--trials", "1", "--sparsity", "1e-4300"],
+        ["cancellation", "--trials", "1", "--output", "json", "--sparsity", "1e-4300"],
+        ["verify-theorem", "--sparsity", "1e4400"],
+        ["verify-theorem", "--sparsity", "1e-10000000"],
+        ["verify-theorem", "--sparsity", f"1/{2**64 + 1}"],
+        ["verify-theorem", "--sparsity", "1e-20"],
+        ["verify-theorem", "--sparsity", "0." + "0" * 99 + "1"],
+    ]
+    for argv in oversized:
+        start = time.perf_counter()
+        code, out, err = invoke(argv)
+        assert (code, out) == (2, "") and "--sparsity" in err, argv
+        assert time.perf_counter() - start < 1, argv
+    for text, value in ((f"1/{2**64}", Fraction(1, 2**64)), ("1e-19", Fraction(1, 10**19)),
+                        (" 1/3 ", Fraction(1, 3)), ("25e-2", Fraction(1, 4))):
+        args = cli.build_parser().parse_args(["verify-theorem", "--sparsity", text])
+        assert args.sparsity == value, text
+
+
 def _span_config(argv):
     return cli._resolve_config(cli.build_parser().parse_args(["span-dim", *argv]))
 
@@ -385,10 +414,12 @@ def test_word_cost_gate_exits_two_before_any_work(monkeypatch):
             assert code == 2, (command, argv)
             assert out == ""
             assert "cost estimate" in err, (command, argv)
-    # cheap but too deep for the multiset recursion
+    # cheap, but a word past the length cap of both word commands
     assert word_cost(1, WORD_LENGTH_LIMIT + 1, 1) <= WORD_COST_LIMIT
-    code, out, err = invoke(["verify-theorem", "--n", "1", "--k", str(WORD_LENGTH_LIMIT + 1)])
-    assert (code, out) == (2, "") and "--k must be" in err
+    for command in ("verify-theorem", "cancellation"):
+        code, out, err = invoke([command, "--n", "1", "--k", str(WORD_LENGTH_LIMIT + 1),
+                                 "--n-max", "1"])
+        assert (code, out) == (2, "") and "--k must be" in err, command
     for n_max in (BERNOULLI_N_MAX_LIMIT + 1, 3000, 10**12):
         code, out, err = invoke(["bernoulli", "--n-max", str(n_max)])
         assert (code, out) == (2, "") and "--n-max" in err, n_max
@@ -398,9 +429,12 @@ def test_word_gate_admits_its_edges():
     config = cli._resolve_config(cli.build_parser().parse_args(
         ["verify-theorem", "--n", "1", "--k", str(WORD_LENGTH_LIMIT)]))
     assert config.k == WORD_LENGTH_LIMIT
-    code, out, _err = invoke(["verify-theorem", "--n", "1", "--k", str(WORD_LENGTH_LIMIT),
-                              "--trials", "1"])
-    assert code == 0 and out.endswith("result: pass\n")
+    for command in ("verify-theorem", "cancellation"):
+        code, out, _err = invoke([command, "--n", "1", "--k", str(WORD_LENGTH_LIMIT),
+                                  "--trials", "1"])
+        assert code == 0 and out.endswith("result: pass\n"), command
+    # span-dim draws no word, so its k is held only by its cost gate
+    assert _span_config(["--n", "1", "--k", str(WORD_LENGTH_LIMIT + 1)]).k == WORD_LENGTH_LIMIT + 1
     config = cli._resolve_config(cli.build_parser().parse_args(
         ["bernoulli", "--n-max", str(BERNOULLI_N_MAX_LIMIT)]))
     assert config.n_max == BERNOULLI_N_MAX_LIMIT

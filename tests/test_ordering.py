@@ -2,8 +2,9 @@
 
 The oracles here are written independently of the library's fast paths: the
 permutation sum is re-built with explicit `itertools.permutations` chains,
-and the cancellation totals are re-derived as the double sum over ordered
-position pairs.
+the cancellation totals are re-derived as the double sum over ordered
+position pairs, and the per-position cancellation terms are rebuilt by a scan
+of every family entry followed by `mul`.
 """
 
 import warnings
@@ -19,6 +20,7 @@ from symorder.generators import (
     CoefficientFamily,
     GeneratorSet,
     build_generators,
+    monomials_of_degree,
     random_family,
     symmetric_control_family,
 )
@@ -31,7 +33,6 @@ from symorder.ordering import (
     e_tilde,
     pi_project,
     span_dimension,
-    symmetrized_product,
     theorem_check,
     word_counts,
     word_monomial,
@@ -40,6 +41,7 @@ from symorder.rng import SplitMix64
 from symorder.weyl import (
     WeylElement,
     fock_apply,
+    linear_combination,
     mul,
     poly_monomial,
     truncate,
@@ -61,6 +63,13 @@ def oracle_permutation_sum(gens: GeneratorSet, word) -> WeylElement:
     return total
 
 
+def oracle_pair_polynomial(fam: CoefficientFamily, order: int, l: int, i: int, j: int):
+    """The (l, i, j) pair polynomial at this order, by a scan of every entry."""
+    zero = (0,) * fam.n
+    return WeylElement(fam.n, {(zero, m): v for (o, ll, ii, jj, m), v in fam.items()
+                               if (o, ll, ii, jj) == (order, l, i, j)})
+
+
 def oracle_pair_total(fam: CoefficientFamily, word, l: int, order: int) -> WeylElement:
     """Cancellation total as the double sum over ordered position pairs."""
     n = fam.n
@@ -70,9 +79,26 @@ def oracle_pair_total(fam: CoefficientFamily, word, l: int, order: int) -> WeylE
             if a == b:
                 continue
             rest = tuple(word[t] for t in range(len(word)) if t not in (a, b))
-            pair = fam.polynomial(order, l, word[a], word[b])
+            pair = oracle_pair_polynomial(fam, order, l, word[a], word[b])
             total = total + mul(word_monomial(n, rest), pair)
     return total
+
+
+def oracle_cancellation_terms(fam: CoefficientFamily, word, l: int, order: int):
+    """Per-position terms: each rest monomial minus e_s times the scanned pair
+    polynomial through `mul`, weighted by the multiplicity of s in the rest."""
+    n = fam.n
+    out = []
+    for idx in range(len(word)):
+        rest = word_counts(n, word[:idx] + word[idx + 1:])
+        parts = []
+        for s in range(1, n + 1):
+            if rest[s - 1]:
+                deleted = tuple(c - (t == s - 1) for t, c in enumerate(rest))
+                pair = oracle_pair_polynomial(fam, order, l, word[idx], s)
+                parts.append((rest[s - 1], mul(poly_monomial(n, deleted), pair)))
+        out.append(linear_combination(n, parts))
+    return out
 
 
 def small_words(n: int, k: int):
@@ -89,18 +115,18 @@ def test_word_helpers():
 def test_symmetrized_product_small_cases():
     fam = random_family(2, 2, Fraction(1, 2), seed=21)
     gens = build_generators(fam, 4)
-    assert symmetrized_product(gens, (2,)) == gens.generator(2)
-    x12 = symmetrized_product(gens, (1, 2))
+    assert e_tilde(word_monomial(gens.n, (2,)), gens) == gens.generator(2)
+    x12 = e_tilde(word_monomial(gens.n, (1, 2)), gens)
     g1, g2 = gens.generator(1), gens.generator(2)
     assert x12 == mul(g1, g2) + mul(g2, g1)
-    assert x12 == symmetrized_product(gens, (2, 1))
+    assert x12 == e_tilde(word_monomial(gens.n, (2, 1)), gens)
 
 
 def test_symmetrized_product_zero_family():
     gens = build_generators(random_family(2, 2, Fraction(0), seed=0), 4)
     word = (1, 2, 2)
     expected = word_monomial(2, word).scale(factorial(3))
-    assert symmetrized_product(gens, word) == expected
+    assert e_tilde(word_monomial(gens.n, word), gens) == expected
 
 
 def test_multiset_recursion_equals_naive_enumeration():
@@ -122,7 +148,7 @@ def test_multiset_recursion_equals_naive_enumeration():
             words = [tuple(1 + rng.below(n) for _ in range(k)) for _ in range(3)]
         for word in words:
             oracle = oracle_permutation_sum(gens, word)
-            fast = symmetrized_product(gens, word)
+            fast = e_tilde(word_monomial(gens.n, word), gens)
             assert fast == oracle, (n, k, word)
             vac = ordering._vacuum_action(gens, word_counts(n, word))
             assert vac == fock_apply(oracle, weyl_scalar(n, 1))
@@ -150,7 +176,7 @@ def test_word_recursion_calls_through_module_names(monkeypatch):
         counted(name)
     gens = build_generators(random_family(2, 1, Fraction(1), seed=3), 2)
     vac = ordering._vacuum_action(gens, word_counts(2, (1, 2)))
-    op = symmetrized_product(gens, (1, 2))
+    op = e_tilde(word_monomial(gens.n, (1, 2)), gens)
     assert vac == fock_apply(op, weyl_scalar(2, 1))
     # S(1,1) -> S(0,1), S(1,0) -> S(0,0) twice (the second a cache hit):
     # five lookups and one action per letter of each state above the empty one
@@ -164,7 +190,7 @@ def test_long_words_need_no_python_recursion():
     gens = build_generators(random_family(1, 1, seed=0), len(word) - 1)
     result = theorem_check(gens, word)
     assert result.passed and result.truncation_sufficient
-    op = symmetrized_product(gens, word)
+    op = e_tilde(word_monomial(gens.n, word), gens)
     assert op == weyl_term(1, (600,), (0,), factorial(600))
 
 
@@ -213,7 +239,7 @@ def test_theorem_check_methods_agree():
         assert result.passed
         assert str(result.residual) == str(oracle_residual(gens, word))
         # the operator-level product acts on the vacuum the same way
-        acted = fock_apply(symmetrized_product(gens, word), weyl_scalar(2, 1))
+        acted = fock_apply(e_tilde(word_monomial(gens.n, word), gens), weyl_scalar(2, 1))
         assert acted == ordering._vacuum_action(gens, word_counts(2, word))
     with pytest.raises(ValueError):
         theorem_check(gens, ())
@@ -305,6 +331,30 @@ def test_cancellation_terms_match_pair_oracle_even_when_broken():
     assert not total.is_zero()
 
 
+def test_cancellation_terms_match_the_scan_and_mul_route():
+    # Every valid (l, order) of seeded families, antisymmetric and broken
+    # (any slot, diagonal ones included, filled with the same probability),
+    # on words with a repeated letter.
+    rng = SplitMix64(0xCA9C)
+    for n, n_max in product(range(1, 5), range(1, 4)):
+        for sparsity in (Fraction(0), Fraction(1, 2), Fraction(1)):
+            broken = {}
+            for order in range(1, n_max + 1):
+                for m in monomials_of_degree(n, order - 1):
+                    for l, i, j in product(range(1, n + 1), repeat=3):
+                        if rng.bernoulli(sparsity):
+                            broken[(order, l, i, j, m)] = rng.rational()
+            families = [random_family(n, n_max, sparsity, seed=rng.next_u64()),
+                        CoefficientFamily(n, n_max, broken, check_antisymmetry=False)]
+            for fam in families:
+                word = tuple(1 + rng.below(n) for _ in range(1 + rng.below(5)))
+                word = (word[-1],) + word
+                for l, order in product(range(1, n + 1), range(1, n_max + 1)):
+                    expected = oracle_cancellation_terms(fam, word, l, order)
+                    assert cancellation_terms(fam, word, l, order) == expected, (
+                        n, n_max, sparsity, word, l, order)
+
+
 def test_cancellation_argument_validation():
     fam = random_family(2, 1, Fraction(1, 2), seed=0)
     with pytest.raises(IndexError):
@@ -342,7 +392,7 @@ def test_e_tilde_well_defined_under_letter_order():
     for word in [(1, 2, 3), (3, 1, 2), (2, 1, 1), (1, 1, 2)]:
         base = oracle_permutation_sum(gens, tuple(sorted(word)))
         assert oracle_permutation_sum(gens, word) == base
-        assert symmetrized_product(gens, word) == base
+        assert e_tilde(word_monomial(gens.n, word), gens) == base
 
 
 def test_section_identity_on_random_polynomials():
