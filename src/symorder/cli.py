@@ -198,13 +198,13 @@ class RunConfig:
     n: int = 2
     k: int = 2
     n_max: int = 1
-    d: int = 1
+    d: int | None = None  # cancellation builds no generators, so resolves none
     trials: int = 1
     seed: int = 0
     sparsity: Fraction = Fraction(1, 2)
     sc_path: str | None = None
     sc: StructureConstants | None = None  # the table at sc_path, loaded once
-    family: str = "random"
+    family: str | None = None  # span-dim takes no --family
     output: str = "text"
 
 
@@ -221,8 +221,9 @@ def _span_d(k: int, _n_max: int) -> int:
 # Each command's defaults for the flags that parse to None.  A callable `d` is
 # derived from the resolved k and n_max; its docstring states the rule in --help.
 _DEFAULTS: dict[str, dict] = {
-    "verify-theorem": {"n": 2, "k": 3, "n_max": 2, "trials": 10, "d": _theorem_d},
-    "cancellation": {"n": 3, "k": 4, "n_max": 2, "trials": 10},
+    "verify-theorem": {"n": 2, "k": 3, "n_max": 2, "trials": 10, "d": _theorem_d,
+                       "family": "random"},
+    "cancellation": {"n": 3, "k": 4, "n_max": 2, "trials": 10, "family": "random"},
     "span-dim": {"n": 2, "k": 2, "n_max": 2, "trials": 3, "d": _span_d},
     "verify-iota": {"d": 4},
     "bernoulli": {"n_max": 8},
@@ -270,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     source = argparse.ArgumentParser(add_help=False)
     source.add_argument("--sc", help="structure-constant file; uses the derived family")
     source.add_argument("--family", choices=("random", "symmetric-control"),
-                        help="family source (default random)")
+                        help="family source")
 
     parser = argparse.ArgumentParser(
         prog="symorder",
@@ -376,7 +377,7 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
         raise CLIInputError(f"--sparsity must be in [0, 1], got {args.sparsity}")
     if not 1 <= flags["trials"] <= TRIALS_LIMIT:
         raise CLIInputError(f"--trials must be in [1, {TRIALS_LIMIT}], got {flags['trials']}")
-    sc_path, sc, family = typed.get("sc"), None, typed.get("family", "random")
+    sc_path, sc, family = typed.get("sc"), None, flags.get("family")
     if sc_path is not None:
         if family == "symmetric-control":
             raise CLIInputError("--sc and --family symmetric-control are mutually exclusive")
@@ -393,13 +394,13 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     n, k, n_max = flags["n"], flags["k"], flags["n_max"]
     if n < 1 or k < 1 or n_max < 1:
         raise CLIInputError("--n, --k and --n-max must be >= 1")
-    cutoff = {}  # cancellation builds no generators, so it resolves no d
-    if "d" in flags:
-        cutoff["d"] = d = flags["d"](k, n_max) if callable(flags["d"]) else flags["d"]
-        if d < k - 1:
-            raise CLIInputError(f"--d must be >= k - 1 = {k - 1} for an exact check, got {d}")
+    d = flags.get("d")  # cancellation builds no generators, so it resolves no d
+    if callable(d):
+        d = d(k, n_max)
+    if d is not None and d < k - 1:
+        raise CLIInputError(f"--d must be >= k - 1 = {k - 1} for an exact check, got {d}")
     if command == "span-dim":
-        _gate(command, span_cost(n, k, n_max, cutoff["d"]), SPAN_COST_LIMIT,
+        _gate(command, span_cost(n, k, n_max, d), SPAN_COST_LIMIT,
               "word products times generator terms", "--n, --k, --n-max or --d")
     else:
         _gate(command, word_cost(n, k, n_max), WORD_COST_LIMIT,
@@ -407,9 +408,8 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
         if k > WORD_LENGTH_LIMIT:
             raise CLIInputError(f"--k must be <= {WORD_LENGTH_LIMIT}, got {k}")
     return RunConfig(
-        command=command, n=n, k=k, n_max=n_max, trials=flags["trials"], seed=args.seed,
+        command=command, n=n, k=k, n_max=n_max, d=d, trials=flags["trials"], seed=args.seed,
         sparsity=args.sparsity, sc_path=sc_path, sc=sc, family=family, output=args.output,
-        **cutoff,
     )
 
 
@@ -437,122 +437,96 @@ def _family_source(config: RunConfig) -> Callable[[int], CoefficientFamily]:
     return lambda seed: random_family(config.n, config.n_max, config.sparsity, seed)
 
 
-def _draw_trial(master: SplitMix64, config: RunConfig, t: int) -> tuple[int, tuple[int, ...]]:
-    """Family seed and word of trial t, drawn from the master stream.
-
-    Odd trials force a repeated letter so non-injective words are always
-    exercised.
-    """
-    fam_seed = master.next_u64()
+def _draw_word(master: SplitMix64, config: RunConfig, t: int) -> tuple[int, ...]:
+    """Trial t's word; odd trials force a repeated letter, so that
+    non-injective words are always exercised."""
     word = tuple(1 + master.below(config.n) for _ in range(config.k))
     if t % 2 == 1 and config.k >= 2:
         word = (word[0], word[0]) + word[2:]
-    return fam_seed, word
+    return word
 
 
-def _run_verify_theorem(config: RunConfig) -> tuple[dict, int]:
-    source = _family_source(config)
-    master = SplitMix64(config.seed)
-    records = []
-    for t in range(config.trials):
-        fam_seed, word = _draw_trial(master, config, t)
-        gens = build_generators(source(fam_seed), config.d)
-        residual = theorem_check(gens, word).residual
-        head = {"trial": t, "seed": str(fam_seed), "word": list(word)}
-        records.append(_residual_record(head, residual))
-    return _report(config, records)
+def _theorem_trial(config: RunConfig, master: SplitMix64, t: int,
+                   family: CoefficientFamily, head: dict) -> dict:
+    word = _draw_word(master, config, t)
+    residual = theorem_check(build_generators(family, config.d), word).residual
+    return _residual_record({**head, "word": list(word)}, residual)
 
 
-def _run_cancellation(config: RunConfig) -> tuple[dict, int]:
-    source = _family_source(config)
-    master = SplitMix64(config.seed)
-    records = []
-    for t in range(config.trials):
-        fam_seed, word = _draw_trial(master, config, t)
-        l = 1 + master.below(config.n)
-        order = 1 + master.below(config.n_max)
-        residual = cancellation_check(source(fam_seed), word, l, order)
-        head = {"trial": t, "seed": str(fam_seed), "word": list(word), "l": l, "order": order}
-        records.append(_residual_record(head, residual))
-    return _report(config, records)
+def _cancellation_trial(config: RunConfig, master: SplitMix64, t: int,
+                        family: CoefficientFamily, head: dict) -> dict:
+    word = _draw_word(master, config, t)
+    l = 1 + master.below(config.n)
+    order = 1 + master.below(config.n_max)
+    residual = cancellation_check(family, word, l, order)
+    return _residual_record({**head, "word": list(word), "l": l, "order": order}, residual)
 
 
-def _run_span_dim(config: RunConfig) -> tuple[dict, int]:
+def _span_trial(config: RunConfig, _master: SplitMix64, _t: int,
+                family: CoefficientFamily, head: dict) -> dict:
+    rank, symmetric_dim = span_dimension(build_generators(family, config.d), config.k)
+    return {**head, "rank": rank, "symmetric_dim": symmetric_dim, "passed": rank >= symmetric_dim}
+
+
+_TRIALS = {"verify-theorem": _theorem_trial, "cancellation": _cancellation_trial,
+           "span-dim": _span_trial}
+
+
+def _run_trials(config: RunConfig) -> tuple[dict, list[dict]]:
+    """Echo and records of a trial command.  Trial t draws its family seed, and
+    its trial function the rest, from one master stream; `random_family` draws
+    from none, so the family is built first.  The echo skips unresolved fields."""
+    source, trial = _family_source(config), _TRIALS[config.command]
     master = SplitMix64(config.seed)
     records = []
     for t in range(config.trials):
         fam_seed = master.next_u64()
-        fam = random_family(config.n, config.n_max, config.sparsity, fam_seed)
-        gens = build_generators(fam, config.d)
-        rank, symmetric_dim = span_dimension(gens, config.k)
-        records.append({
-            "trial": t,
-            "seed": str(fam_seed),
-            "rank": rank,
-            "symmetric_dim": symmetric_dim,
-            "passed": rank >= symmetric_dim,
-        })
-    return _report(config, records)
+        head = {"trial": t, "seed": str(fam_seed)}
+        records.append(trial(config, master, t, source(fam_seed), head))
+    echo = {"n": config.n, "k": config.k, "n_max": config.n_max, "d": config.d,
+            "trials": config.trials, "seed": str(config.seed),
+            "sparsity": f"{config.sparsity.numerator}/{config.sparsity.denominator}",
+            "family": config.family, "sc": config.sc_path}
+    return {key: value for key, value in echo.items() if value is not None}, records
 
 
-def _run_verify_iota(config: RunConfig) -> tuple[dict, int]:
+def _run_verify_iota(config: RunConfig) -> tuple[dict, list[dict]]:
     sc = config.sc
     records = [
         _residual_record({"i": i, "j": j}, residual)
         for (i, j), residual in homomorphism_defect(sc, config.d).items()
     ]
-    config_echo = {"sc": config.sc_path, "n": sc.n, "d": config.d}
-    return _assemble(config.command, config_echo, records)
+    return {"sc": config.sc_path, "n": sc.n, "d": config.d}, records
 
 
-def _run_bernoulli(config: RunConfig) -> tuple[dict, int]:
+def _run_bernoulli(config: RunConfig) -> tuple[dict, list[dict]]:
     records = [
         {"index": i, "value": f"{bernoulli(i).numerator}/{bernoulli(i).denominator}"}
         for i in range(config.n_max + 1)
     ]
-    return _assemble(config.command, {"n_max": config.n_max}, records)
-
-
-def _report(config: RunConfig, records: list[dict]) -> tuple[dict, int]:
-    echo: dict = {"n": config.n, "k": config.k, "n_max": config.n_max, "d": config.d,
-                  "trials": config.trials, "seed": str(config.seed),
-                  "sparsity": f"{config.sparsity.numerator}/{config.sparsity.denominator}",
-                  "family": config.family}
-    if config.command == "span-dim":
-        del echo["family"]
-    if config.command == "cancellation":  # no generators, so no cutoff
-        del echo["d"]
-    if config.sc_path is not None:
-        echo["sc"] = config.sc_path
-    return _assemble(config.command, echo, records)
+    return {"n_max": config.n_max}, records
 
 
 def _assemble(command: str, echo: dict, records: list[dict]) -> tuple[dict, int]:
     # bernoulli records carry no verdict and never count as failures
     failures = sum(not rec.get("passed", True) for rec in records)
-    report = {
-        "command": command,
-        "config": echo,
-        "records": records,
-        "summary": {
-            "checks": len(records),
-            "failures": failures,
-            "result": "pass" if failures == 0 else "fail",
-        },
-    }
+    summary = {"checks": len(records), "failures": failures,
+               "result": "pass" if failures == 0 else "fail"}
+    report = {"command": command, "config": echo, "records": records, "summary": summary}
     return report, (0 if failures == 0 else 1)
 
 
 _RUNNERS = {
-    "verify-theorem": _run_verify_theorem,
+    **dict.fromkeys(_TRIALS, _run_trials),
     "verify-iota": _run_verify_iota,
-    "cancellation": _run_cancellation,
-    "span-dim": _run_span_dim,
     "bernoulli": _run_bernoulli,
 }
 
 
 # -- rendering ------------------------------------------------------------------
+
+
+_VERDICT_FIELDS = ("passed", "residual_terms", "first_offending")  # rendered last
 
 
 def _record_line(command: str, rec: dict) -> str:
@@ -562,20 +536,14 @@ def _record_line(command: str, rec: dict) -> str:
         return f"B_{rec['index']} = {shown}"
     if command == "verify-iota":
         head = f"pair ({rec['i']},{rec['j']}):"
-    elif command == "span-dim":
-        return (
-            f"trial {rec['trial']}: seed={rec['seed']} rank={rec['rank']} "
-            f"symmetric_dim={rec['symmetric_dim']} "
-            + ("pass" if rec["passed"] else "fail")
-        )
     else:
-        head = f"trial {rec['trial']}: seed={rec['seed']} word=" + ",".join(
-            str(a) for a in rec["word"]
-        )
-        if command == "cancellation":
-            head += f" l={rec['l']} order={rec['order']}"
+        head = f"trial {rec['trial']}:" + "".join(
+            f" {key}=" + (",".join(map(str, value)) if isinstance(value, list) else str(value))
+            for key, value in rec.items() if key != "trial" and key not in _VERDICT_FIELDS)
     if rec["passed"]:
         return f"{head} pass"
+    if "residual_terms" not in rec:
+        return f"{head} fail"
     return (
         f"{head} fail residual_terms={rec['residual_terms']} "
         f"first={rec['first_offending']}"
@@ -607,7 +575,7 @@ def main(argv: list[str] | None = None) -> int:
     start = time.perf_counter()
     try:
         config = _resolve_config(args)
-        report, status = _RUNNERS[config.command](config)
+        report, status = _assemble(config.command, *_RUNNERS[config.command](config))
     except CLIInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -215,7 +215,9 @@ class GeneratorSet(Immutable):
     """Truncated generators and the d-degree cutoff they were built at.
 
     ``generators[i - 1]`` is X_i.  The set records no family, so any builder
-    can make one.  The word cache memoizes symmetrization results per word;
+    can make one; it raises `ValueError` unless it gets n >= 1 generators of
+    dimension n and a cutoff >= 0, the shape the word recursion indexes.
+    The word cache memoizes symmetrization results per word;
     see `symorder.ordering`.  Threads may share a set without a lock: a
     cache entry is an immutable value that is never removed, dict reads and
     writes are atomic, and two threads that fill the same state write equal
@@ -225,6 +227,9 @@ class GeneratorSet(Immutable):
     __slots__ = ("n", "max_d_degree", "generators", "_word_cache")
 
     def __init__(self, n: int, max_d_degree: int, generators: tuple[WeylElement, ...]):
+        if n < 1 or max_d_degree < 0 or len(generators) != n or any(g.n != n for g in generators):
+            raise ValueError(f"need n >= 1 generators of dimension n and a cutoff >= 0, got "
+                             f"n = {n}, cutoff {max_d_degree}, dims {[g.n for g in generators]}")
         for name, value in zip(self.__slots__, (n, max_d_degree, generators, {})):
             object.__setattr__(self, name, value)
 
@@ -248,8 +253,6 @@ def build_generators(family: CoefficientFamily, max_d_degree: int) -> GeneratorS
     summed as integer numerators over the lcm of the kept entries'
     denominators; `_reduced` then divides out each generator's common factor.
     """
-    if max_d_degree < 0:
-        raise ValueError(f"truncation order must be >= 0, got {max_d_degree}")
     n = family.n
     zero = (0,) * n
     units = [tuple(int(t == i) for t in range(n)) for i in range(n)]

@@ -172,10 +172,18 @@ def cancellation_terms(
 
     Summing over idx visits every ordered pair (idx, p) once, so for
     antisymmetric families the contributions cancel pairwise; symmetric
-    families leave a nonzero total.  The family is indexed by i once per
-    call, and each term is built in normal order with no `mul`.
+    families leave a nonzero total.  Positions holding one letter share one
+    element.
     """
     word = tuple(word)
+    by_letter = _letter_terms(family, word, l, order)[1]
+    return [by_letter[a] for a in word]
+
+
+def _letter_terms(family: CoefficientFamily, word: Word, l: int,
+                  order: int) -> tuple[MultiIndex, dict[int, WeylElement]]:
+    """The word's letter counts and the term of each letter in it, built in
+    normal order with no `mul` from the family indexed by i once."""
     n = family.n
     if not 1 <= l <= n:
         raise IndexError(f"index l={l} out of range 1..{n}")
@@ -186,25 +194,26 @@ def cancellation_terms(
     for (o, ll, i, s, m), v in family.items():
         if o == order and ll == l:
             pairs.setdefault(i, []).append((s, m, v))
-    out = []
-    for a in word:
-        rest = counts[: a - 1] + (counts[a - 1] - 1,) + counts[a:]
+    by_letter = {}
+    for a, count in enumerate(counts, 1):
+        if not count:
+            continue
+        rest = counts[: a - 1] + (count - 1,) + counts[a:]
         terms = {}
         for s, m, v in pairs.get(a, ()):
             mult = rest[s - 1]
             if mult:
                 terms[(rest[: s - 1] + (mult - 1,) + rest[s:], m)] = mult * v
-        out.append(WeylElement(n, terms))
-    return out
+        by_letter[a] = WeylElement(n, terms)
+    return counts, by_letter
 
 
 def cancellation_check(
     family: CoefficientFamily, word: Word, l: int, order: int
 ) -> WeylElement:
-    """Sum of the per-position contributions; zero iff they cancel."""
-    return linear_combination(
-        family.n, [(1, term) for term in cancellation_terms(family, word, l, order)]
-    )
+    """Sum of the per-position terms, each letter's weighted by its count; zero iff they cancel."""
+    counts, by_letter = _letter_terms(family, word, l, order)
+    return linear_combination(family.n, [(counts[a - 1], t) for a, t in by_letter.items()])
 
 
 # -- section and projection ----------------------------------------------------

@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -71,6 +72,13 @@ GOLDEN_CASES = [
     ("verify-iota-sl2.txt", ["verify-iota", "--sc", "data/sl2.json", "--d", "3"], 0),
     ("bernoulli-default.txt", ["bernoulli"], 0),
     ("bernoulli-12.json", ["bernoulli", "--n-max", "12", "--output", "json"], 0),
+    (
+        "cancellation-control.txt",
+        ["cancellation", "--family", "symmetric-control", "--k", "3", "--trials", "4"],
+        1,
+    ),
+    ("cancellation-heisenberg.txt", ["cancellation", "--sc", "data/heisenberg.json",
+                                     "--trials", "2"], 0),
 ]
 
 
@@ -605,6 +613,60 @@ def test_span_dim_draws_each_seed_at_its_trial(monkeypatch):
     assert seen == [(t + 1, master.next_u64()) for t in range(4)]
     for t, (_drawn, seed) in enumerate(seen):
         assert f"trial {t}: seed={seed} rank=3" in out
+
+
+@pytest.mark.parametrize("command", ["verify-theorem", "cancellation"])
+def test_word_commands_draw_seed_then_word_then_row_and_order(command):
+    # trial t draws its family seed, then k letters (the second set to the
+    # first on odd trials), then for cancellation l and order
+    shapes = ((2, 3, 1), (3, 4, 2), (4, 2, 3), (2, 1, 3), (1, 3, 2))
+    for seed, (n, k, n_max) in product((0, 7, 2**64 - 1), shapes):
+        code, out, _err = invoke([command, "--n", str(n), "--k", str(k), "--n-max", str(n_max),
+                                  "--trials", "6", "--seed", str(seed), "--output", "json"])
+        assert code == 0
+        master = SplitMix64(seed)
+        expected = []
+        for t in range(6):
+            rec = {"seed": str(master.next_u64()), "word": [1 + master.below(n) for _ in range(k)]}
+            if t % 2 == 1 and k >= 2:
+                rec["word"][1] = rec["word"][0]
+            if command == "cancellation":
+                rec["l"] = 1 + master.below(n)
+                rec["order"] = 1 + master.below(n_max)
+            expected.append(rec)
+        records = json.loads(out)["records"]
+        assert [{key: rec[key] for key in expected[0]} for rec in records] == expected, (seed, n, k)
+
+
+def test_trial_records_render_by_one_rule(monkeypatch):
+    # a record without residual fields fails with a bare verdict
+    monkeypatch.setattr(cli, "span_dimension", lambda gens, k: (2, 3))
+    code, out, _err = invoke(["span-dim", "--trials", "1"])
+    assert code == 1
+    assert f"trial 0: seed={SplitMix64(0).next_u64()} rank=2 symmetric_dim=3 fail\n" in out
+
+
+def schema_config_fields() -> dict[str, list[str]]:
+    """Each command's `config` fields, in order, from docs/report-schema.md."""
+    text = (ROOT / "docs" / "report-schema.md").read_text(encoding="utf-8")
+    table = text.split("### `config` fields by command")[1].split("\n\n")[1]
+    rows = [row.split("|")[1:3] for row in table.splitlines()[2:]]
+    return {name.strip(): re.findall(r"`([a-z_]+)`", cell) for name, cell in rows}
+
+
+def test_schema_lists_each_echo_in_order():
+    fields = schema_config_fields()
+    assert set(fields) == set(cli._DEFAULTS)
+    runs = [(["verify-iota", "--sc", "data/sl2.json"], fields["verify-iota"]),
+            (["bernoulli"], fields["bernoulli"]),
+            (["span-dim", "--trials", "1"], fields["span-dim"])]
+    for command in ("verify-theorem", "cancellation"):
+        runs.append(([command, "--trials", "1"], [f for f in fields[command] if f != "sc"]))
+        runs.append(([command, "--trials", "1", "--sc", "data/heisenberg.json"], fields[command]))
+    for argv, listed in runs:
+        code, out, _err = invoke(argv + ["--output", "json"])
+        assert code == 0
+        assert list(json.loads(out)["config"]) == listed, argv
 
 
 def test_help_exits_zero():

@@ -9,6 +9,7 @@ import pytest
 
 from symorder.generators import (
     CoefficientFamily,
+    GeneratorSet,
     build_generators,
     monomials_of_degree,
     random_family,
@@ -21,6 +22,7 @@ from symorder.lie import (
     random_almost_abelian_table,
     sl2_table,
 )
+from symorder.ordering import theorem_check
 from symorder.rng import SplitMix64
 from symorder.weyl import WeylElement, fock_apply, mul, weyl_d, weyl_scalar, weyl_x
 
@@ -347,6 +349,26 @@ def test_value_types_pickle_and_copy():
                                                             gens.generators)
     one = weyl_scalar(3, 1)
     assert [fock_apply(g, one) for g in sent.generators] == [weyl_x(3, i) for i in range(1, 4)]
+
+
+@pytest.mark.parametrize("n,cutoff,generators", [
+    (2, 1, ()),                                  # no generators
+    (2, 1, (weyl_x(2, 1),)),                     # fewer than n
+    (2, 1, (weyl_x(2, 1), weyl_x(3, 2))),        # one of dimension 3
+    (2, -1, (weyl_x(2, 1), weyl_x(2, 2))),       # a negative cutoff
+    (0, 1, ()),                                  # n below 1
+])
+def test_generator_set_rejects_shapes_the_word_recursion_cannot_use(n, cutoff, generators):
+    # Each shape was accepted with no check; theorem_check on the empty set
+    # then failed with a bare IndexError inside the word recursion.
+    with pytest.raises(ValueError):
+        GeneratorSet(n, cutoff, generators)
+
+
+def test_generator_set_accepts_its_shape():
+    gens = GeneratorSet(2, 1, (weyl_x(2, 1), weyl_x(2, 2)))
+    assert gens.generators == (weyl_x(2, 1), weyl_x(2, 2)) and gens.max_d_degree == 1
+    assert theorem_check(gens, (1, 2)).passed
 
 
 def test_generator_set_is_immutable_and_round_trips():

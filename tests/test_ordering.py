@@ -355,6 +355,31 @@ def test_cancellation_terms_match_the_scan_and_mul_route():
                         n, n_max, sparsity, word, l, order)
 
 
+def test_cancellation_terms_share_one_element_per_letter(monkeypatch):
+    fam = random_family(3, 2, Fraction(1, 2), seed=0xC0DE)
+    word = (2, 1, 2, 3, 2, 1)
+    terms = cancellation_terms(fam, word, 2, 2)
+    assert terms == oracle_cancellation_terms(fam, word, 2, 2)
+    for a, b in product(range(len(word)), repeat=2):
+        assert (terms[a] is terms[b]) == (word[a] == word[b]), (a, b)
+    # a long word builds one element per distinct letter, not one per position
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return WeylElement(*args)
+
+    monkeypatch.setattr(ordering, "WeylElement", counted)
+    rng = SplitMix64(0x1E77E5)
+    long_word = tuple(1 + rng.below(3) for _ in range(3000))
+    for call in (cancellation_terms, cancellation_check):
+        built.clear()
+        call(fam, long_word, 1, 1)
+        assert len(built) <= fam.n, call.__name__
+    monkeypatch.undo()
+    assert cancellation_check(fam, long_word, 1, 1).is_zero()
+
+
 def test_cancellation_argument_validation():
     fam = random_family(2, 1, Fraction(1, 2), seed=0)
     with pytest.raises(IndexError):
