@@ -59,11 +59,9 @@ from .weyl import (
     fock_apply,
     linear_combination,
     mul,
-    poly_monomial,
     truncate,
     weyl_d,
     weyl_scalar,
-    weyl_term,
     weyl_x,
 )
 
@@ -96,7 +94,6 @@ __all__ = [
     "monomials_of_degree",
     "mul",
     "pi_project",
-    "poly_monomial",
     "random_almost_abelian_table",
     "random_family",
     "random_two_step_table",
@@ -107,7 +104,6 @@ __all__ = [
     "truncate",
     "weyl_d",
     "weyl_scalar",
-    "weyl_term",
     "weyl_x",
     "word_monomial",
 ]

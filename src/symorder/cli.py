@@ -296,15 +296,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict[str, object]:
+    """`json` object hook that refuses a key repeated within one object."""
+    if len(out := dict(pairs)) < len(pairs):
+        raise ValueError(f"repeated key among {[key for key, _value in pairs]}")
+    return out
+
+
 def load_structure_constants(path: str) -> StructureConstants:
     """Read a structure-constant file, complete mirrors, validate, or reject."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
+            data = json.load(fh, object_pairs_hook=_unique_keys)
+    # ValueError also covers bad UTF-8, repeated keys and over-long integers
+    except (OSError, ValueError, RecursionError) as exc:
         raise CLIInputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise CLIInputError(f"{path} is not valid JSON: {exc}") from exc
     if type(data) is not dict or set(data) != {"n", "entries"} or type(data["entries"]) is not list:
         raise CLIInputError(f"{path}: expected an object with only 'n' and an 'entries' list")
     n = data["n"]

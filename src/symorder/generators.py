@@ -64,7 +64,7 @@ class CoefficientFamily(Immutable):
     broken family on purpose.
     """
 
-    __slots__ = ("n", "n_max", "_entries", "_antisymmetric")
+    __slots__ = ("n", "n_max", "_entries")
 
     def __init__(
         self,
@@ -92,19 +92,16 @@ class CoefficientFamily(Immutable):
                 v = value if type(value) is Fraction else Fraction(value)
                 if v:
                     canonical[(order, l, i, j, mi)] = v
-        antisymmetric = True
-        for (order, l, i, j, m), v in canonical.items():
-            # w == -v on normalized Fractions, without allocating -v
-            w = canonical.get((order, l, j, i, m))
-            if w is None or w.numerator != -v.numerator or w.denominator != v.denominator:
-                antisymmetric = False
-                if check_antisymmetry:
+        if check_antisymmetry:
+            for (order, l, i, j, m), v in canonical.items():
+                # w == -v on normalized Fractions, without allocating -v
+                w = canonical.get((order, l, j, i, m))
+                if w is None or w.numerator != -v.numerator or w.denominator != v.denominator:
                     raise ValueError(
                         f"family is not antisymmetric at N={order}, l={l}, "
                         f"(i, j)=({i}, {j}), m={m}"
                     )
-                break
-        self._fill(n, n_max, canonical, antisymmetric)
+        self._fill(n, n_max, canonical)
 
     @classmethod
     def _raw(cls, n: int, n_max: int, entries: dict[FamilyKey, Fraction]) -> "CoefficientFamily":
@@ -116,25 +113,15 @@ class CoefficientFamily(Immutable):
         holding its negation.
         """
         family = object.__new__(cls)
-        family._fill(n, n_max, entries, True)
+        family._fill(n, n_max, entries)
         return family
 
-    def _fill(self, n: int, n_max: int, entries: dict[FamilyKey, Fraction],
-              antisymmetric: bool) -> None:
-        for name, value in zip(self.__slots__, (n, n_max, entries, antisymmetric)):
+    def _fill(self, n: int, n_max: int, entries: dict[FamilyKey, Fraction]) -> None:
+        for name, value in zip(self.__slots__, (n, n_max, entries)):
             object.__setattr__(self, name, value)
 
     def items(self) -> Iterator[tuple[FamilyKey, Fraction]]:
         return iter(self._entries.items())
-
-    def entry_count(self) -> int:
-        return len(self._entries)
-
-    def get(self, order: int, l: int, i: int, j: int, m: MultiIndex) -> Fraction:
-        return self._entries.get((order, l, i, j, tuple(m)), Fraction(0))
-
-    def is_antisymmetric(self) -> bool:
-        return self._antisymmetric
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CoefficientFamily):
@@ -232,11 +219,6 @@ class GeneratorSet(Immutable):
                              f"n = {n}, cutoff {max_d_degree}, dims {[g.n for g in generators]}")
         for name, value in zip(self.__slots__, (n, max_d_degree, generators, {})):
             object.__setattr__(self, name, value)
-
-    def generator(self, i: int) -> WeylElement:
-        if not 1 <= i <= self.n:
-            raise IndexError(f"generator index {i} out of range 1..{self.n}")
-        return self.generators[i - 1]
 
     def __repr__(self) -> str:
         return f"GeneratorSet(n={self.n}, max_d_degree={self.max_d_degree})"

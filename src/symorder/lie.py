@@ -140,9 +140,6 @@ class StructureConstants(Immutable):
         object.__setattr__(self, "_violations", tuple(out))
         return out
 
-    def is_valid(self) -> bool:
-        return not self.validate()
-
     def require_valid(self) -> None:
         violations = self.validate()
         if violations:

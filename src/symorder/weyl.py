@@ -388,18 +388,6 @@ def weyl_scalar(n: int, c: Fraction | int) -> WeylElement:
     return _reduced(n, c.denominator, {0: c.numerator})
 
 
-def weyl_term(
-    n: int, xexp: Iterable[int], dexp: Iterable[int], coeff: Fraction | int = 1
-) -> WeylElement:
-    """A single normal-ordered term coeff * x^xexp * d^dexp."""
-    return WeylElement(n, {(tuple(xexp), tuple(dexp)): Fraction(coeff)})
-
-
-def poly_monomial(n: int, exps: Iterable[int], coeff: Fraction | int = 1) -> WeylElement:
-    """The commutative monomial coeff * x^exps as a dexp-free element."""
-    return weyl_term(n, exps, (0,) * n, coeff)
-
-
 # Bounded, so memory stays flat; typical suites meet a few thousand pairs.
 @lru_cache(maxsize=4096)
 def _contractions(query: int) -> tuple[tuple[int, int], ...]:

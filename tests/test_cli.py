@@ -725,14 +725,14 @@ def test_load_completes_missing_mirrors(tmp_path):
     assert sc.get(3, 1, 2) == 2
     assert sc.get(3, 2, 1) == -2
     assert sc.get(2, 1, 3) == Fraction(-1, 2)
-    assert sc.is_valid()
+    assert sc.validate() == []
 
 
 def test_load_validates_a_large_empty_table(tmp_path):
     # validate works from the stored entries; the dense n^5 / 6 sweep it
     # replaced would take over an hour at n = 64
     sc = load_structure_constants(sc_file(tmp_path, {"n": 64, "entries": []}))
-    assert sc == abelian_table(64) and sc.is_valid()
+    assert sc == abelian_table(64) and sc.validate() == []
 
 
 def test_load_accepts_explicit_consistent_mirrors():
@@ -796,13 +796,44 @@ def test_malformed_entries_exit_two(tmp_path):
         assert message in err, payload
 
 
+# Raw table files that fail before their fields are read: non-UTF-8 bytes, an
+# integer past the interpreter's 4300-digit conversion limit, nesting deeper
+# than the recursion limit, and a key repeated at the top level or within an
+# entry (json keeps the last value of a repeated key unless told otherwise).
+UNPARSABLE_TABLES = [
+    b"{not json",
+    b'{"n": 2, "entries": [], "note": "\xff"}',
+    b'{"n": 1' + b"0" * 5000 + b', "entries": []}',
+    b"[" * 100000,
+    b'{"n": 2, "entries": [], "n": 3}',
+    b'{"n": 2, "entries": [{"k": 1, "i": 1, "j": 2, "num": 1, "num": 2}]}',
+]
+
+
 def test_load_rejects_unreadable_and_unparsable(tmp_path):
     with pytest.raises(CLIInputError):
         load_structure_constants(str(tmp_path / "missing.json"))
     bad = tmp_path / "bad.json"
-    bad.write_text("{not json", encoding="utf-8")
-    with pytest.raises(CLIInputError):
-        load_structure_constants(str(bad))
+    for raw in UNPARSABLE_TABLES:
+        bad.write_bytes(raw)
+        with pytest.raises(CLIInputError):
+            load_structure_constants(str(bad))
+
+
+def test_unparsable_tables_exit_two_before_any_work(monkeypatch, tmp_path):
+    def forbidden(*_args, **_kwargs):
+        raise AssertionError("a command started work on an unparsable table")
+
+    for name in ("homomorphism_defect", "derived_family", "build_generators",
+                 "theorem_check", "cancellation_check"):
+        monkeypatch.setattr(cli, name, forbidden)
+    bad = tmp_path / "bad.json"
+    for raw in UNPARSABLE_TABLES:
+        bad.write_bytes(raw)
+        for command in ("verify-iota", "verify-theorem", "cancellation"):
+            code, out, err = invoke([command, "--sc", str(bad)])
+            assert (code, out) == (2, ""), (command, raw[:40])
+            assert err.startswith("error: ") and err.count("\n") == 1, (command, err)
 
 
 def test_jacobi_rejection_exits_two(tmp_path):

@@ -36,7 +36,6 @@ PUBLIC_NAMES = [
     "monomials_of_degree",
     "mul",
     "pi_project",
-    "poly_monomial",
     "random_almost_abelian_table",
     "random_family",
     "random_two_step_table",
@@ -47,7 +46,6 @@ PUBLIC_NAMES = [
     "truncate",
     "weyl_d",
     "weyl_scalar",
-    "weyl_term",
     "weyl_x",
     "word_monomial",
 ]
@@ -63,6 +61,21 @@ def test_all_names_resolve_sorted_and_unique():
 
 def test_all_is_the_pinned_public_surface():
     assert symorder.__all__ == PUBLIC_NAMES
+
+
+def test_removed_accessors_stay_removed():
+    # each had a one-expression replacement: gens.generators[i - 1],
+    # dict(fam.items()), the checked CoefficientFamily constructor, and
+    # not sc.validate(); single terms are built with the WeylElement constructor
+    removed = {
+        symorder.GeneratorSet: ("generator",),
+        symorder.CoefficientFamily: ("get", "entry_count", "is_antisymmetric", "_antisymmetric"),
+        symorder.StructureConstants: ("is_valid",),
+        symorder.weyl: ("poly_monomial", "weyl_term"),
+    }
+    for owner, names in removed.items():
+        for name in names:
+            assert not hasattr(owner, name), (owner, name)
 
 
 def test_star_import_binds_every_exported_name():
