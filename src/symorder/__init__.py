@@ -42,7 +42,6 @@ from .lie import (
 from .linalg import exact_rank
 from .ordering import (
     CheckResult,
-    TruncationWarning,
     cancellation_check,
     cancellation_terms,
     e_map,
@@ -73,7 +72,6 @@ __all__ = [
     "InvalidStructureConstantsError",
     "SplitMix64",
     "StructureConstants",
-    "TruncationWarning",
     "Violation",
     "WeylElement",
     "abelian_table",

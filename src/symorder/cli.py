@@ -134,8 +134,8 @@ def word_cost(n: int, k: int, n_max: int) -> int:
     It is the most multiset states a k-letter word over n letters has (its
     sub-multisets, most with the letters spread evenly) times the terms of
     all n generators of an order-n_max family, ``n * _generator_terms(n, n,
-    n_max)``.  The family is drawn up to n_max whatever the cutoff, so --d
-    adds no work and does not enter.  The product stops, and the order is
+    n_max)``.  The generators are built at cutoff max(k - 1, n_max), so no
+    order of the family is dropped.  The product stops, and the order is
     capped, where the estimate already passes the limit, so oversized flags
     are rejected without big-number work.
     """
@@ -208,11 +208,6 @@ class RunConfig:
     output: str = "text"
 
 
-def _theorem_d(k: int, n_max: int) -> int:
-    """max(k - 1, n_max)"""
-    return max(k - 1, n_max)
-
-
 def _span_d(k: int, _n_max: int) -> int:
     """2k"""
     return 2 * k
@@ -221,8 +216,7 @@ def _span_d(k: int, _n_max: int) -> int:
 # Each command's defaults for the flags that parse to None.  A callable `d` is
 # derived from the resolved k and n_max; its docstring states the rule in --help.
 _DEFAULTS: dict[str, dict] = {
-    "verify-theorem": {"n": 2, "k": 3, "n_max": 2, "trials": 10, "d": _theorem_d,
-                       "family": "random"},
+    "verify-theorem": {"n": 2, "k": 3, "n_max": 2, "trials": 10, "family": "random"},
     "cancellation": {"n": 3, "k": 4, "n_max": 2, "trials": 10, "family": "random"},
     "span-dim": {"n": 2, "k": 2, "n_max": 2, "trials": 3, "d": _span_d},
     "verify-iota": {"d": 4},
@@ -278,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact verification suites for symmetric-ordering identities.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("verify-theorem", parents=[trial, source, cutoff, report],
+    sub.add_parser("verify-theorem", parents=[trial, source, report],
                    help="check the symmetrized ordering identity")
     sub.add_parser("verify-iota", parents=[cutoff, report],
                    help="check the embedding sends brackets to commutators",
@@ -401,11 +395,10 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     if n < 1 or k < 1 or n_max < 1:
         raise CLIInputError("--n, --k and --n-max must be >= 1")
     d = flags.get("d")  # cancellation builds no generators, so it resolves no d
-    if callable(d):
-        d = d(k, n_max)
-    if d is not None and d < k - 1:
-        raise CLIInputError(f"--d must be >= k - 1 = {k - 1} for an exact check, got {d}")
     if command == "span-dim":
+        d = d(k, n_max) if callable(d) else d
+        if d < k - 1:
+            raise CLIInputError(f"--d must be >= k - 1 = {k - 1} for an exact check, got {d}")
         _gate(command, span_cost(n, k, n_max, d), SPAN_COST_LIMIT,
               "word products times generator terms", "--n, --k, --n-max or --d")
     else:
@@ -413,6 +406,9 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
               "multiset states times generator terms", "--n, --k or --n-max")
         if k > WORD_LENGTH_LIMIT:
             raise CLIInputError(f"--k must be <= {WORD_LENGTH_LIMIT}, got {k}")
+        if command == "verify-theorem":
+            # every cutoff >= k - 1 gives the untruncated residual; echoed as d
+            d = max(k - 1, n_max)
     return RunConfig(
         command=command, n=n, k=k, n_max=n_max, d=d, trials=flags["trials"], seed=args.seed,
         sparsity=args.sparsity, sc_path=sc_path, sc=sc, family=family, output=args.output,

@@ -19,14 +19,13 @@ monomial times an x-free pair polynomial, so no product reorders anything.
 Independent oracles, such as the literal k!-term sum, live in the tests.
 
 Truncation: the vacuum action of a k-letter word only ever differentiates
-polynomials of degree < k, so generators truncated at d-degree D behave
-exactly like untruncated ones whenever D >= k - 1.  Below that the checker
-still runs but flags the result and emits a `TruncationWarning`.
+polynomials of degree < k, so every cutoff D >= k - 1 gives the untruncated
+family's residual; below that the check is exact for the truncated
+generators.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from itertools import product
 from math import comb, factorial
@@ -45,10 +44,6 @@ from .weyl import (
 )
 
 Word = tuple[int, ...]
-
-
-class TruncationWarning(UserWarning):
-    """The truncation order is too small for the requested check to be exact."""
 
 
 def word_counts(n: int, word: Word) -> MultiIndex:
@@ -113,32 +108,17 @@ def _word_sum(
     return cache[(tag, counts)]
 
 
-def _warn_if_insufficient(gens: GeneratorSet, k: int) -> bool:
-    sufficient = gens.max_d_degree >= k - 1
-    if not sufficient:
-        warnings.warn(
-            f"truncation order {gens.max_d_degree} is below k - 1 = {k - 1}; "
-            "vacuum actions of this word are not exact at this cutoff",
-            TruncationWarning,
-            stacklevel=3,
-        )
-    return sufficient
-
-
 @dataclass(frozen=True)
 class CheckResult:
     """Outcome of one ordering-identity check.
 
     ``residual`` is e_tilde(word) |> 1 minus k! times the word monomial;
-    ``passed`` iff it is zero.  ``truncation_sufficient`` records whether the
-    generator cutoff was large enough for the check to be exact (D >= k - 1);
-    when it is False a failure may be a truncation artifact.
+    ``passed`` iff it is zero.
     """
 
     word: Word
     passed: bool
     residual: WeylElement
-    truncation_sufficient: bool
 
 
 def theorem_check(gens: GeneratorSet, word: Word) -> CheckResult:
@@ -148,11 +128,10 @@ def theorem_check(gens: GeneratorSet, word: Word) -> CheckResult:
         raise ValueError("word must have at least one letter")
     k = len(word)
     counts = word_counts(gens.n, word)
-    sufficient = _warn_if_insufficient(gens, k)
     residual = linear_combination(
         gens.n, ((1, _vacuum_action(gens, counts)), (-factorial(k), word_monomial(gens.n, word)))
     )
-    return CheckResult(word, residual.is_zero(), residual, sufficient)
+    return CheckResult(word, residual.is_zero(), residual)
 
 
 # -- the pairwise cancellation behind the identity ----------------------------
@@ -229,8 +208,6 @@ def e_tilde(p: WeylElement, gens: GeneratorSet) -> WeylElement:
     """
     if not p.is_polynomial():
         raise ValueError("e_tilde argument must be a polynomial (dexp == 0)")
-    if not p.is_zero():
-        _warn_if_insufficient(gens, p.x_degree())
     return linear_combination(
         gens.n, [(coeff, _operator_sum(gens, xexp)) for (xexp, _d), coeff in p.items()]
     )

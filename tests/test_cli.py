@@ -246,6 +246,8 @@ def test_usage_errors_exit_two():
         ["no-such-command"],
         ["verify-theorem", "--sparsity", "abc"],
         ["verify-theorem", "--output", "xml"],
+        ["verify-theorem", "--k", "3", "--d", "1"],
+        ["verify-theorem", "--d", "3"],
         ["verify-iota"],
     ]
     for argv in bad_argvs:
@@ -259,7 +261,6 @@ def test_config_errors_exit_two():
         ["verify-theorem", "--trials", "0"],
         ["verify-theorem", "--seed", "-1"],
         ["verify-theorem", "--sparsity", "3/2"],
-        ["verify-theorem", "--k", "3", "--d", "1"],
         ["verify-theorem", "--sc", "data/heisenberg.json", "--family",
          "symmetric-control"],
         ["verify-theorem", "--sc", "data/heisenberg.json", "--n", "5"],
@@ -676,12 +677,17 @@ def test_help_exits_zero():
         assert command in out
         code, help_text, _ = invoke([command, "--help"])
         assert code == 0
-        # each default of cli._DEFAULTS is listed, a derived --d by its rule
+        # each default of cli._DEFAULTS is listed, a derived --d by its rule,
+        # and each flag the epilog lists is one the subcommand parses
         shown = " ".join(help_text.split())
         for name, value in cli._DEFAULTS[command].items():
             rule = value.__doc__ if callable(value) else value
             assert f"--{name.replace('_', '-')} {rule}" in shown, (command, name)
-    assert "--d max(k - 1, n_max)" in " ".join(invoke(["verify-theorem", "--help"])[1].split())
+        options, _, epilog = shown.partition("defaults: ")
+        parsed = set(re.findall(r"--[a-z-]+", options))
+        for flag in re.findall(r"--[a-z-]+", epilog):
+            assert flag in parsed, (command, flag)
+    assert "--d" not in invoke(["verify-theorem", "--help"])[1]
     assert "--d 2k" in " ".join(invoke(["span-dim", "--help"])[1].split())
 
 

@@ -51,10 +51,11 @@ def _reference_random_family(n: int, n_max: int, sparsity: Fraction, seed: int) 
     rng = SplitMix64(seed)
     entries = {}
     for order in range(1, n_max + 1):
+        monomials = monomials_of_degree(n, order - 1)
         for l in range(1, n + 1):
             for i in range(1, n + 1):
                 for j in range(i + 1, n + 1):
-                    for m in monomials_of_degree(n, order - 1):
+                    for m in monomials:
                         if rng.bernoulli(sparsity):
                             v = rng.rational()
                             entries[(order, l, i, j, m)] = v

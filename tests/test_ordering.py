@@ -7,7 +7,6 @@ position pairs, and the per-position cancellation terms are rebuilt by a scan
 of every family entry followed by `mul`.
 """
 
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from itertools import permutations, product
@@ -26,7 +25,6 @@ from symorder.generators import (
 )
 from symorder.linalg import exact_rank
 from symorder.ordering import (
-    TruncationWarning,
     cancellation_check,
     cancellation_terms,
     e_map,
@@ -187,7 +185,7 @@ def test_long_words_need_no_python_recursion():
     word = (1,) * 600
     gens = build_generators(random_family(1, 1, seed=0), len(word) - 1)
     result = theorem_check(gens, word)
-    assert result.passed and result.truncation_sufficient
+    assert result.passed
     op = e_tilde(word_monomial(gens.n, word), gens)
     assert op == WeylElement(1, {((600,), (0,)): factorial(600)})
 
@@ -219,7 +217,6 @@ def test_theorem_check_passes_on_antisymmetric_families():
                 result = theorem_check(gens, word)
                 assert result.passed, (n, k, n_max, word, str(result.residual))
                 assert result.residual.is_zero()
-                assert result.truncation_sufficient
                 assert result.word == word
 
 
@@ -263,22 +260,37 @@ def test_symmetric_control_family_fails():
     gens = build_generators(symmetric_control_family(), 1)
     result = theorem_check(gens, (1, 2))
     assert not result.passed
-    assert result.truncation_sufficient
     assert result.residual == weyl_x(2, 1).scale(2)
     # the literal permutation sum reproduces the same residual
     assert oracle_residual(gens, (1, 2)) == result.residual
 
 
-def test_truncation_warning_below_exactness_bound():
-    fam = random_family(2, 1, Fraction(1, 2), seed=4)
-    gens = build_generators(fam, 0)
-    with pytest.warns(TruncationWarning):
-        result = theorem_check(gens, (1, 2))
-    assert not result.truncation_sufficient
-    gens_ok = build_generators(fam, 3)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert theorem_check(gens_ok, (1, 2)).truncation_sufficient
+@pytest.mark.filterwarnings("error")
+def test_truncation_lemma_every_cutoff_is_exact():
+    # from k - 1 on, every cutoff D gives the untruncated residual; below it
+    # the check is still exact for the truncated generators.  Half of each
+    # mirrored pair is dropped from the second family, so residuals are nonzero.
+    rng = SplitMix64(0x1E44A)
+    nonzero = 0
+    for _ in range(24):
+        n, n_max, k = 1 + rng.below(3), 1 + rng.below(4), 1 + rng.below(4)
+        fam = random_family(n, n_max, Fraction(1, 2), seed=rng.next_u64())
+        broken = CoefficientFamily(n, n_max, {key: v for key, v in fam.items() if key[2] < key[3]},
+                                   check_antisymmetry=False)
+        word = tuple(1 + rng.below(n) for _ in range(k))
+        for family in (fam, broken):
+            full = theorem_check(build_generators(family, n_max), word).residual
+            nonzero += not full.is_zero()
+            for d in range(k - 1, n_max + 2):
+                assert theorem_check(build_generators(family, d), word).residual == full
+            for d in range(k - 1):
+                gens = build_generators(family, d)
+                assert theorem_check(gens, word).residual == oracle_residual(gens, word)
+    assert nonzero
+    # cutoff 1 below k - 1 = 2 drops nothing from an order-1 family
+    fam = random_family(2, 1, seed=3)
+    assert build_generators(fam, 1).generators == build_generators(fam, 2).generators
+    assert theorem_check(build_generators(fam, 1), (1, 2, 1)).passed
 
 
 def test_cancellation_worked_example():

@@ -2,6 +2,7 @@
 rule that no library invariant is guarded only by `assert`."""
 
 import ast
+import dataclasses
 from pathlib import Path
 
 import symorder
@@ -15,7 +16,6 @@ PUBLIC_NAMES = [
     "InvalidStructureConstantsError",
     "SplitMix64",
     "StructureConstants",
-    "TruncationWarning",
     "Violation",
     "WeylElement",
     "abelian_table",
@@ -66,16 +66,20 @@ def test_all_is_the_pinned_public_surface():
 def test_removed_accessors_stay_removed():
     # each had a one-expression replacement: gens.generators[i - 1],
     # dict(fam.items()), the checked CoefficientFamily constructor, and
-    # not sc.validate(); single terms are built with the WeylElement constructor
+    # not sc.validate(); single terms are built with the WeylElement constructor.
+    # The identity check has no cutoff flag: every cutoff is exact.
     removed = {
         symorder.GeneratorSet: ("generator",),
         symorder.CoefficientFamily: ("get", "entry_count", "is_antisymmetric", "_antisymmetric"),
         symorder.StructureConstants: ("is_valid",),
         symorder.weyl: ("poly_monomial", "weyl_term"),
+        symorder.ordering: ("TruncationWarning", "_warn_if_insufficient"),
     }
     for owner, names in removed.items():
         for name in names:
             assert not hasattr(owner, name), (owner, name)
+    fields = [field.name for field in dataclasses.fields(symorder.CheckResult)]
+    assert "truncation_sufficient" not in fields
 
 
 def test_star_import_binds_every_exported_name():
