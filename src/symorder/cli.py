@@ -110,7 +110,7 @@ def _generator_terms(n: int, axes: int, top: int) -> int:
 # verify-theorem and cancellation reject (exit 2) any --n/--k/--n-max whose
 # `word_cost` exceeds this.  The acceptance grid's largest cell (n = 4, k = 5,
 # n_max = 4) costs 26592; the slowest admitted trial measured, a dense
-# `--n 11 --k 1 --n-max 3` (87868), takes about 1 s on a 2-core x86 VM.
+# `--n 11 --k 1 --n-max 3` (87868), takes about 0.5 s on a 2-core x86 VM.
 WORD_COST_LIMIT = 100_000
 # verify-theorem and cancellation also cap the word length.  For n = 1,
 # `word_cost` alone admits 49,999 letters, which each record would echo, and

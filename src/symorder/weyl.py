@@ -42,7 +42,9 @@ operand's terms by d-part and the right operand's by x-part and looks the
 expansion up once per bucket pair, not once per term pair.
 
 Elements are immutable and all operations are pure, so values can be shared
-freely across threads.
+freely across threads.  The one slot written after construction is an
+operator's Fock plan, ``_fock``, written once on its first `fock_apply`;
+racing writers store equal values; ``==``, repr, accessors and copies ignore it.
 
 The same class doubles as the commutative polynomial module the algebra acts
 on: a *polynomial* is an element whose every term has ``dexp == 0``, as
@@ -79,7 +81,7 @@ class DimensionMismatchError(ValueError):
 
 
 class Immutable:
-    """Base of the slotted value types whose fields are set only on creation.
+    """Base of the slotted value types that refuse attribute assignment.
 
     ``__setstate__`` restores the slots past the refusing ``__setattr__``,
     so instances still pickle and copy.
@@ -160,9 +162,10 @@ class WeylElement(Immutable):
     map over 1.  The constructor canonicalizes (coerces coefficients, drops
     zeros) and validates exponent shapes; a non-integral exponent raises
     `TypeError` and a term of total degree above `_FIELD` `OverflowError`.
+    ``_fock`` stays unset until the element first acts in `fock_apply`.
     """
 
-    __slots__ = ("n", "_den", "_nums")
+    __slots__ = ("n", "_den", "_nums", "_fock")
 
     def __init__(self, n: int, terms: Mapping[TermKey, Fraction | int] | None = None):
         if n < 1:
@@ -183,6 +186,9 @@ class WeylElement(Immutable):
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "_den", den)
         object.__setattr__(self, "_nums", nums)
+
+    def __getstate__(self) -> tuple[None, dict[str, object]]:  # copies drop the Fock plan
+        return None, {"n": self.n, "_den": self._den, "_nums": self._nums}
 
     # -- inspection ---------------------------------------------------------
 
@@ -495,17 +501,29 @@ def _fock_shift(query: int) -> tuple[int, tuple[tuple[int, int], ...]]:
     ``query`` is laid out as in `_contractions`, with no x fields.  x^a d^e
     sends x^m to prod m_i!/(m_i - e_i)! x^(a + m - e) when e <= m: the key of
     x^(a + m - e) is key(x^a d^e) + key(x^m) - shift, and each nonzero e_i
-    comes with the bit position of the x_i field whose m_i it needs.
+    comes with the bit position of the x_i field whose m_i it needs.  Only
+    the nonzero d fields are visited, lowest first.
     """
     n = query & _LOW
     shift, fields = 0, []
-    for i in range(n):
-        sd = (n + 1 - i) * _WIDTH
-        e = query >> sd & _FIELD
-        if e:
-            shift += e * _unit(n, i)
-            fields.append((sd + n * _WIDTH, e))
+    rest = query >> 2 * _WIDTH  # the d fields, d_n at the bottom
+    while rest:
+        j = ((rest & -rest).bit_length() - 1) // _WIDTH
+        e = rest >> j * _WIDTH & _FIELD
+        rest ^= e << j * _WIDTH
+        shift += e * _unit(n, n - 1 - j)
+        fields.append(((n + 2 + j) * _WIDTH, e))
     return shift, tuple(fields)
+
+
+def _fock_plan(a: WeylElement) -> tuple[int, tuple]:
+    """Build and keep a's Fock plan: (top, groups), see `fock_apply`."""
+    n, groups = a.n, []
+    for dpart, terms in _buckets(a._nums, _d_mask(n)).items():
+        shift, fields = _fock_shift(dpart | n)
+        groups.append((terms[0][0] & _FIELD, fields, tuple((k - shift, c) for k, c in terms)))
+    object.__setattr__(a, "_fock", (_top(a._nums), tuple(sorted(groups))))
+    return a._fock
 
 
 def fock_apply(a: WeylElement, p: WeylElement) -> WeylElement:
@@ -514,34 +532,41 @@ def fock_apply(a: WeylElement, p: WeylElement) -> WeylElement:
     A term x^a d^b sends the monomial x^c to  prod_i (c_i)!/(c_i-b_i)! *
     x^(a+c-b)  when b <= c componentwise, else to 0; extended bilinearly.
     As in `mul`, term pairs sum integer numerators over the product of the
-    two denominators, and keys combine by integer arithmetic: the shift
-    and the d fields of each operator term come from `_fock_shift`.
+    two denominators, and keys combine by integer arithmetic.
+
+    On its first action an operator keeps its *Fock plan* in ``_fock``: its
+    largest total-degree field, and its terms grouped by d-part, lowest
+    d-degree first, as ``(d_degree, fields, ((key - shift, c), ...))`` with
+    shift and fields from `_fock_shift`.  Later actions reuse it: groups
+    whose d-degree is above p's degree are never reached, and per target
+    term the divisibility test and falling factorial run once per group.
     """
     _check_same_n(a, p)
-    n = a.n
-    nums_a, nums_p = a._nums, p._nums
+    nums_p = p._nums
     if any(map(_FIELD.__and__, nums_p)):
         raise ValueError("fock_apply target must be a polynomial (dexp == 0)")
+    try:
+        top_a, groups = a._fock
+    except AttributeError:
+        top_a, groups = _fock_plan(a)
     top_p = _top(nums_p)
-    _check_room(_top(nums_a) + top_p)
+    _check_room(top_a + top_p)
     degree_p = top_p >> _WIDTH
-    d_mask = _d_mask(n)
     out: dict[int, int] = {}
     get = out.get
     terms_p = nums_p.items()
-    for ka, c in nums_a.items():
-        if ka & _FIELD > degree_p:
-            continue  # d^e with |e| above the degree of p kills every term
-        shift, fields = _fock_shift(ka & d_mask | n)
-        base = ka - shift
+    for dd, fields, terms in groups:
+        if dd > degree_p:
+            break  # d^e with |e| above the degree of p kills every term
         for kp, q in terms_p:
-            f = c * q
+            f = q
             for pos, e in fields:
                 m = kp >> pos & _FIELD
                 if e > m:
                     break
                 f *= perm(m, e)
             else:
-                key = base + kp
-                out[key] = get(key, 0) + f
-    return _reduced(n, a._den * p._den, out)
+                for base, c in terms:
+                    key = base + kp
+                    out[key] = get(key, 0) + c * f
+    return _reduced(a.n, a._den * p._den, out)

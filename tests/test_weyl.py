@@ -1,5 +1,7 @@
 """Kernel laws for the Weyl algebra arithmetic and the Fock action."""
 
+import copy
+import pickle
 import sys
 import threading
 from fractions import Fraction
@@ -339,6 +341,96 @@ def test_shared_operand_across_threads():
     assert results == [expected] * 4
 
 
+def test_fock_plan_is_filled_once_and_reused():
+    # One operator acts on several targets in turn: the first action fills
+    # its plan, the later ones reuse it, and every action matches the oracle.
+    rng = SplitMix64(0xF0C5)
+    for trial in range(60):
+        n = 1 + trial % 4
+        a = random_element(rng, n, terms=1 + rng.below(8))
+        if trial % 3 == 0:
+            # every term has d-degree >= 2: targets of degree <= 1 stop at the
+            # first group
+            a = mul(a, mul(weyl_d(n, 1), weyl_d(n, 1)))
+        elif trial % 5 == 1:
+            a = WeylElement(n)
+        targets = [random_poly(rng, n, terms=1 + rng.below(4)) for _ in range(3)]
+        targets += [weyl_scalar(n, rng.rational()), weyl_x(n, 1 + rng.below(n)), WeylElement(n)]
+        assert not hasattr(a, "_fock"), trial
+        plan = None
+        for p in targets:
+            got = fock_apply(a, p)
+            assert got.sorted_terms() == _reference_fock_apply(a, p).sorted_terms(), trial
+            plan = plan or a._fock
+            assert a._fock is plan, trial
+        top, groups = plan
+        assert top >> weyl._WIDTH == max((sum(x) + sum(d) for (x, d), _c in a.items()), default=0)
+        assert [g[0] for g in groups] == sorted(g[0] for g in groups), trial
+        assert sum(len(g[2]) for g in groups) == a.term_count(), trial
+        if trial % 3 == 0:
+            assert groups[0][0] >= 2, trial
+            assert fock_apply(a, targets[-3]).is_zero() and fock_apply(a, targets[-2]).is_zero()
+
+
+def test_filled_plan_still_checks_every_target():
+    limit = weyl._FIELD
+    for n in (1, 3):
+        zeros = (0,) * (n - 1)
+        a = WeylElement(n, {((limit - 5,) + zeros, (1,) + zeros): 1})  # total limit - 4
+        assert fock_apply(a, weyl_x(n, 1)) == WeylElement(n, {((limit - 5,) + zeros, (0,) * n): 1})
+        assert hasattr(a, "_fock")
+        fits = WeylElement(n, {((4,) + zeros, (0,) * n): 1})
+        assert fock_apply(a, fits).sorted_terms() == _reference_fock_apply(a, fits).sorted_terms()
+        with pytest.raises(OverflowError):
+            fock_apply(a, WeylElement(n, {((5,) + zeros, (0,) * n): 1}))
+        with pytest.raises(ValueError):
+            fock_apply(a, weyl_d(n, 1))
+        with pytest.raises(DimensionMismatchError):
+            fock_apply(a, weyl_x(n + 1, 1))
+
+
+def test_filled_plan_element_pickles_and_copies():
+    rng = SplitMix64(0xC0DE)
+    n = 3
+    a = random_element(rng, n, terms=6).scale(Fraction(1, 7))
+    polys = [random_poly(rng, n, terms=1 + rng.below(4)) for _ in range(4)]
+    want = [fock_apply(a, p) for p in polys]
+    fresh = WeylElement(n, dict(a.items()))
+    assert a == fresh and repr(a) == repr(fresh)
+    assert [fock_apply(fresh, p) for p in polys] == want
+    for copied in (pickle.loads(pickle.dumps(a)), copy.copy(a), copy.deepcopy(a)):
+        assert not hasattr(copied, "_fock")  # a copy builds its own plan
+        assert copied == fresh and repr(copied) == repr(fresh)
+        assert [fock_apply(copied, p) for p in polys] == want
+
+
+def test_fock_apply_with_many_axes_matches_reference():
+    # Terms carry one to three nonzero axes among n = 64 or 200, so
+    # `_fock_shift` walks only a few of the n d fields.
+    rng = SplitMix64(0x64C8)
+    width = weyl._WIDTH
+    for n in (64, 200):
+        for trial in range(8):
+            axes = sorted({0, n - 1} | {rng.below(n) for _ in range(3)})
+
+            def sparse(top):
+                t = [0] * n
+                for _ in range(1 + rng.below(3)):
+                    t[axes[rng.below(len(axes))]] += 1 + rng.below(top)
+                return tuple(t)
+
+            a = WeylElement(n, {(sparse(2), sparse(2)): rng.rational() for _ in range(1 + rng.below(6))})
+            zero = (0,) * n
+            p = WeylElement(n, {(sparse(3), zero): rng.rational() for _ in range(1 + rng.below(4))})
+            p = p + WeylElement(n, {(tuple(2 * (i in axes) for i in range(n)), zero): rng.rational()})
+            got = fock_apply(a, p)
+            assert got.sorted_terms() == _reference_fock_apply(a, p).sorted_terms(), (n, trial)
+            for (_x, dexp), _c in a.items():
+                shift, fields = weyl._fock_shift(weyl._pack(zero, dexp) & weyl._d_mask(n) | n)
+                assert dict(fields) == {(2 * n + 1 - i) * width: e for i, e in enumerate(dexp) if e}
+                assert shift == sum(e * weyl._unit(n, i) for i, e in enumerate(dexp))
+
+
 def test_associativity_random_triples():
     rng = SplitMix64(2024)
     for trial in range(200):
@@ -660,7 +752,7 @@ def test_non_integral_exponents_raise():
 
 def test_immutability():
     a = weyl_x(2, 1)
-    for name, value in (("n", 3), ("_den", 2), ("_nums", {}), ("_terms", {})):
+    for name, value in (("n", 3), ("_den", 2), ("_nums", {}), ("_terms", {}), ("_fock", None)):
         with pytest.raises(AttributeError):
             setattr(a, name, value)
     assert a == weyl_x(2, 1)
