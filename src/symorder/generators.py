@@ -25,7 +25,7 @@ from operator import index
 from typing import Iterator, Mapping
 
 from .rng import SplitMix64
-from .weyl import Immutable, MultiIndex, WeylElement, _pack, _reduced
+from .weyl import Immutable, MultiIndex, WeylElement, _exact, _pack, _reduced
 
 # (order N, l, i, j, monomial m with |m| = N - 1)
 FamilyKey = tuple[int, int, int, int, MultiIndex]
@@ -58,7 +58,8 @@ class CoefficientFamily(Immutable):
 
     Keys are ``(N, l, i, j, m)`` with 1-based indices in 1..n, orders N in
     1..n_max, and ``m`` a length-n exponent tuple with ``sum(m) == N - 1``;
-    a non-integral exponent raises `TypeError`.  Zero values are dropped.
+    a non-integral exponent, or a value that is not an int or a Fraction,
+    raises `TypeError`.  Zero values are dropped.
     By default the constructor rejects families that are not antisymmetric
     under swapping (i, j); pass ``check_antisymmetry=False`` to build a
     broken family on purpose.
@@ -89,7 +90,7 @@ class CoefficientFamily(Immutable):
                     raise ValueError(
                         f"monomial {mi} has degree {sum(mi)}, order {order} needs {order - 1}"
                     )
-                v = value if type(value) is Fraction else Fraction(value)
+                v = value if type(value) is Fraction else Fraction(_exact(value))
                 if v:
                     canonical[(order, l, i, j, mi)] = v
         if check_antisymmetry:
@@ -159,7 +160,7 @@ def random_family(
     constructor's checks.
     """
     _check_shape(n, n_max)
-    if not 0 <= sparsity <= 1:
+    if not 0 <= _exact(sparsity) <= 1:
         raise ValueError(f"sparsity must be in [0, 1], got {sparsity}")
     rng = SplitMix64(seed)
     next_u64, below = rng.next_u64, rng.below

@@ -15,8 +15,9 @@ builds:
     embedding, that measure how far the truncated embedding is from sending
     brackets to commutators (exactly zero for valid tables).
 
-Everything is exact; the only cache is the Bernoulli table, filled once under
-a lock and safe for concurrent reads.
+Everything is exact.  Two things are cached: the Bernoulli table, filled once
+under a lock and safe for concurrent reads, and each table's validity verdict,
+which `StructureConstants.validate` writes once on its first call.
 """
 
 from __future__ import annotations
@@ -27,9 +28,9 @@ from fractions import Fraction
 from math import factorial
 from typing import Iterator, Mapping
 
-from .generators import CoefficientFamily, build_generators
+from .generators import CoefficientFamily, FamilyKey, build_generators
 from .rng import SplitMix64
-from .weyl import Immutable, WeylElement, linear_combination, mul, truncate
+from .weyl import Immutable, MultiIndex, WeylElement, _exact, linear_combination, mul, truncate
 
 
 @dataclass(frozen=True)
@@ -53,7 +54,7 @@ class InvalidStructureConstantsError(ValueError):
 
 
 class StructureConstants(Immutable):
-    """Sparse table C[k][i][j] over exact rationals, 1-based indices."""
+    """Sparse table C[k][i][j], 1-based; entries are ints or Fractions."""
 
     __slots__ = ("n", "_table", "_violations")
 
@@ -66,7 +67,7 @@ class StructureConstants(Immutable):
                 for idx in (k, i, j):
                     if not 1 <= idx <= n:
                         raise IndexError(f"index {(k, i, j)} out of range 1..{n}")
-                v = Fraction(value)
+                v = Fraction(_exact(value))
                 if v:
                     table[(k, i, j)] = v
         object.__setattr__(self, "n", n)
@@ -222,10 +223,6 @@ def homomorphism_defect(
     return defects
 
 
-# A row of a power of M: column -> {d-monomial: coefficient}, nonzero cells only.
-_Row = dict[int, dict[tuple[int, ...], Fraction]]
-
-
 def derived_family(sc: StructureConstants, n_max: int) -> CoefficientFamily:
     """Coefficient family reproducing the embedding: at order N the (l, i, j)
     polynomial is (-1)^N B_N / N! * sum_s (M^(N-1))[l][s] * C[s][i,j].
@@ -233,49 +230,44 @@ def derived_family(sc: StructureConstants, n_max: int) -> CoefficientFamily:
     Generators built from it at truncation D are the embedding images
     (`iota`) at D: since (M^N)[l][i] = sum_{s,j} (M^(N-1))[l][s] C[s][i,j] d^j,
     the term x_l d^(m + e_j) of X_i collects the order-N series term.
-    The entries of M commute, so its powers are plain polynomial algebra in
-    the d's: row l of M^(N-1) maps each column s to a {d-monomial: Fraction}
-    cell, and one step to M^N reads the table once, cell t times C[t][s,k]
-    adding each monomial m + e_k to cell s.  The powers stop at the first
-    zero one, which makes every later one zero.  Antisymmetry in (i, j) is
-    inherited from the table and re-checked by the family constructor.
+    The entries of M commute, so M^(N-1) is kept as flat cells, (l, s, m) ->
+    coefficient of d^m in (M^(N-1))[l][s], and the table is indexed once by
+    its upper index s.  Per order one loop over cells and index advances the
+    power (cell * C[s][i,j] to cell (l, i, m + e_j)); a second adds the
+    Bernoulli-weighted cell * C[s][i,j] to entry (N, l, i, j, m) unless the
+    weight is zero.  Only M^1..M^(n_max-1) are formed, and the walk stops at
+    the first zero power, which makes every later one zero.  Antisymmetry in
+    (i, j) is inherited from the table and re-checked by the family
+    constructor.
     """
     sc.require_valid()
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     n = sc.n
-    table = list(sc.items())
-    rows: list[_Row] = [{l: {(0,) * n: Fraction(1)}} for l in range(1, n + 1)]  # M^0
-    entries: dict[tuple[int, int, int, int, tuple[int, ...]], Fraction] = {}
-    for order in range(1, n_max + 1):  # rows hold M^(order - 1)
+    by_upper: dict[int, list[tuple[int, int, Fraction]]] = {}
+    for (s, i, j), c in sc.items():
+        by_upper.setdefault(s, []).append((i, j, c))
+    power = {(l, l, (0,) * n): Fraction(1) for l in range(1, n + 1)}  # M^0
+    entries: dict[FamilyKey, Fraction] = {}
+    for order in range(1, n_max + 1):  # power holds M^(order - 1)
         if order > 1:
-            rows = [_times_m(row, table) for row in rows]
-            if not any(rows):
+            step: dict[tuple[int, int, MultiIndex], Fraction] = {}
+            for (l, s, m), v in power.items():
+                for i, j, c in by_upper.get(s, ()):
+                    key = (l, i, m[:j - 1] + (m[j - 1] + 1,) + m[j:])
+                    step[key] = step.get(key, 0) + v * c
+            power = {key: v for key, v in step.items() if v}
+            if not power:
                 break
         coeff = (-1) ** order * bernoulli(order) / factorial(order)
         if not coeff:
             continue
-        for (s, i, j), c in table:
-            cc = coeff * c
-            for l, row in enumerate(rows, 1):
-                for m, value in row.get(s, {}).items():
-                    key = (order, l, i, j, m)
-                    entries[key] = entries.get(key, 0) + cc * value
+        for (l, s, m), v in power.items():
+            cv = coeff * v
+            for i, j, c in by_upper.get(s, ()):
+                key = (order, l, i, j, m)
+                entries[key] = entries.get(key, 0) + cv * c
     return CoefficientFamily(n, n_max, entries)
-
-
-def _times_m(row: _Row, table: list[tuple[tuple[int, int, int], Fraction]]) -> _Row:
-    """One row of a power of M times M, zero terms and cells dropped."""
-    out: _Row = {}
-    for (t, s, k), c in table:
-        cell = row.get(t)
-        if cell:
-            target = out.setdefault(s, {})
-            for m, v in cell.items():
-                mk = m[:k - 1] + (m[k - 1] + 1,) + m[k:]
-                target[mk] = target.get(mk, 0) + v * c
-    kept = {s: {m: v for m, v in cell.items() if v} for s, cell in out.items()}
-    return {s: cell for s, cell in kept.items() if cell}
 
 
 # -- ready-made and structured random tables ----------------------------------

@@ -8,8 +8,9 @@ order, all x's to the left of all d's, as a finite map
     (xexp, dexp) -> coefficient
 
 where ``xexp`` and ``dexp`` are exponent tuples of length n and coefficients
-are exact rationals.  No floating point enters anywhere: identities checked
-with this kernel hold structurally or not at all.
+are exact rationals, taken in as ints or Fractions only.  No floating point
+enters anywhere: identities checked with this kernel hold structurally or not
+at all.
 
 An element stores its coefficients in one representation: integer
 numerators over one positive denominator, with no factor common to the
@@ -106,6 +107,13 @@ def _as_multi_index(exps: Iterable[int], n: int, what: str) -> MultiIndex:
     return t
 
 
+def _exact(c: Fraction | int) -> Fraction | int:
+    """c itself if it is an int or a Fraction; anything else raises `TypeError`."""
+    if isinstance(c, (int, Fraction)):
+        return c
+    raise TypeError(f"coefficients must be int or Fraction, got {type(c).__name__} {c!r}")
+
+
 def _pack(xexp: MultiIndex, dexp: MultiIndex) -> int:
     """The packed key of a term with these nonnegative exponents."""
     dd = sum(dexp)
@@ -159,9 +167,11 @@ class WeylElement(Immutable):
     The coefficient of ``(xexp, dexp)`` is ``_nums[key] / _den`` with
     ``key = _pack(xexp, dexp)``: numerators are nonzero ints, ``_den`` is a
     positive int and ``gcd(_den, *_nums.values()) == 1``; zero is the empty
-    map over 1.  The constructor canonicalizes (coerces coefficients, drops
-    zeros) and validates exponent shapes; a non-integral exponent raises
-    `TypeError` and a term of total degree above `_FIELD` `OverflowError`.
+    map over 1.  The constructor skips zero coefficients, sums the others'
+    integer numerators per packed key over the lcm of their denominators
+    and reduces; a coefficient that is not an int or a Fraction, or a
+    non-integral exponent, raises `TypeError`, and a term of total degree
+    above `_FIELD` `OverflowError`.
     ``_fock`` stays unset until the element first acts in `fock_apply`.
     """
 
@@ -170,22 +180,13 @@ class WeylElement(Immutable):
     def __init__(self, n: int, terms: Mapping[TermKey, Fraction | int] | None = None):
         if n < 1:
             raise ValueError(f"ambient dimension must be >= 1, got {n}")
-        canonical: dict[int, Fraction] = {}
-        if terms:
-            for (xexp, dexp), coeff in terms.items():
-                c = Fraction(coeff)
-                if c == 0:
-                    continue
-                key = _pack(_as_multi_index(xexp, n, "xexp"), _as_multi_index(dexp, n, "dexp"))
-                s = canonical[key] + c if key in canonical else c
-                if s:
-                    canonical[key] = s
-                else:
-                    del canonical[key]
-        den, nums = _cleared(canonical)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "_den", den)
-        object.__setattr__(self, "_nums", nums)
+        live = [(key, c) for key, c in terms.items() if _exact(c)] if terms else []
+        den = lcm(*(c.denominator for _key, c in live))
+        nums: dict[int, int] = {}
+        for (xexp, dexp), c in live:
+            key = _pack(_as_multi_index(xexp, n, "xexp"), _as_multi_index(dexp, n, "dexp"))
+            nums[key] = nums.get(key, 0) + c.numerator * (den // c.denominator)
+        self.__setstate__(_reduced(n, den, nums).__getstate__())
 
     def __getstate__(self) -> tuple[None, dict[str, object]]:  # copies drop the Fock plan
         return None, {"n": self.n, "_den": self._den, "_nums": self._nums}
@@ -256,7 +257,7 @@ class WeylElement(Immutable):
         return linear_combination(self.n, ((1, self), (-1, other)))
 
     def scale(self, c: Fraction | int) -> "WeylElement":
-        return linear_combination(self.n, ((Fraction(c), self),))
+        return linear_combination(self.n, ((c, self),))
 
     def __repr__(self) -> str:
         return f"WeylElement({self.n}, {self!s})"
@@ -285,17 +286,6 @@ def _element(n: int, den: int, nums: dict[int, int]) -> WeylElement:
     return a
 
 
-def _cleared(terms: dict[int, Fraction]) -> tuple[int, dict[int, int]]:
-    """(den, nums) for nonzero reduced Fractions, den the lcm of their denominators.
-
-    The result is already reduced: if p^e is the full power of a prime p in
-    den, some coefficient's denominator carries p^e, and its numerator,
-    prime to p, is multiplied by den // denominator, also prime to p.
-    """
-    den = lcm(*(c.denominator for c in terms.values()))
-    return den, {k: c.numerator * (den // c.denominator) for k, c in terms.items()}
-
-
 def _reduced(n: int, den: int, nums: dict[int, int]) -> WeylElement:
     """The element with coefficients nums / den: zeros dropped, common factor divided out."""
     nums = {k: v for k, v in nums.items() if v}
@@ -318,18 +308,19 @@ def linear_combination(
 
     This is the one route for sums of scaled elements: ``+``, ``-`` and
     `scale` go through it, and so do the callers that sum many of them.
-    Scalars are ints or Fractions.  It takes the lcm of the parts'
-    denominators (each element's times its scalar's), accumulates every
-    part's integer numerators over it in one pass and reduces once.  Parts
-    with a zero scalar or a zero element drop out; a lone remaining part
-    with scalar 1 is returned as it is.  An element of another dimension
-    raises `DimensionMismatchError`.
+    Scalars are ints or Fractions, checked once per part (anything else
+    raises `TypeError`).  It takes the lcm of the parts' denominators (each
+    element's times its scalar's), accumulates every part's integer
+    numerators over it in one pass and reduces once.  Parts with a zero
+    scalar or a zero element drop out; a lone remaining part with scalar 1
+    is returned as it is.  An element of another dimension raises
+    `DimensionMismatchError`.
     """
     live = []
     for c, a in parts:
         if a.n != n:
             raise DimensionMismatchError(f"ambient dimensions differ: {a.n} != {n}")
-        if c and a._nums:
+        if _exact(c) and a._nums:
             live.append((c, a))
     if len(live) == 1 and live[0][0] == 1:
         return live[0][1]
@@ -390,7 +381,7 @@ def weyl_d(n: int, j: int) -> WeylElement:
 
 def weyl_scalar(n: int, c: Fraction | int) -> WeylElement:
     """The scalar element c*1; zero gives the empty term map."""
-    c = Fraction(c)
+    c = _exact(c)
     return _reduced(n, c.denominator, {0: c.numerator})
 
 

@@ -511,7 +511,7 @@ def test_derived_family_generators_match_iota():
 
 
 def test_derived_family_matches_cmatrix_powers(monkeypatch):
-    # The row-dict powers against the Weyl-element C-matrix powers, orders
+    # The flat-cell powers against the Weyl-element C-matrix powers, orders
     # 1..10, and the series stops at the first zero power: no Bernoulli
     # number is asked for past it.
     rng = SplitMix64(1313)
@@ -536,6 +536,24 @@ def test_derived_family_matches_cmatrix_powers(monkeypatch):
             assert family._entries == expected, (sc, n_max)
             last = n_max if first_zero is None else min(n_max, first_zero)
             assert asked == list(range(1, last + 1)), (sc, n_max)
+
+
+def test_derived_family_stops_at_a_power_that_cancels_to_zero(monkeypatch):
+    # [X3, X_i] = sum_k A[k][i] X_k with A = [[1, 1], [-1, -1]], so A^2 = 0 and
+    # M^2 vanishes only because its cells cancel: the walk has to drop zero
+    # cells to stop there, asking for no Bernoulli number past B_2.
+    action = {(1, 1): 1, (1, 2): 1, (2, 1): -1, (2, 2): -1}
+    entries = {}
+    for (k, i), v in action.items():
+        entries[(k, 3, i)], entries[(k, i, 3)] = v, -v
+    sc = StructureConstants(3, entries)
+    reference, first_zero = _reference_family(sc, 6)
+    assert first_zero == 2
+    asked = []
+    real_bernoulli = lie.bernoulli
+    monkeypatch.setattr(lie, "bernoulli", lambda index: asked.append(index) or real_bernoulli(index))
+    assert derived_family(sc, 6)._entries == reference
+    assert asked == [1, 2]
 
 
 def test_direct_sum_indexing():

@@ -1,11 +1,26 @@
-"""The package's public surface: `symorder.__all__` and star imports, and the
-rule that no library invariant is guarded only by `assert`."""
+"""The package's public surface: `symorder.__all__` and star imports, the
+rule that no library invariant is guarded only by `assert`, and the rule
+that every coefficient entry point takes ints and Fractions only."""
 
 import ast
 import dataclasses
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 import symorder
+from symorder import (
+    CoefficientFamily,
+    StructureConstants,
+    WeylElement,
+    linear_combination,
+    random_family,
+    weyl_d,
+    weyl_scalar,
+    weyl_x,
+)
 
 # Adding or removing a public name is a deliberate edit to this list.
 PUBLIC_NAMES = [
@@ -99,3 +114,28 @@ def test_library_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert not found, found
+
+
+# Each entry point that takes a coefficient, as a call on that one value.
+COEFFICIENT_ENTRY_POINTS = {
+    "WeylElement": lambda c: WeylElement(1, {((1,), (0,)): c}),
+    "weyl_scalar": lambda c: weyl_scalar(2, c),
+    "scale": lambda c: weyl_x(2, 1).scale(c),
+    "linear_combination": lambda c: linear_combination(2, [(1, weyl_x(2, 1)), (c, weyl_d(2, 2))]),
+    "CoefficientFamily": lambda c: CoefficientFamily(
+        2, 1, {(1, 1, 1, 2, (0, 0)): c}, check_antisymmetry=False),
+    "StructureConstants": lambda c: StructureConstants(2, {(1, 1, 2): c}),
+    "random_family": lambda c: random_family(2, 2, sparsity=c),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COEFFICIENT_ENTRY_POINTS))
+def test_coefficients_must_be_int_or_fraction(name):
+    # A float, decimal or string would be silently turned into a rational
+    # (0.1 into 3602879701896397/36028797018963968) or fail deep inside.
+    call = COEFFICIENT_ENTRY_POINTS[name]
+    for bad in (0.5, "1/2", Decimal("0.5"), 0.0):
+        with pytest.raises(TypeError):
+            call(bad)
+    for good in (1, Fraction(1, 2)):
+        call(good)

@@ -735,6 +735,65 @@ def test_constructor_canonicalizes():
         WeylElement(1, {((-1,), (0,)): 1})
 
 
+def _reference_constructor(terms: dict) -> dict:
+    """Independent oracle for the constructor: Fractions summed per exponent
+    tuple, zero coefficients skipped before their exponents are read, zero
+    sums dropped."""
+    out: dict = {}
+    for (xexp, dexp), c in terms.items():
+        if c:
+            key = (tuple(xexp), tuple(dexp))
+            out[key] = out.get(key, 0) + Fraction(c)
+    return {key: c for key, c in out.items() if c}
+
+
+def _range_spelling(t: tuple):
+    """The same exponents as a `range`, which packs to t's key; None if t is
+    not an arithmetic sequence with a nonzero step."""
+    if len(t) == 1:
+        return range(t[0], t[0] + 1)
+    step = t[1] - t[0]
+    if step and all(b - a == step for a, b in zip(t, t[1:])):
+        return range(t[0], t[-1] + step, step)
+    return None
+
+
+def test_constructor_matches_fraction_oracle():
+    rng = SplitMix64(0xC0DE)
+    limit = weyl._FIELD
+    x, y = ((1,), (0,)), (range(1, 2), (0,))  # two spellings of one key
+    cases = [
+        {x: Fraction(1, 3), y: Fraction(-1, 3)},  # cancel on one key
+        {x: Fraction(1, 2), y: Fraction(3, 2), ((0,), (2,)): Fraction(2, 3),
+         (range(0, 1), range(2, 3)): Fraction(1, 3)},  # mixed denominators, den 1
+        {((limit + 1,), (0,)): 0, ((0,), (limit,)): Fraction(0), x: 2},  # zeros past the limit
+        {((1, 2), (0, 0)): Fraction(1, 6), (range(1, 3), (0, 0)): Fraction(5, 6),
+         ((2, 1), (1, 0)): Fraction(-1, 4), (range(2, 0, -1), range(1, -1, -1)): Fraction(1, 12)},
+    ]
+    for _ in range(300):
+        n = 1 + rng.below(3)
+        terms: dict = {}
+        for _ in range(rng.below(8)):
+            key = tuple(tuple(rng.below(3) for _ in range(n)) for _ in range(2))
+            pick = rng.below(4)
+            c = 0 if pick == 0 else rng.below(7) - 3 if pick == 1 else rng.rational()
+            spelled = tuple(map(_range_spelling, key))
+            if rng.below(2) and None not in spelled:
+                terms[spelled] = c
+            else:
+                terms[key] = c
+        cases.append(terms)
+    for terms in cases:
+        n = len(next(iter(terms))[0]) if terms else 1
+        a = WeylElement(n, terms)
+        assert dict(a.items()) == _reference_constructor(terms), terms
+        assert gcd(a._den, *a._nums.values()) == 1, terms
+    assert WeylElement(1, cases[0]).is_zero()
+    assert WeylElement(1, cases[1]) == WeylElement(1, {x: 2, ((0,), (2,)): 1})
+    assert WeylElement(1, cases[1])._den == 1
+    assert WeylElement(1, cases[2]) == weyl_x(1, 1).scale(2)
+
+
 def test_non_integral_exponents_raise():
     # Exponents go through operator.index: a float is refused, not truncated.
     with pytest.raises(TypeError):
