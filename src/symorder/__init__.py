@@ -43,7 +43,6 @@ from .linalg import exact_rank
 from .ordering import (
     CheckResult,
     cancellation_check,
-    cancellation_terms,
     e_map,
     e_tilde,
     pi_project,
@@ -78,7 +77,6 @@ __all__ = [
     "bernoulli",
     "build_generators",
     "cancellation_check",
-    "cancellation_terms",
     "derived_family",
     "direct_sum",
     "e_map",

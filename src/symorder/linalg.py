@@ -41,18 +41,21 @@ from math import isqrt, lcm
 from operator import mul
 from typing import Iterator, Sequence
 
+from .weyl import _exact
+
 _LANE_MASK = (1 << 64) - 1
 
 
 def exact_rank(rows: Sequence[Sequence[Fraction | int]]) -> int:
     """Rank of the matrix with the given rows, computed exactly.
 
-    Entries are ints or `Fraction`s; the argument is left unchanged.  Rows
-    of unequal length raise `ValueError`.  The result is certified: the
-    pivot minor found mod p is nonzero over the integers (rank >= r), and
-    unless r = min(rows, cols) every other row is checked over the integers
-    to be a combination of the pivot rows (rank <= r).  A failed check
-    retries with the next prime; see the module docstring for the bounds.
+    Entries are ints or `Fraction`s, others raise `TypeError`; the argument
+    is left unchanged.  Rows of unequal length raise `ValueError`.  The
+    result is certified: the pivot minor found mod p is nonzero over the
+    integers (rank >= r), and unless r = min(rows, cols) every other row is
+    checked over the integers to be a combination of the pivot rows
+    (rank <= r).  A failed check retries with the next prime; see the
+    module docstring for the bounds.
     """
     ncols = len(rows[0]) if rows else 0
     if any(len(r) != ncols for r in rows):
@@ -62,7 +65,7 @@ def exact_rank(rows: Sequence[Sequence[Fraction | int]]) -> int:
     m = []
     for row in rows:
         if not {int}.issuperset(map(type, row)):
-            scale = lcm(*(v.denominator for v in row))
+            scale = lcm(*(_exact(v).denominator for v in row))
             row = [v.numerator * (scale // v.denominator) for v in row]
         m.append(row)
     full = min(len(m), ncols)

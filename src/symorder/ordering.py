@@ -14,7 +14,7 @@ The checker works on vacuum actions directly: grouping permutations by their
 first letter turns the k!-term sum into a recursion over sub-multisets of
 the word, at most 2^k polynomial states.  `e_tilde` and `e_map` run the same
 recursion with operator products in place of vacuum actions.  The
-cancellation terms are read straight off the family: each is a d-free
+cancellation sum is read straight off the family: each term is a d-free
 monomial times an x-free pair polynomial, so no product reorders anything.
 Independent oracles, such as the literal k!-term sum, live in the tests.
 
@@ -137,62 +137,39 @@ def theorem_check(gens: GeneratorSet, word: Word) -> CheckResult:
 # -- the pairwise cancellation behind the identity ----------------------------
 
 
-def cancellation_terms(
+def cancellation_check(
     family: CoefficientFamily, word: Word, l: int, order: int
-) -> list[WeylElement]:
-    """Per-position contributions whose total telescopes to zero.
+) -> WeylElement:
+    """The pairwise cancellation sum of a word at one (order, l).
 
-    Position idx contributes, for every other position p, the pair
-    polynomial of (word[idx], word[p]) at the given (order, l) paired with
-    the word monomial with both positions deleted:
+    With M the word's letter counts and p_as the (order, l, a, s) pair
+    polynomial in d, each ordered pair of positions holding (a, s) adds
+    x^(M - e_a - e_s) p_as(d).  Built in one pass over the family's entries,
+    with no `mul`, the sum is
 
-        term_idx = sum_s  mult_s(word minus idx) *
-                   x^(word minus idx minus s) * p[order, l][word[idx], s](d).
+        sum_{a,s} M_a (M - e_a)_s x^(M - e_a - e_s) p_as(d)
+          = 1/2 sum_{a,s} M_a (M_s - delta_as) x^(M - e_a - e_s) (p_as + p_sa)(d).
 
-    Summing over idx visits every ordered pair (idx, p) once, so for
-    antisymmetric families the contributions cancel pairwise; symmetric
-    families leave a nonzero total.  Positions holding one letter share one
-    element.
+    It vanishes on every word of length >= 2 exactly when p_as + p_sa = 0 at
+    this (order, l): antisymmetry is sufficient for the identity, not necessary.
     """
-    word = tuple(word)
-    by_letter = _letter_terms(family, word, l, order)[1]
-    return [by_letter[a] for a in word]
-
-
-def _letter_terms(family: CoefficientFamily, word: Word, l: int,
-                  order: int) -> tuple[MultiIndex, dict[int, WeylElement]]:
-    """The word's letter counts and the term of each letter in it, built in
-    normal order with no `mul` from the family indexed by i once."""
     n = family.n
     if not 1 <= l <= n:
         raise IndexError(f"index l={l} out of range 1..{n}")
     if not 1 <= order <= family.n_max:
         raise ValueError(f"order {order} out of range 1..{family.n_max}")
     counts = word_counts(n, word)
-    pairs: dict[int, list] = {}  # i -> (s, m, value) of the (order, l) entries
-    for (o, ll, i, s, m), v in family.items():
-        if o == order and ll == l:
-            pairs.setdefault(i, []).append((s, m, v))
-    by_letter = {}
-    for a, count in enumerate(counts, 1):
-        if not count:
+    terms: dict = {}
+    for (o, ll, a, s, m), v in family.items():
+        mult_a = counts[a - 1]
+        if o != order or ll != l or not mult_a:
             continue
-        rest = counts[: a - 1] + (count - 1,) + counts[a:]
-        terms = {}
-        for s, m, v in pairs.get(a, ()):
-            mult = rest[s - 1]
-            if mult:
-                terms[(rest[: s - 1] + (mult - 1,) + rest[s:], m)] = mult * v
-        by_letter[a] = WeylElement(n, terms)
-    return counts, by_letter
-
-
-def cancellation_check(
-    family: CoefficientFamily, word: Word, l: int, order: int
-) -> WeylElement:
-    """Sum of the per-position terms, each letter's weighted by its count; zero iff they cancel."""
-    counts, by_letter = _letter_terms(family, word, l, order)
-    return linear_combination(family.n, [(counts[a - 1], t) for a, t in by_letter.items()])
+        rest = counts[: a - 1] + (mult_a - 1,) + counts[a:]
+        mult_s = rest[s - 1]
+        if mult_s:
+            key = (rest[: s - 1] + (mult_s - 1,) + rest[s:], m)
+            terms[key] = terms.get(key, 0) + mult_a * mult_s * v
+    return WeylElement(n, terms)
 
 
 # -- section and projection ----------------------------------------------------

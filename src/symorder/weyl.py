@@ -29,8 +29,8 @@ Each term is stored under one packed int key of 2n + 2 fields of
 
     x_1 .. x_n | d_1 .. d_n | |xexp| + |dexp| | |dexp|
 
-Integer order is therefore ``(xexp, dexp)`` tuple order, `truncate` and
-`d_degree` read the bottom field alone, and the exponents of a product or
+Integer order is therefore ``(xexp, dexp)`` tuple order, `truncate` reads
+the bottom field alone, and the exponents of a product or
 Fock term are plain integer sums and differences of keys.  A term's total
 degree must stay at most `_FIELD` = 65535, which bounds every field: the
 constructor raises `OverflowError` on a larger term, and `mul` and
@@ -222,14 +222,6 @@ class WeylElement(Immutable):
     def is_polynomial(self) -> bool:
         """True iff every term has dexp identically zero."""
         return not any(map(_FIELD.__and__, self._nums))
-
-    def x_degree(self) -> int:
-        """Max total x-degree over terms; -1 for the zero element."""
-        return max(((k >> _WIDTH & _FIELD) - (k & _FIELD) for k in self._nums), default=-1)
-
-    def d_degree(self) -> int:
-        """Max total d-degree over terms; -1 for the zero element."""
-        return max(map(_FIELD.__and__, self._nums), default=-1)
 
     # -- ring structure -----------------------------------------------------
 

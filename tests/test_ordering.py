@@ -2,8 +2,8 @@
 
 The oracles here are written independently of the library's fast paths: the
 permutation sum is re-built with explicit `itertools.permutations` chains,
-the cancellation totals are re-derived as the double sum over ordered
-position pairs, and the per-position cancellation terms are rebuilt by a scan
+and the cancellation sum is re-derived twice: as the double sum over ordered
+position pairs, and as the sum of per-position terms, each rebuilt by a scan
 of every family entry followed by `mul`.
 """
 
@@ -26,7 +26,6 @@ from symorder.generators import (
 from symorder.linalg import exact_rank
 from symorder.ordering import (
     cancellation_check,
-    cancellation_terms,
     e_map,
     e_tilde,
     pi_project,
@@ -305,7 +304,7 @@ def test_cancellation_worked_example():
         entries[(1, 1, j, i, (0, 0, 0))] = -v
     fam = CoefficientFamily(3, 1, entries)
     word = (1, 3, 3, 2)
-    terms = cancellation_terms(fam, word, 1, 1)
+    terms = oracle_cancellation_terms(fam, word, 1, 1)
     x3sq = word_monomial(3, (3, 3))
     x2x3 = word_monomial(3, (2, 3))
     x1x3 = word_monomial(3, (1, 3))
@@ -316,6 +315,7 @@ def test_cancellation_worked_example():
     total = cancellation_check(fam, word, 1, 1)
     assert total.is_zero()
     assert total == oracle_pair_total(fam, word, 1, 1)
+    assert total == linear_combination(3, [(1, t) for t in terms])
 
 
 def test_cancellation_zero_for_antisymmetric_families():
@@ -360,19 +360,15 @@ def test_cancellation_terms_match_the_scan_and_mul_route():
                 word = tuple(1 + rng.below(n) for _ in range(1 + rng.below(5)))
                 word = (word[-1],) + word
                 for l, order in product(range(1, n + 1), range(1, n_max + 1)):
-                    expected = oracle_cancellation_terms(fam, word, l, order)
-                    assert cancellation_terms(fam, word, l, order) == expected, (
-                        n, n_max, sparsity, word, l, order)
+                    terms = oracle_cancellation_terms(fam, word, l, order)
+                    total = cancellation_check(fam, word, l, order)
+                    case = (n, n_max, sparsity, word, l, order)
+                    assert total == linear_combination(n, [(1, t) for t in terms]), case
+                    assert total == oracle_pair_total(fam, word, l, order), case
 
 
-def test_cancellation_terms_share_one_element_per_letter(monkeypatch):
+def test_cancellation_check_builds_one_element(monkeypatch):
     fam = random_family(3, 2, Fraction(1, 2), seed=0xC0DE)
-    word = (2, 1, 2, 3, 2, 1)
-    terms = cancellation_terms(fam, word, 2, 2)
-    assert terms == oracle_cancellation_terms(fam, word, 2, 2)
-    for a, b in product(range(len(word)), repeat=2):
-        assert (terms[a] is terms[b]) == (word[a] == word[b]), (a, b)
-    # a long word builds one element per distinct letter, not one per position
     built = []
 
     def counted(*args):
@@ -382,12 +378,23 @@ def test_cancellation_terms_share_one_element_per_letter(monkeypatch):
     monkeypatch.setattr(ordering, "WeylElement", counted)
     rng = SplitMix64(0x1E77E5)
     long_word = tuple(1 + rng.below(3) for _ in range(3000))
-    for call in (cancellation_terms, cancellation_check):
-        built.clear()
-        call(fam, long_word, 1, 1)
-        assert len(built) <= fam.n, call.__name__
+    cancellation_check(fam, long_word, 1, 1)
+    assert len(built) == 1
     monkeypatch.undo()
     assert cancellation_check(fam, long_word, 1, 1).is_zero()
+
+
+def test_cancellation_is_sufficient_not_necessary():
+    # p_11 = d2 and p_21 = -d1 at (order 2, l 1) are not antisymmetric, yet
+    # their obstruction sum_ij t_i t_j p_ij(t) = t1 t1 t2 - t2 t1 t1 is zero:
+    # every word up to length 6 passes while the pairwise sum does not cancel.
+    fam = CoefficientFamily(2, 2, {(2, 1, 1, 1, (0, 1)): 1, (2, 1, 2, 1, (1, 0)): -1},
+                            check_antisymmetry=False)
+    gens = build_generators(fam, 5)
+    words = [w for k in range(1, 7) for w in small_words(2, k)]
+    assert len(words) == 126
+    assert all(theorem_check(gens, w).passed for w in words)
+    assert cancellation_check(fam, (1, 2), 1, 2) == WeylElement(2, {((0, 0), (1, 0)): -1})
 
 
 def test_cancellation_argument_validation():

@@ -15,6 +15,7 @@ from symorder import (
     CoefficientFamily,
     StructureConstants,
     WeylElement,
+    exact_rank,
     linear_combination,
     random_family,
     weyl_d,
@@ -37,7 +38,6 @@ PUBLIC_NAMES = [
     "bernoulli",
     "build_generators",
     "cancellation_check",
-    "cancellation_terms",
     "derived_family",
     "direct_sum",
     "e_map",
@@ -82,13 +82,16 @@ def test_removed_accessors_stay_removed():
     # each had a one-expression replacement: gens.generators[i - 1],
     # dict(fam.items()), the checked CoefficientFamily constructor, and
     # not sc.validate(); single terms are built with the WeylElement constructor.
-    # The identity check has no cutoff flag: every cutoff is exact.
+    # The identity check has no cutoff flag: every cutoff is exact.  Degrees
+    # are read off items(), and the cancellation sum is built in one pass.
     removed = {
         symorder.GeneratorSet: ("generator",),
         symorder.CoefficientFamily: ("get", "entry_count", "is_antisymmetric", "_antisymmetric"),
         symorder.StructureConstants: ("is_valid",),
+        symorder.WeylElement: ("x_degree", "d_degree"),
         symorder.weyl: ("poly_monomial", "weyl_term"),
-        symorder.ordering: ("TruncationWarning", "_warn_if_insufficient"),
+        symorder.ordering: ("TruncationWarning", "_warn_if_insufficient",
+                            "cancellation_terms", "_letter_terms"),
     }
     for owner, names in removed.items():
         for name in names:
@@ -126,6 +129,7 @@ COEFFICIENT_ENTRY_POINTS = {
         2, 1, {(1, 1, 1, 2, (0, 0)): c}, check_antisymmetry=False),
     "StructureConstants": lambda c: StructureConstants(2, {(1, 1, 2): c}),
     "random_family": lambda c: random_family(2, 2, sparsity=c),
+    "exact_rank": lambda c: exact_rank([[1, c], [0, 1]]),
 }
 
 
