@@ -153,26 +153,26 @@ def word_cost(n: int, k: int, n_max: int) -> int:
 # verify-iota rejects (exit 2) any table and --d whose `iota_cost` exceeds
 # this.  The golden and benchmark argvs cost at most 97949388 (a dense
 # 4-dimensional almost-abelian table at --d 8); data/sl2.json is admitted up
-# to --d 26, about 0.6 s on a 2-core x86 VM, and --d 60, which took 24 s,
-# costs 93735000600.
+# to --d 26, about 0.25 s on a 2-core x86 VM, and --d 60, which takes about
+# 7 s there, costs 93735000600.
 IOTA_COST_LIMIT = 10**9
 
 
 def iota_cost(sc: StructureConstants, d: int) -> int:
     """Cost estimate of one verify-iota run, exact up to `IOTA_COST_LIMIT`.
 
-    `homomorphism_defect` forms two products of embedding images for each
-    of the n(n - 1)/2 pairs, so the estimate is that many products times
-    the most term pairs one of them can have, the square of
-    ``_generator_terms(n, a, top)``.  The images only use the a derivatives
-    d^j for which some C^k_ij is nonzero, and their d-degree stops at
-    top = min(d + 1, L + 1) where L is the longest path in the graph with
-    an edge k -> i for every nonzero C^k_ij: the image series stops at the
-    first vanishing power of the matrix M with M[k][i] = sum_j C^k_ij d^j,
-    whose entry (k, i) is nonzero only on such an edge, so its L + 1-st
-    power vanishes.  A cycle leaves top = d + 1, capped where the estimate
-    already passes the limit, so oversized flags are rejected without
-    big-number work.
+    `homomorphism_defect` forms the commutator of embedding images for each
+    of the n(n - 1)/2 pairs from the term pairs of both orders, so the
+    estimate is twice that many times the most term pairs one order can
+    have, the square of ``_generator_terms(n, a, top)``.  The images only
+    use the a derivatives d^j for which some C^k_ij is nonzero, and their
+    d-degree stops at top = min(d + 1, L + 1) where L is the longest path
+    in the graph with an edge k -> i for every nonzero C^k_ij: the image
+    series stops at the first vanishing power of the matrix M with
+    M[k][i] = sum_j C^k_ij d^j, whose entry (k, i) is nonzero only on such
+    an edge, so its L + 1-st power vanishes.  A cycle leaves top = d + 1,
+    capped where the estimate already passes the limit, so oversized flags
+    are rejected without big-number work.
     """
     edges: dict[int, set[int]] = {}
     derivatives = set()

@@ -25,12 +25,13 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 from typing import Iterator, Mapping
 
 from .generators import CoefficientFamily, FamilyKey, build_generators
 from .rng import SplitMix64
-from .weyl import Immutable, MultiIndex, WeylElement, _exact, linear_combination, mul, truncate
+from .weyl import Immutable, MultiIndex, WeylElement, _commutator, _exact, linear_combination, truncate
+from .weyl import mul  # unused here, kept: perfbench/spans.py hooks symorder.lie.mul
 
 
 @dataclass(frozen=True)
@@ -203,11 +204,12 @@ def homomorphism_defect(
     """[embed(i), embed(j)] - sum_k C[k][i,j] embed(k) for every pair i < j,
     exact to the bound, keyed by (i, j) in row order.
 
-    The embedding images are built once for all pairs.  Operands are
-    expanded one order past the bound before commutating: a single x-d
-    contraction lowers d-degree by exactly one, so degree-(D+1) series terms
-    feed degree-D commutator terms and nothing deeper does.  Each residual
-    is truncated back to the bound and is zero for valid tables.
+    The embedding images are built once for all pairs, and `_commutator`
+    forms each commutator.  Operands are expanded one order past the bound
+    before commutating: a single x-d contraction lowers d-degree by exactly
+    one, so degree-(D+1) series terms feed degree-D commutator terms and
+    nothing deeper does.  Each residual is truncated back to the bound and
+    is zero for valid tables.
     """
     if max_d_degree < 0:
         raise ValueError(f"truncation order must be >= 0, got {max_d_degree}")
@@ -216,8 +218,7 @@ def homomorphism_defect(
     defects = {}
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            a, b = images[i - 1], images[j - 1]
-            parts = [(1, mul(a, b)), (-1, mul(b, a))]
+            parts = [(1, _commutator(images[i - 1], images[j - 1]))]
             parts += [(-sc.get(k, i, j), images[k - 1]) for k in range(1, n + 1)]
             defects[(i, j)] = truncate(linear_combination(n, parts), max_d_degree)
     return defects
@@ -230,28 +231,31 @@ def derived_family(sc: StructureConstants, n_max: int) -> CoefficientFamily:
     Generators built from it at truncation D are the embedding images
     (`iota`) at D: since (M^N)[l][i] = sum_{s,j} (M^(N-1))[l][s] C[s][i,j] d^j,
     the term x_l d^(m + e_j) of X_i collects the order-N series term.
-    The entries of M commute, so M^(N-1) is kept as flat cells, (l, s, m) ->
-    coefficient of d^m in (M^(N-1))[l][s], and the table is indexed once by
-    its upper index s.  Per order one loop over cells and index advances the
-    power (cell * C[s][i,j] to cell (l, i, m + e_j)); a second adds the
-    Bernoulli-weighted cell * C[s][i,j] to entry (N, l, i, j, m) unless the
-    weight is zero.  Only M^1..M^(n_max-1) are formed, and the walk stops at
-    the first zero power, which makes every later one zero.  Antisymmetry in
-    (i, j) is inherited from the table and re-checked by the family
-    constructor.
+    The work runs on ints: the table is scaled once by the lcm L of its
+    denominators and indexed once by its upper index s, and M^(N-1), whose
+    entries commute, is kept as flat cells (l, s, m) -> L^(N-1) times the
+    coefficient of d^m in (M^(N-1))[l][s].  Per order one loop over cells
+    and index advances the power (cell * L C[s][i,j] to cell (l, i, m + e_j));
+    a second sums cell * L C[s][i,j] per entry (N, l, i, j, m), and each
+    nonzero sum becomes one `Fraction` with the order's weight
+    (-1)^N B_N / (N! L^N), unless the weight is zero.  Only M^1..M^(n_max-1)
+    are formed, and the walk stops at the first zero power, which makes every
+    later one zero.  Antisymmetry in (i, j) is inherited from the table and
+    re-checked by the family constructor.
     """
     sc.require_valid()
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     n = sc.n
-    by_upper: dict[int, list[tuple[int, int, Fraction]]] = {}
+    scale = lcm(*(c.denominator for _key, c in sc.items()))
+    by_upper: dict[int, list[tuple[int, int, int]]] = {}
     for (s, i, j), c in sc.items():
-        by_upper.setdefault(s, []).append((i, j, c))
-    power = {(l, l, (0,) * n): Fraction(1) for l in range(1, n + 1)}  # M^0
+        by_upper.setdefault(s, []).append((i, j, c.numerator * (scale // c.denominator)))
+    power = {(l, l, (0,) * n): 1 for l in range(1, n + 1)}  # M^0
     entries: dict[FamilyKey, Fraction] = {}
-    for order in range(1, n_max + 1):  # power holds M^(order - 1)
+    for order in range(1, n_max + 1):  # power holds L^(order - 1) M^(order - 1)
         if order > 1:
-            step: dict[tuple[int, int, MultiIndex], Fraction] = {}
+            step: dict[tuple[int, int, MultiIndex], int] = {}
             for (l, s, m), v in power.items():
                 for i, j, c in by_upper.get(s, ()):
                     key = (l, i, m[:j - 1] + (m[j - 1] + 1,) + m[j:])
@@ -259,14 +263,16 @@ def derived_family(sc: StructureConstants, n_max: int) -> CoefficientFamily:
             power = {key: v for key, v in step.items() if v}
             if not power:
                 break
-        coeff = (-1) ** order * bernoulli(order) / factorial(order)
-        if not coeff:
+        weight = (-1) ** order * bernoulli(order) / (factorial(order) * scale**order)
+        if not weight:
             continue
+        sums: dict[FamilyKey, int] = {}
         for (l, s, m), v in power.items():
-            cv = coeff * v
             for i, j, c in by_upper.get(s, ()):
                 key = (order, l, i, j, m)
-                entries[key] = entries.get(key, 0) + cv * c
+                sums[key] = sums.get(key, 0) + v * c
+        p, q = weight.numerator, weight.denominator
+        entries.update((key, Fraction(p * v, q)) for key, v in sums.items() if v)
     return CoefficientFamily(n, n_max, entries)
 
 

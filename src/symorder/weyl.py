@@ -15,13 +15,15 @@ at all.
 An element stores its coefficients in one representation: integer
 numerators over one positive denominator, with no factor common to the
 denominator and all numerators, so equal elements have equal fields.
-`mul`, `fock_apply`, `linear_combination` and `truncate` compute on those
-integers and finish through `_reduced`, which drops zeros and divides out
-the common factor.  `linear_combination` is the one route for sums of
-scaled elements: ``+``, ``-`` and `scale` call it, and so does every
-caller that sums many parts; it takes the lcm of the parts' denominators,
-accumulates in one pass and reduces once.  `mul` is the one route for
-products: elements define no ``*``, ``/`` or ``**``.  The accessors hand
+`mul`, `_commutator`, `fock_apply`, `linear_combination` and `truncate`
+compute on those integers and finish through `_reduced`, which drops zeros
+and divides out the common factor.  `linear_combination` is the one route
+for sums of scaled elements: ``+``, ``-`` and `scale` call it, and so does
+every caller that sums many parts; it takes the lcm of the parts'
+denominators, accumulates in one pass and reduces once.  `mul` is the one
+route for products: elements define no ``*``, ``/`` or ``**``.
+`_commutator` is the one route for commutators; the oracle
+``mul(a, b) - mul(b, a)`` lives in the tests.  The accessors hand
 coefficients out as ``fractions.Fraction`` values.
 
 Each term is stored under one packed int key of 2n + 2 fields of
@@ -33,14 +35,14 @@ Integer order is therefore ``(xexp, dexp)`` tuple order, `truncate` reads
 the bottom field alone, and the exponents of a product or
 Fock term are plain integer sums and differences of keys.  A term's total
 degree must stay at most `_FIELD` = 65535, which bounds every field: the
-constructor raises `OverflowError` on a larger term, and `mul` and
-`fock_apply` raise it before any work when the largest total degrees of
-their operands could sum past the limit, so a field never carries into its
-neighbour.  Keys are decoded to tuples only by `items`, `coefficient` and
-`sorted_terms`.  The reordering expansion of each d^b x^c pair is kept,
-with packed offsets, in one bounded LRU cache.  `mul` buckets the left
-operand's terms by d-part and the right operand's by x-part and looks the
-expansion up once per bucket pair, not once per term pair.
+constructor raises `OverflowError` on a larger term, and `mul`,
+`_commutator` and `fock_apply` raise it before any work when the largest
+total degrees of their operands could sum past the limit, so a field never
+carries into its neighbour.  Keys are decoded to tuples only by `items`,
+`coefficient` and `sorted_terms`.  The reordering expansion of each d^b x^c
+pair is kept, with packed offsets, in one bounded LRU cache.  `mul` buckets
+the left operand's terms by d-part and the right operand's by x-part and
+looks the expansion up once per bucket pair, not once per term pair.
 
 Elements are immutable and all operations are pure, so values can be shared
 freely across threads.  The one slot written after construction is an
@@ -463,6 +465,35 @@ def mul(a: WeylElement, b: WeylElement) -> WeylElement:
                     for kb, cb in terms_b:
                         key = ka + kb
                         out[key] = get(key, 0) + ca * cb
+    return _reduced(n, a._den * b._den, out)
+
+
+def _commutator(a: WeylElement, b: WeylElement) -> WeylElement:
+    """The commutator ab - ba in normal order, from contraction terms alone.
+
+    The t = 0 term of a term pair is the same in both orders and cancels, so
+    this sums, bucketed and looked up as in `mul`, the t >= 1 contractions of
+    (a, b) and those of (b, a) with b's numerators negated.  Operands whose
+    largest total degrees sum past the key limit raise `OverflowError`.
+    """
+    _check_same_n(a, b)
+    n, nums_a, nums_b = a.n, a._nums, b._nums
+    _check_room(_top(nums_a) + _top(nums_b))
+    d_mask = _d_mask(n)
+    out: dict[int, int] = {}
+    get = out.get
+    for left, right in ((nums_a, nums_b), ({k: -v for k, v in nums_b.items()}, nums_a)):
+        right_buckets = _buckets(right, d_mask << n * _WIDTH).items()
+        for da, terms_l in _buckets(left, d_mask).items():
+            for xb, terms_r in right_buckets:
+                rest = _contractions(da | xb | n)
+                if rest:
+                    for kl, cl in terms_l:
+                        for kr, cr in terms_r:
+                            key, c = kl + kr, cl * cr
+                            for offset, f in rest:
+                                k = key - offset
+                                out[k] = get(k, 0) + c * f
     return _reduced(n, a._den * b._den, out)
 
 

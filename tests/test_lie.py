@@ -515,10 +515,21 @@ def test_derived_family_matches_cmatrix_powers(monkeypatch):
     # The flat-cell powers against the Weyl-element C-matrix powers, orders
     # 1..10, and the series stops at the first zero power: no Bernoulli
     # number is asked for past it.
+    # The generated and shipped tables use denominators <= 4.  The plane
+    # table [X1, X2] = 1/3 X1 + 2/5 X2 has no zero power (M^2 = tr(M) M), and
+    # its direct sum with an almost-abelian table acting by -3/7, 5/9 and 1/2
+    # puts the lcm of the denominators at 630.
+    a, b = Fraction(1, 3), Fraction(2, 5)
+    plane = StructureConstants(2, {(1, 1, 2): a, (1, 2, 1): -a, (2, 1, 2): b, (2, 2, 1): -b})
+    acting = {}
+    for (k, i), v in {(1, 1): Fraction(-3, 7), (2, 1): Fraction(5, 9), (1, 2): Fraction(1, 2)}.items():
+        acting[(k, 3, i)], acting[(k, i, 3)] = v, -v
     rng = SplitMix64(1313)
     tables = ALL_TABLES + [
         direct_sum(sl2_table(), sl2_table()),
         direct_sum(sl2_table(), random_almost_abelian_table(2, seed=13)),
+        plane,
+        direct_sum(plane, StructureConstants(3, acting)),
     ]
     for trial in range(20):
         tables.append(random_almost_abelian_table(2 + rng.below(3), seed=trial))

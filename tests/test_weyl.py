@@ -595,6 +595,67 @@ def test_bucketed_mul_matches_reference_up_to_six_axes():
     assert info.currsize <= info.maxsize
 
 
+def _commutator_operands(rng: SplitMix64, n: int, shape: int) -> tuple[WeylElement, WeylElement]:
+    """Operands for one `_commutator` case, exponents <= 4 and denominators
+    past the generator's 1..4: 0 a d-free left operand, 1 operands on
+    disjoint axes, 2 one operand twice, 3 a zero operand, 4 unshaped."""
+    a = random_element(rng, n, terms=1 + rng.below(6), max_exp=4).scale(Fraction(1, 1 + rng.below(12)))
+    b = random_element(rng, n, terms=1 + rng.below(6), max_exp=4).scale(Fraction(7, 6 + rng.below(30)))
+    if shape == 0:
+        return random_poly(rng, n, terms=1 + rng.below(4), max_exp=4).scale(Fraction(5, 3 + rng.below(9))), b
+    if shape == 1:
+        axes = {i for i in range(n) if rng.below(2)}
+
+        def on(e, keep):
+            return WeylElement(n, {(tuple(v if i in keep else 0 for i, v in enumerate(x)),
+                                    tuple(v if i in keep else 0 for i, v in enumerate(d))): c
+                                   for (x, d), c in e.items()})
+
+        return on(a, axes), on(b, set(range(n)) - axes)
+    if shape == 2:
+        return a, a
+    if shape == 3:
+        return (WeylElement(n), b) if rng.below(2) else (a, WeylElement(n))
+    return a, b
+
+
+def test_commutator_matches_two_products():
+    rng = SplitMix64(0xC0AA)
+    nonzero = set()
+    for trial in range(400):
+        n = 1 + trial % 4
+        shape = trial // 4 % 5
+        a, b = _commutator_operands(rng, n, shape)
+        got = weyl._commutator(a, b)
+        want = mul(a, b) - mul(b, a)
+        assert (got._den, got._nums) == (want._den, want._nums), (trial, n, shape)
+        assert_canonical(got)
+        assert weyl._commutator(b, a) == -got, trial
+        if shape in (1, 2, 3):
+            assert got.is_zero(), (trial, shape)
+        elif got:
+            nonzero.add(shape)
+    assert nonzero == {0, 4}
+    # at the key limit a commutator still fits: [x1^(limit-2) d1, x1] = x1^(limit-2)
+    limit = weyl._FIELD
+    edge = WeylElement(1, {((limit - 2,), (1,)): 1})
+    assert weyl._commutator(edge, weyl_x(1, 1)) == WeylElement(1, {((limit - 2,), (0,)): 1})
+
+
+def test_commutator_checks_its_operands_before_any_work(monkeypatch):
+    limit = weyl._FIELD
+    big = WeylElement(2, {((limit - 1, 0), (1, 0)): 1})  # total == limit
+    work = []
+    monkeypatch.setattr(weyl, "_buckets", lambda *args: work.append(args))
+    monkeypatch.setattr(weyl, "_contractions", lambda *args: work.append(args))
+    with pytest.raises(DimensionMismatchError):
+        weyl._commutator(weyl_x(2, 1), weyl_d(3, 1))
+    for a, b in ((big, weyl_x(2, 1)), (weyl_d(2, 2), big)):
+        with pytest.raises(OverflowError):
+            weyl._commutator(a, b)
+    assert work == []
+
+
 def test_linear_combination_matches_fraction_oracle():
     rng = SplitMix64(0x11C0)
     for trial in range(300):
