@@ -15,7 +15,8 @@ Exit status: 0 all checks passed, 1 at least one check failed, 2 usage or
 input error, including a run past its cost gate: span-dim whose `span_cost`
 exceeds `SPAN_COST_LIMIT`, verify-theorem or cancellation whose `word_cost`
 exceeds `WORD_COST_LIMIT` or whose word is longer than `WORD_LENGTH_LIMIT`,
-verify-iota whose `iota_cost` exceeds `IOTA_COST_LIMIT`, bernoulli past
+verify-iota whose `iota_cost` exceeds `IOTA_COST_LIMIT` or whose table has
+more than `IOTA_PAIRS_LIMIT` basis pairs, bernoulli past
 `BERNOULLI_N_MAX_LIMIT`, any --trials past `TRIALS_LIMIT`, and a --sparsity
 past 2^64 in numerator or denominator, or past `_FRACTION_TEXT_LIMIT` as text.
 
@@ -156,6 +157,11 @@ def word_cost(n: int, k: int, n_max: int) -> int:
 # to --d 26, about 0.25 s on a 2-core x86 VM, and --d 60, which takes about
 # 7 s there, costs 93735000600.
 IOTA_COST_LIMIT = 10**9
+# verify-iota also rejects (exit 2) a table of more than this many basis pairs
+# n(n - 1)/2, n <= 141: each pair costs a commutator, a residual and a report
+# record even when the table is empty, which `iota_cost` does not count.  An
+# empty table at n = 141 takes about as long as data/sl2.json at --d 26.
+IOTA_PAIRS_LIMIT = 10_000
 
 
 def iota_cost(sc: StructureConstants, d: int) -> int:
@@ -366,6 +372,7 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
         if d < 0:
             raise CLIInputError(f"--d must be >= 0, got {d}")
         sc = load_structure_constants(args.sc)
+        _gate(command, sc.n * (sc.n - 1) // 2, IOTA_PAIRS_LIMIT, "basis pairs", "the table's n")
         _gate(command, iota_cost(sc, d), IOTA_COST_LIMIT,
               "commutator products times term pairs", "--d")
         return RunConfig(command=command, d=d, sc_path=args.sc, sc=sc, output=args.output)

@@ -117,10 +117,6 @@ class CoefficientFamily(Immutable):
         family._fill(n, n_max, entries)
         return family
 
-    def _fill(self, n: int, n_max: int, entries: dict[FamilyKey, Fraction]) -> None:
-        for name, value in zip(self.__slots__, (n, n_max, entries)):
-            object.__setattr__(self, name, value)
-
     def items(self) -> Iterator[tuple[FamilyKey, Fraction]]:
         return iter(self._entries.items())
 
@@ -218,8 +214,7 @@ class GeneratorSet(Immutable):
         if n < 1 or max_d_degree < 0 or len(generators) != n or any(g.n != n for g in generators):
             raise ValueError(f"need n >= 1 generators of dimension n and a cutoff >= 0, got "
                              f"n = {n}, cutoff {max_d_degree}, dims {[g.n for g in generators]}")
-        for name, value in zip(self.__slots__, (n, max_d_degree, generators, {})):
-            object.__setattr__(self, name, value)
+        self._fill(n, max_d_degree, generators, {})
 
     def __repr__(self) -> str:
         return f"GeneratorSet(n={self.n}, max_d_degree={self.max_d_degree})"

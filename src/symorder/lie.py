@@ -26,7 +26,7 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, lcm
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .generators import CoefficientFamily, FamilyKey, build_generators
 from .rng import SplitMix64
@@ -71,9 +71,7 @@ class StructureConstants(Immutable):
                 v = Fraction(_exact(value))
                 if v:
                     table[(k, i, j)] = v
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "_table", table)
-        object.__setattr__(self, "_violations", None)
+        self._fill(n, table, None)
 
     def get(self, k: int, i: int, j: int) -> Fraction:
         return self._table.get((k, i, j), Fraction(0))
@@ -205,21 +203,24 @@ def homomorphism_defect(
     exact to the bound, keyed by (i, j) in row order.
 
     The embedding images are built once for all pairs, and `_commutator`
-    forms each commutator.  Operands are expanded one order past the bound
-    before commutating: a single x-d contraction lowers d-degree by exactly
-    one, so degree-(D+1) series terms feed degree-D commutator terms and
-    nothing deeper does.  Each residual is truncated back to the bound and
-    is zero for valid tables.
+    forms each commutator; the bracket sums take only the table's nonzero
+    entries, grouped once by (i, j) in k order.  Operands are expanded one
+    order past the bound before commutating: a single x-d contraction lowers
+    d-degree by exactly one, so degree-(D+1) series terms feed degree-D
+    commutator terms and nothing deeper does.  Each residual is truncated
+    back to the bound and is zero for valid tables.
     """
     if max_d_degree < 0:
         raise ValueError(f"truncation order must be >= 0, got {max_d_degree}")
     n = sc.n
     images = _embedding_images(sc, max_d_degree + 1)
+    brackets: dict[tuple[int, int], list[tuple[Fraction, WeylElement]]] = {}
+    for (k, i, j), c in sorted(sc.items()):
+        brackets.setdefault((i, j), []).append((-c, images[k - 1]))
     defects = {}
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            parts = [(1, _commutator(images[i - 1], images[j - 1]))]
-            parts += [(-sc.get(k, i, j), images[k - 1]) for k in range(1, n + 1)]
+            parts = [(1, _commutator(images[i - 1], images[j - 1])), *brackets.get((i, j), ())]
             defects[(i, j)] = truncate(linear_combination(n, parts), max_d_degree)
     return defects
 
@@ -321,17 +322,9 @@ def random_two_step_table(n: int, n_central: int, seed: int) -> StructureConstan
     """
     if not 1 <= n_central < n:
         raise ValueError(f"need 1 <= n_central < n, got {n_central}, {n}")
-    rng = SplitMix64(seed)
     r = n - n_central
-    entries: dict[tuple[int, int, int], Fraction] = {}
-    for i in range(1, r + 1):
-        for j in range(i + 1, r + 1):
-            for k in range(r + 1, n + 1):
-                if rng.bernoulli(Fraction(1, 2)):
-                    v = rng.rational()
-                    entries[(k, i, j)] = v
-                    entries[(k, j, i)] = -v
-    return StructureConstants(n, entries)
+    return _random_table(n, seed, ((k, i, j) for i in range(1, r + 1)
+                                   for j in range(i + 1, r + 1) for k in range(r + 1, n + 1)))
 
 
 def random_almost_abelian_table(n: int, seed: int) -> StructureConstants:
@@ -343,12 +336,18 @@ def random_almost_abelian_table(n: int, seed: int) -> StructureConstants:
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
+    return _random_table(n, seed, ((k, n, i) for i in range(1, n) for k in range(1, n)))
+
+
+def _random_table(n: int, seed: int, slots: Iterable[tuple[int, int, int]]) -> StructureConstants:
+    """The table drawn over the (k, i, j) slots in order: each is kept with
+    probability 1/2 and set to ``rng.rational()``, its (k, j, i) mirror to
+    the negation."""
     rng = SplitMix64(seed)
     entries: dict[tuple[int, int, int], Fraction] = {}
-    for i in range(1, n):
-        for k in range(1, n):
-            if rng.bernoulli(Fraction(1, 2)):
-                v = rng.rational()
-                entries[(k, n, i)] = v
-                entries[(k, i, n)] = -v
+    for k, i, j in slots:
+        if rng.bernoulli(Fraction(1, 2)):
+            v = rng.rational()
+            entries[(k, i, j)] = v
+            entries[(k, j, i)] = -v
     return StructureConstants(n, entries)

@@ -86,14 +86,20 @@ class DimensionMismatchError(ValueError):
 class Immutable:
     """Base of the slotted value types that refuse attribute assignment.
 
-    ``__setstate__`` restores the slots past the refusing ``__setattr__``,
-    so instances still pickle and copy.
+    Constructors set the slots through ``_fill``, and ``__setstate__``
+    restores them, past the refusing ``__setattr__``, so instances still
+    pickle and copy.
     """
 
     __slots__ = ()
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _fill(self, *values: object) -> None:
+        """Set the slots, in their declared order, to values."""
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
 
     def __setstate__(self, state: tuple[None, dict[str, object]]) -> None:
         for name, value in state[1].items():
@@ -334,16 +340,12 @@ def linear_combination(
 def format_term(xexp: MultiIndex, dexp: MultiIndex, coeff: Fraction) -> str:
     """Render one normal-ordered term, e.g. ``-1/2*x1^2*d3``."""
     factors = []
-    for i, e in enumerate(xexp):
-        if e == 1:
-            factors.append(f"x{i + 1}")
-        elif e > 1:
-            factors.append(f"x{i + 1}^{e}")
-    for i, e in enumerate(dexp):
-        if e == 1:
-            factors.append(f"d{i + 1}")
-        elif e > 1:
-            factors.append(f"d{i + 1}^{e}")
+    for name, exps in (("x", xexp), ("d", dexp)):
+        for i, e in enumerate(exps, 1):
+            if e == 1:
+                factors.append(f"{name}{i}")
+            elif e > 1:
+                factors.append(f"{name}{i}^{e}")
     if not factors:
         return str(coeff)
     body = "*".join(factors)
@@ -433,10 +435,9 @@ def mul(a: WeylElement, b: WeylElement) -> WeylElement:
     by d-part, the right operand's by x-part, and `_contractions` is looked
     up once per bucket pair.  Each term pair multiplies the stored integer
     numerators and adds the t = 0 term at the sum of its keys, then every
-    other contraction at that sum minus its packed offset; a bucket pair
-    with no other contraction, such as one with a d-free left bucket, runs
-    a loop with no offset arithmetic.  The sums are over the product of the
-    two denominators, which `_reduced` then brings to lowest terms.
+    other contraction at that sum minus its packed offset.  The sums are
+    over the product of the two denominators, which `_reduced` then brings
+    to lowest terms.
     Operands whose largest total degrees sum past the key limit raise
     `OverflowError`.
     """
@@ -451,20 +452,14 @@ def mul(a: WeylElement, b: WeylElement) -> WeylElement:
     for da, terms_a in _buckets(nums_a, d_mask).items():
         for xb, terms_b in right:
             rest = _contractions(da | xb | n)
-            if rest:
-                for ka, ca in terms_a:
-                    for kb, cb in terms_b:
-                        key = ka + kb
-                        c = ca * cb
-                        out[key] = get(key, 0) + c
-                        for offset, f in rest:
-                            k = key - offset
-                            out[k] = get(k, 0) + c * f
-            else:
-                for ka, ca in terms_a:
-                    for kb, cb in terms_b:
-                        key = ka + kb
-                        out[key] = get(key, 0) + ca * cb
+            for ka, ca in terms_a:
+                for kb, cb in terms_b:
+                    key = ka + kb
+                    c = ca * cb
+                    out[key] = get(key, 0) + c
+                    for offset, f in rest:
+                        k = key - offset
+                        out[k] = get(k, 0) + c * f
     return _reduced(n, a._den * b._den, out)
 
 

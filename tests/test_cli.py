@@ -20,6 +20,7 @@ import symorder.cli as cli
 from symorder.cli import (
     BERNOULLI_N_MAX_LIMIT,
     IOTA_COST_LIMIT,
+    IOTA_PAIRS_LIMIT,
     SPAN_COST_LIMIT,
     TRIALS_LIMIT,
     WORD_COST_LIMIT,
@@ -560,6 +561,28 @@ def test_verify_iota_cost_gate_exits_two_before_any_work(monkeypatch, tmp_path):
         code, out, err = invoke(["verify-iota", "--sc", path, "--d", str(d)])
         assert (code, out) == (2, ""), (path, d)
         assert "cost estimate" in err, (path, d)
+
+
+def test_verify_iota_pair_gate(monkeypatch, tmp_path):
+    # an empty table still costs a commutator and a record per basis pair
+    for n in (100, 1000):
+        (tmp_path / f"empty{n}.json").write_text(json.dumps({"n": n, "entries": []}),
+                                                 encoding="utf-8")
+    code, out, _err = invoke(["verify-iota", "--sc", str(tmp_path / "empty100.json"), "--d", "4"])
+    passing = re.findall(r"^pair \(\d+,\d+\): pass$", out, re.MULTILINE)
+    assert code == 0 and len(passing) == 4950 and "checks: 4950\n" in out
+
+    def forbidden(*_args, **_kwargs):
+        raise AssertionError("verify-iota started work past the pair gate")
+
+    for name in ("homomorphism_defect", "derived_family", "build_generators"):
+        monkeypatch.setattr(cli, name, forbidden)
+    assert 141 * 140 // 2 <= IOTA_PAIRS_LIMIT < 142 * 141 // 2
+    parsed = cli.build_parser().parse_args(
+        ["verify-iota", "--sc", str(ROOT / "data" / "sl2.json"), "--d", "26"])
+    assert cli._resolve_config(parsed).d == 26  # still admitted, and no work done
+    code, out, err = invoke(["verify-iota", "--sc", str(tmp_path / "empty1000.json"), "--d", "4"])
+    assert (code, out) == (2, "") and "cost estimate 499500 (basis pairs)" in err
 
 
 def test_trials_limit_exits_two_before_any_work(monkeypatch):

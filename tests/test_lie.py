@@ -295,6 +295,44 @@ def test_structured_tables_are_valid():
     assert random_almost_abelian_table(4, 9) == random_almost_abelian_table(4, 9)
 
 
+def _reference_two_step(n: int, n_central: int, seed: int) -> dict:
+    """The two-step draw loop as first written: the stream's reference."""
+    rng, r, entries = SplitMix64(seed), n - n_central, {}
+    for i in range(1, r + 1):
+        for j in range(i + 1, r + 1):
+            for k in range(r + 1, n + 1):
+                if rng.bernoulli(Fraction(1, 2)):
+                    v = rng.rational()
+                    entries[(k, i, j)] = v
+                    entries[(k, j, i)] = -v
+    return entries
+
+
+def _reference_almost_abelian(n: int, seed: int) -> dict:
+    """The almost-abelian draw loop as first written: the stream's reference."""
+    rng, entries = SplitMix64(seed), {}
+    for i in range(1, n):
+        for k in range(1, n):
+            if rng.bernoulli(Fraction(1, 2)):
+                v = rng.rational()
+                entries[(k, n, i)] = v
+                entries[(k, i, n)] = -v
+    return entries
+
+
+def test_random_tables_match_reference_streams():
+    # entry for entry, in order: a seed keeps naming the same table
+    for seed in range(50):
+        for n, n_central in ((3, 1), (4, 1), (4, 2), (5, 2), (6, 3)):
+            got = random_two_step_table(n, n_central, seed)
+            want = list(_reference_two_step(n, n_central, seed).items())
+            assert got.n == n and list(got.items()) == want, (n, n_central, seed)
+        for n in range(2, 6):
+            got = random_almost_abelian_table(n, seed)
+            want = list(_reference_almost_abelian(n, seed).items())
+            assert got.n == n and list(got.items()) == want, (n, seed)
+
+
 def test_validate_hands_out_a_fresh_list():
     # editing the returned list must not change the table's verdict
     sc = sl2_table()
@@ -473,6 +511,26 @@ def test_homomorphism_defect_antisymmetric():
             for k in range(1, sc.n + 1):
                 swapped = swapped - images[k - 1].scale(sc.get(k, j, i))
             assert truncate(swapped, d) == -residual, (sc, i, j)
+
+
+def test_homomorphism_defect_reads_only_the_nonzero_brackets(monkeypatch):
+    # the bracket sums come from the table's entries; a `get` per (k, i, j)
+    # would make a zero Fraction for every absent slot
+    tables = [sl2_table(), heisenberg_table()]
+    tables += [random_two_step_table(n, c, seed) for n, c, seed in ((4, 2, 3), (5, 2, 2), (6, 3, 3))]
+    tables += [random_almost_abelian_table(n, seed) for n, seed in ((3, 4), (4, 5), (5, 6))]
+    for sc in tables:
+        assert list(sc.items()) and sc.validate() == [], sc  # caches the verdict
+
+    def forbidden(*_args, **_kwargs):
+        raise AssertionError("homomorphism_defect read a table slot with get")
+
+    monkeypatch.setattr(StructureConstants, "get", forbidden)
+    for sc in tables:
+        for d in range(4):
+            defects = homomorphism_defect(sc, d)
+            assert len(defects) == sc.n * (sc.n - 1) // 2, (sc, d)
+            assert all(r.is_zero() for r in defects.values()), (sc, d)
 
 
 def test_homomorphism_defect_builds_images_once(monkeypatch):
