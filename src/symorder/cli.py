@@ -510,8 +510,8 @@ def _run_verify_iota(config: RunConfig) -> tuple[dict, list[dict]]:
 
 def _run_bernoulli(config: RunConfig) -> tuple[dict, list[dict]]:
     records = [
-        {"index": i, "value": f"{bernoulli(i).numerator}/{bernoulli(i).denominator}"}
-        for i in range(config.n_max + 1)
+        {"index": i, "value": f"{b.numerator}/{b.denominator}"}
+        for i, b in enumerate(map(bernoulli, range(config.n_max + 1)))
     ]
     return {"n_max": config.n_max}, records
 

@@ -22,8 +22,8 @@ for sums of scaled elements: ``+``, ``-`` and `scale` call it, and so does
 every caller that sums many parts; it takes the lcm of the parts'
 denominators, accumulates in one pass and reduces once.  `mul` is the one
 route for products: elements define no ``*``, ``/`` or ``**``.
-`_commutator` is the one route for commutators; the oracle
-``mul(a, b) - mul(b, a)`` lives in the tests.  The accessors hand
+`_commutator` is the one route for commutators; its oracle, a difference
+of two reference products, lives in the tests.  The accessors hand
 coefficients out as ``fractions.Fraction`` values.
 
 Each term is stored under one packed int key of 2n + 2 fields of
@@ -39,10 +39,10 @@ constructor raises `OverflowError` on a larger term, and `mul`,
 `_commutator` and `fock_apply` raise it before any work when the largest
 total degrees of their operands could sum past the limit, so a field never
 carries into its neighbour.  Keys are decoded to tuples only by `items`,
-`coefficient` and `sorted_terms`.  The reordering expansion of each d^b x^c
-pair is kept, with packed offsets, in one bounded LRU cache.  `mul` buckets
-the left operand's terms by d-part and the right operand's by x-part and
-looks the expansion up once per bucket pair, not once per term pair.
+`coefficient` and `sorted_terms`.  A product of two terms is its t = 0
+term, at the sum of their keys, plus its t >= 1 contraction terms.  So `mul`
+is every term pair's t = 0 term plus `_contract`, the one contraction loop,
+and `_commutator` is `_contract` of both orders alone: the t = 0 terms cancel.
 
 Elements are immutable and all operations are pure, so values can be shared
 freely across threads.  The one slot written after construction is an
@@ -390,8 +390,8 @@ def _contractions(query: int) -> tuple[tuple[int, int], ...]:
     n-dimensional key, and n in the two bottom fields, so one int keys the
     cache.  Subtracting ``offset`` from the sum of the two terms' keys gives
     the key of x^(xa + xb - t) d^(da + db - t).  The t = 0 term, offset 0
-    and factor 1, is left out: `mul` adds it directly, so the tuple is
-    empty when da and xb share no axis.
+    and factor 1, is left out: `mul` adds it without a lookup, so
+    the tuple is empty when da and xb share no axis.
     """
     n = query & _LOW
     axes = []
@@ -419,77 +419,72 @@ def _buckets(nums: dict[int, int], mask: int) -> dict[int, list[tuple[int, int]]
     return out
 
 
-def mul(a: WeylElement, b: WeylElement) -> WeylElement:
-    """Product in the Weyl algebra, result in normal order.
+def _contract(out: dict[int, int], left: dict[int, int], right: dict[int, int], n: int) -> None:
+    """Add to out the t >= 1 terms of left times right, both numerator maps.
 
-    The monomial kernel reorders d^b * x^c with the closed form
+    A term pair reorders d^b x^c with the closed form
 
         d^b x^c = sum_t  C(b,t) * C(c,t) * t!  *  x^(c-t) d^(b-t)
 
     where t runs over multi-indices with t <= min(b, c) componentwise and
-    the combinatorial factor is a product over coordinates.  This fixes
-    d^j * x_i = x_i * d^j + delta(i,j).
+    the combinatorial factor is a product over coordinates; this fixes
+    d^j * x_i = x_i * d^j + delta(i,j).  The terms depend only on the left
+    term's d-part and the right term's x-part, so left is bucketed by d-part,
+    right by x-part, and `_contractions` is looked up once per bucket pair,
+    skipping pairs with nothing to contract.  Each term pair's numerator
+    product, times each factor, lands at its key sum minus the offset.
+    """
+    d_mask = _d_mask(n)
+    get = out.get
+    right_buckets = _buckets(right, d_mask << n * _WIDTH).items()
+    for da, terms_l in _buckets(left, d_mask).items():
+        for xb, terms_r in right_buckets:
+            rest = _contractions(da | xb | n)
+            if rest:
+                for kl, cl in terms_l:
+                    for kr, cr in terms_r:
+                        key, c = kl + kr, cl * cr
+                        for offset, f in rest:
+                            k = key - offset
+                            out[k] = get(k, 0) + c * f
 
-    A pair's contractions depend only on the d-part of its left term and
-    the x-part of its right term, so the left operand's terms are bucketed
-    by d-part, the right operand's by x-part, and `_contractions` is looked
-    up once per bucket pair.  Each term pair multiplies the stored integer
-    numerators and adds the t = 0 term at the sum of its keys, then every
-    other contraction at that sum minus its packed offset.  The sums are
-    over the product of the two denominators, which `_reduced` then brings
-    to lowest terms.
-    Operands whose largest total degrees sum past the key limit raise
-    `OverflowError`.
+
+def mul(a: WeylElement, b: WeylElement) -> WeylElement:
+    """Product in the Weyl algebra, result in normal order.
+
+    Each term pair adds its numerators' product, the t = 0 term, at the sum
+    of its keys; `_contract` adds the rest.  The sums are over the product of
+    the two denominators, which `_reduced` brings to lowest terms.  Operands
+    whose largest total degrees sum past the key limit raise `OverflowError`.
     """
     _check_same_n(a, b)
-    n = a.n
     nums_a, nums_b = a._nums, b._nums
     _check_room(_top(nums_a) + _top(nums_b))
-    d_mask = _d_mask(n)
-    right = _buckets(nums_b, d_mask << n * _WIDTH).items()
     out: dict[int, int] = {}
     get = out.get
-    for da, terms_a in _buckets(nums_a, d_mask).items():
-        for xb, terms_b in right:
-            rest = _contractions(da | xb | n)
-            for ka, ca in terms_a:
-                for kb, cb in terms_b:
-                    key = ka + kb
-                    c = ca * cb
-                    out[key] = get(key, 0) + c
-                    for offset, f in rest:
-                        k = key - offset
-                        out[k] = get(k, 0) + c * f
-    return _reduced(n, a._den * b._den, out)
+    terms_b = nums_b.items()
+    for ka, ca in nums_a.items():
+        for kb, cb in terms_b:
+            key = ka + kb
+            out[key] = get(key, 0) + ca * cb
+    _contract(out, nums_a, nums_b, a.n)
+    return _reduced(a.n, a._den * b._den, out)
 
 
 def _commutator(a: WeylElement, b: WeylElement) -> WeylElement:
     """The commutator ab - ba in normal order, from contraction terms alone.
 
     The t = 0 term of a term pair is the same in both orders and cancels, so
-    this sums, bucketed and looked up as in `mul`, the t >= 1 contractions of
-    (a, b) and those of (b, a) with b's numerators negated.  Operands whose
-    largest total degrees sum past the key limit raise `OverflowError`.
+    this is `_contract` of (a, b) plus `_contract` of (-b, a).  Operands
+    whose largest total degrees sum past the key limit raise `OverflowError`.
     """
     _check_same_n(a, b)
-    n, nums_a, nums_b = a.n, a._nums, b._nums
+    nums_a, nums_b = a._nums, b._nums
     _check_room(_top(nums_a) + _top(nums_b))
-    d_mask = _d_mask(n)
     out: dict[int, int] = {}
-    get = out.get
-    for left, right in ((nums_a, nums_b), ({k: -v for k, v in nums_b.items()}, nums_a)):
-        right_buckets = _buckets(right, d_mask << n * _WIDTH).items()
-        for da, terms_l in _buckets(left, d_mask).items():
-            for xb, terms_r in right_buckets:
-                rest = _contractions(da | xb | n)
-                if rest:
-                    for kl, cl in terms_l:
-                        for kr, cr in terms_r:
-                            key, c = kl + kr, cl * cr
-                            for offset, f in rest:
-                                k = key - offset
-                                out[k] = get(k, 0) + c * f
-    return _reduced(n, a._den * b._den, out)
+    _contract(out, nums_a, nums_b, a.n)
+    _contract(out, {k: -v for k, v in nums_b.items()}, nums_a, a.n)
+    return _reduced(a.n, a._den * b._den, out)
 
 
 def truncate(a: WeylElement, max_d_degree: int) -> WeylElement:
@@ -551,19 +546,18 @@ def fock_apply(a: WeylElement, p: WeylElement) -> WeylElement:
     term the divisibility test and falling factorial run once per group.
     """
     _check_same_n(a, p)
-    nums_p = p._nums
-    if any(map(_FIELD.__and__, nums_p)):
+    if not p.is_polynomial():
         raise ValueError("fock_apply target must be a polynomial (dexp == 0)")
     try:
         top_a, groups = a._fock
     except AttributeError:
         top_a, groups = _fock_plan(a)
-    top_p = _top(nums_p)
+    top_p = _top(p._nums)
     _check_room(top_a + top_p)
     degree_p = top_p >> _WIDTH
     out: dict[int, int] = {}
     get = out.get
-    terms_p = nums_p.items()
+    terms_p = p._nums.items()
     for dd, fields, terms in groups:
         if dd > degree_p:
             break  # d^e with |e| above the degree of p kills every term

@@ -622,12 +622,13 @@ def _commutator_operands(rng: SplitMix64, n: int, shape: int) -> tuple[WeylEleme
 def test_commutator_matches_two_products():
     rng = SplitMix64(0xC0AA)
     nonzero = set()
-    for trial in range(400):
-        n = 1 + trial % 4
-        shape = trial // 4 % 5
+    for trial in range(300):
+        n = 1 + trial % 6
+        shape = trial // 6 % 5
         a, b = _commutator_operands(rng, n, shape)
         got = weyl._commutator(a, b)
-        want = mul(a, b) - mul(b, a)
+        # not `mul`, which shares `_contract` with `_commutator`
+        want = _reference_mul(a, b) - _reference_mul(b, a)
         assert (got._den, got._nums) == (want._den, want._nums), (trial, n, shape)
         assert_canonical(got)
         assert weyl._commutator(b, a) == -got, trial
