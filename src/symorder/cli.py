@@ -76,7 +76,7 @@ class CLIInputError(Exception):
 
 
 # span-dim rejects (exit 2) any --n/--k/--n-max/--d whose `span_cost` exceeds
-# this.  The heavy tier `span-dim --n 3 --k 4` costs 3360 and takes about 1.5 s
+# this.  The heavy tier `span-dim --n 3 --k 4` costs 3360 and takes about 0.7 s
 # a trial on a 2-core x86 VM; the cost grows as n^k, so one flag could ask
 # for days.
 SPAN_COST_LIMIT = 5000
@@ -153,32 +153,32 @@ def word_cost(n: int, k: int, n_max: int) -> int:
 
 # verify-iota rejects (exit 2) any table and --d whose `iota_cost` exceeds
 # this.  The golden and benchmark argvs cost at most 97949388 (a dense
-# 4-dimensional almost-abelian table at --d 8); data/sl2.json is admitted up
-# to --d 26, about 0.25 s on a 2-core x86 VM, and --d 60, which takes about
-# 7 s there, costs 93735000600.
+# 4-dimensional almost-abelian table at --d 8); data/sl2.json is admitted up to
+# --d 26 (0.1 s on a 2-core x86 VM), and --d 60 (1.4 s there) costs 93735000600.
 IOTA_COST_LIMIT = 10**9
 # verify-iota also rejects (exit 2) a table of more than this many basis pairs
 # n(n - 1)/2, n <= 141: each pair costs a commutator, a residual and a report
 # record even when the table is empty, which `iota_cost` does not count.  An
-# empty table at n = 141 takes about as long as data/sl2.json at --d 26.
+# empty table at n = 141 takes about 0.2 s, twice data/sl2.json at --d 26.
 IOTA_PAIRS_LIMIT = 10_000
 
 
 def iota_cost(sc: StructureConstants, d: int) -> int:
     """Cost estimate of one verify-iota run, exact up to `IOTA_COST_LIMIT`.
 
-    `homomorphism_defect` forms the commutator of embedding images for each
-    of the n(n - 1)/2 pairs from the term pairs of both orders, so the
-    estimate is twice that many times the most term pairs one order can
-    have, the square of ``_generator_terms(n, a, top)``.  The images only
-    use the a derivatives d^j for which some C^k_ij is nonzero, and their
-    d-degree stops at top = min(d + 1, L + 1) where L is the longest path
-    in the graph with an edge k -> i for every nonzero C^k_ij: the image
-    series stops at the first vanishing power of the matrix M with
-    M[k][i] = sum_j C^k_ij d^j, whose entry (k, i) is nonzero only on such
-    an edge, so its L + 1-st power vanishes.  A cycle leaves top = d + 1,
-    capped where the estimate already passes the limit, so oversized flags
-    are rejected without big-number work.
+    `homomorphism_defect` forms the commutator of embedding images for each of
+    the n(n - 1)/2 pairs from the term pairs of both orders, so the estimate is
+    twice that many times the most term pairs one order can have, the square of
+    ``_generator_terms(n, a, top)``.  It bounds more work than is done: the
+    commutator is capped at d and never forms the term pairs that land only
+    above it.  The images only use the a derivatives d^j for which some C^k_ij
+    is nonzero, and their d-degree stops at top = min(d + 1, L + 1) where L is
+    the longest path in the graph with an edge k -> i for every nonzero C^k_ij:
+    the image series stops at the first vanishing power of the matrix M with
+    M[k][i] = sum_j C^k_ij d^j, whose entry (k, i) is nonzero only on such an
+    edge, so its L + 1-st power vanishes.  A cycle leaves top = d + 1, capped
+    where the estimate already passes the limit, so oversized flags are rejected
+    without big-number work.
     """
     edges: dict[int, set[int]] = {}
     derivatives = set()

@@ -202,13 +202,13 @@ def homomorphism_defect(
     """[embed(i), embed(j)] - sum_k C[k][i,j] embed(k) for every pair i < j,
     exact to the bound, keyed by (i, j) in row order.
 
-    The embedding images are built once for all pairs, and `_commutator`
-    forms each commutator; the bracket sums take only the table's nonzero
-    entries, grouped once by (i, j) in k order.  Operands are expanded one
-    order past the bound before commutating: a single x-d contraction lowers
-    d-degree by exactly one, so degree-(D+1) series terms feed degree-D
-    commutator terms and nothing deeper does.  Each residual is truncated
-    back to the bound and is zero for valid tables.
+    The images are built once, one order past the bound: a single x-d
+    contraction lowers d-degree by exactly one, so degree-(D+1) series terms
+    feed degree-D commutator terms and nothing deeper does.  `_commutator`
+    forms each commutator capped at the bound, never forming the term pairs
+    that land only above it; the bracket sums take the table's nonzero
+    entries, grouped once by (i, j) in k order.  The bracket images reach
+    D + 1, so each residual is truncated back to the bound; valid tables give 0.
     """
     if max_d_degree < 0:
         raise ValueError(f"truncation order must be >= 0, got {max_d_degree}")
@@ -220,7 +220,8 @@ def homomorphism_defect(
     defects = {}
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            parts = [(1, _commutator(images[i - 1], images[j - 1])), *brackets.get((i, j), ())]
+            bracket = _commutator(images[i - 1], images[j - 1], max_d_degree=max_d_degree)
+            parts = [(1, bracket), *brackets.get((i, j), ())]
             defects[(i, j)] = truncate(linear_combination(n, parts), max_d_degree)
     return defects
 

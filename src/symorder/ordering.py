@@ -211,8 +211,8 @@ def span_dimension(gens: GeneratorSet, k: int) -> tuple[int, int]:
     untruncated ones (d-degree <= D - (k - 1): a single multiplication can
     lower a term's d-degree by at most one, its x-degree-1 cofactor admits
     one contraction, so dropped tail terms never reach the window).  They
-    are built level by level in word order, so any k works, and level depth
-    is cut at d-degree window + (k - depth), past which no term can contract
+    are built level by level in word order, so any k works, each by `mul`
+    capped at d-degree window + (k - depth), past which no term can contract
     back into the window.  Returns the exact rank of their coefficient
     matrix and C(n + k - 1, k), the number of degree-k monomials.  Each row
     holds a product's stored integer numerators, i.e. its coefficients times
@@ -235,7 +235,7 @@ def span_dimension(gens: GeneratorSet, k: int) -> tuple[int, int]:
     ops = [weyl_scalar(n, 1)]
     for depth in range(1, k + 1):
         cap = window + (k - depth)
-        ops = [truncate(mul(p, g), cap) for p in ops for g in gens.generators]
+        ops = [mul(p, g, max_d_degree=cap) for p in ops for g in gens.generators]
     keys = sorted({key for op in ops for key in op._nums})
     index = {key: pos for pos, key in enumerate(keys)}
     rows = []

@@ -43,6 +43,8 @@ carries into its neighbour.  Keys are decoded to tuples only by `items`,
 term, at the sum of their keys, plus its t >= 1 contraction terms.  So `mul`
 is every term pair's t = 0 term plus `_contract`, the one contraction loop,
 and `_commutator` is `_contract` of both orders alone: the t = 0 terms cancel.
+Given ``max_d_degree=D``, both sort the right operand by d-degree, the bottom
+field, to skip term pairs that land only above D, unless no term can pass D.
 
 Elements are immutable and all operations are pure, so values can be shared
 freely across threads.  The one slot written after construction is an
@@ -58,6 +60,7 @@ constant 1 as vacuum) and returns a polynomial.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -155,9 +158,9 @@ def _unit(n: int, i: int) -> int:
     return (1 << sd + n * _WIDTH) + (1 << sd) + (2 << _WIDTH) + 1
 
 
-def _top(nums: dict[int, int]) -> int:
-    """The largest total-degree field over a key set, in place; 0 if empty."""
-    return max(map(_TOTAL.__and__, nums), default=0)
+def _top(nums: dict[int, int], mask: int = _TOTAL) -> int:
+    """The largest masked field, in place, over a key set (default: total degree); 0 if empty."""
+    return max(map(mask.__and__, nums), default=0)
 
 
 def _check_room(top: int) -> None:
@@ -286,8 +289,10 @@ def _element(n: int, den: int, nums: dict[int, int]) -> WeylElement:
     return a
 
 
-def _reduced(n: int, den: int, nums: dict[int, int]) -> WeylElement:
-    """The element with coefficients nums / den: zeros dropped, common factor divided out."""
+def _reduced(n: int, den: int, nums: dict[int, int], cap: int | None = None) -> WeylElement:
+    """The element nums / den: zeros and any terms above d-degree cap dropped, gcd divided out."""
+    if cap is not None:
+        nums = {k: v for k, v in nums.items() if k & _FIELD <= cap}
     nums = {k: v for k, v in nums.items() if v}
     g = gcd(den, *nums.values())
     if g != 1:
@@ -419,7 +424,18 @@ def _buckets(nums: dict[int, int], mask: int) -> dict[int, list[tuple[int, int]]
     return out
 
 
-def _contract(out: dict[int, int], left: dict[int, int], right: dict[int, int], n: int) -> None:
+def _cap(a: WeylElement, b: WeylElement, cap: int | None) -> int | None:
+    """Check that a and b multiply; the cap of ab, None if no term can pass it."""
+    _check_same_n(a, b)
+    if cap is not None and cap < 0:
+        raise ValueError(f"truncation order must be >= 0, got {cap}")
+    _check_room(_top(a._nums) + _top(b._nums))
+    return None if cap is None or _top(a._nums, _FIELD) + _top(b._nums, _FIELD) <= cap else cap
+
+
+def _contract(
+    out: dict[int, int], left: dict[int, int], right: dict[int, int], n: int, cap: int | None
+) -> None:
     """Add to out the t >= 1 terms of left times right, both numerator maps.
 
     A term pair reorders d^b x^c with the closed form
@@ -432,15 +448,26 @@ def _contract(out: dict[int, int], left: dict[int, int], right: dict[int, int], 
     term's d-part and the right term's x-part, so left is bucketed by d-part,
     right by x-part, and `_contractions` is looked up once per bucket pair,
     skipping pairs with nothing to contract.  Each term pair's numerator
-    product, times each factor, lands at its key sum minus the offset.
+    product, times each factor, lands at its key sum minus the offset.  With
+    a cap, right is sorted by d-degree, and a bucket pair runs only the right
+    terms whose d-degree plus left's minus the last offset's |t|, the largest
+    (t runs in `product` order), is at most the cap: a bisect of the bucket's
+    d-degrees.
     """
     d_mask = _d_mask(n)
     get = out.get
+    if cap is not None:
+        right = {k: right[k] for k in sorted(right, key=_FIELD.__and__)}
     right_buckets = _buckets(right, d_mask << n * _WIDTH).items()
+    degs = None if cap is None else {xb: [k & _FIELD for k, _v in ts] for xb, ts in right_buckets}
     for da, terms_l in _buckets(left, d_mask).items():
         for xb, terms_r in right_buckets:
             rest = _contractions(da | xb | n)
             if rest:
+                if cap is not None:
+                    # |t| <= the left d-degree, so the bottom field never borrows
+                    top = cap - (terms_l[0][0] - rest[-1][0] & _FIELD)
+                    terms_r = terms_r[: bisect_right(degs[xb], top)]
                 for kl, cl in terms_l:
                     for kr, cr in terms_r:
                         key, c = kl + kr, cl * cr
@@ -449,52 +476,53 @@ def _contract(out: dict[int, int], left: dict[int, int], right: dict[int, int], 
                             out[k] = get(k, 0) + c * f
 
 
-def mul(a: WeylElement, b: WeylElement) -> WeylElement:
+def mul(a: WeylElement, b: WeylElement, *, max_d_degree: int | None = None) -> WeylElement:
     """Product in the Weyl algebra, result in normal order.
 
     Each term pair adds its numerators' product, the t = 0 term, at the sum
     of its keys; `_contract` adds the rest.  The sums are over the product of
     the two denominators, which `_reduced` brings to lowest terms.  Operands
     whose largest total degrees sum past the key limit raise `OverflowError`.
+    ``mul(a, b, max_d_degree=D)`` is ``truncate(mul(a, b), D)`` without the
+    term pairs that land only above D; a negative D raises `ValueError` first.
     """
-    _check_same_n(a, b)
+    cap = _cap(a, b, max_d_degree)
     nums_a, nums_b = a._nums, b._nums
-    _check_room(_top(nums_a) + _top(nums_b))
+    if cap is not None:
+        nums_b = {k: nums_b[k] for k in sorted(nums_b, key=_FIELD.__and__)}
+        degs = [k & _FIELD for k in nums_b]
     out: dict[int, int] = {}
     get = out.get
-    terms_b = nums_b.items()
+    terms_b = nums_b.items() if cap is None else list(nums_b.items())
     for ka, ca in nums_a.items():
-        for kb, cb in terms_b:
+        kept = terms_b if cap is None else terms_b[: bisect_right(degs, cap - (ka & _FIELD))]
+        for kb, cb in kept:
             key = ka + kb
             out[key] = get(key, 0) + ca * cb
-    _contract(out, nums_a, nums_b, a.n)
-    return _reduced(a.n, a._den * b._den, out)
+    _contract(out, nums_a, nums_b, a.n, cap)
+    return _reduced(a.n, a._den * b._den, out, cap)
 
 
-def _commutator(a: WeylElement, b: WeylElement) -> WeylElement:
+def _commutator(a: WeylElement, b: WeylElement, *, max_d_degree: int | None = None) -> WeylElement:
     """The commutator ab - ba in normal order, from contraction terms alone.
 
     The t = 0 term of a term pair is the same in both orders and cancels, so
-    this is `_contract` of (a, b) plus `_contract` of (-b, a).  Operands
-    whose largest total degrees sum past the key limit raise `OverflowError`.
+    this is `_contract` of (a, b) plus `_contract` of (-b, a).  Operand
+    checks and ``max_d_degree`` are as in `mul`.
     """
-    _check_same_n(a, b)
+    cap = _cap(a, b, max_d_degree)
     nums_a, nums_b = a._nums, b._nums
-    _check_room(_top(nums_a) + _top(nums_b))
     out: dict[int, int] = {}
-    _contract(out, nums_a, nums_b, a.n)
-    _contract(out, {k: -v for k, v in nums_b.items()}, nums_a, a.n)
-    return _reduced(a.n, a._den * b._den, out)
+    _contract(out, nums_a, nums_b, a.n, cap)
+    _contract(out, {k: -v for k, v in nums_b.items()}, nums_a, a.n, cap)
+    return _reduced(a.n, a._den * b._den, out, cap)
 
 
 def truncate(a: WeylElement, max_d_degree: int) -> WeylElement:
     """Drop every term whose total d-degree exceeds the bound; idempotent."""
     if max_d_degree < 0:
         raise ValueError(f"truncation order must be >= 0, got {max_d_degree}")
-    kept = {k: v for k, v in a._nums.items() if k & _FIELD <= max_d_degree}
-    if len(kept) == len(a._nums):
-        return a
-    return _reduced(a.n, a._den, kept)
+    return _reduced(a.n, a._den, a._nums, max_d_degree)
 
 
 # Few distinct d-parts occur, so a small bound suffices.

@@ -81,6 +81,8 @@ GOLDEN_CASES = [
     ),
     ("cancellation-heisenberg.txt", ["cancellation", "--sc", "data/heisenberg.json",
                                      "--trials", "2"], 0),
+    # d = 12 runs the capped commutator: a wrongly dropped term leaves a residual
+    ("verify-iota-sl2-d12.txt", ["verify-iota", "--sc", "data/sl2.json", "--d", "12"], 0),
 ]
 
 

@@ -657,6 +657,81 @@ def test_commutator_checks_its_operands_before_any_work(monkeypatch):
     assert work == []
 
 
+def _image_like(rng: SplitMix64, n: int, top: int) -> WeylElement:
+    """An x-degree-1 operand shaped like an embedding image built to d-degree
+    top: x_i plus terms x_l d^m with 1 <= |m| <= top."""
+    def x(i):
+        return tuple(int(j == i) for j in range(n))
+
+    terms = {(x(rng.below(n)), (0,) * n): 1}
+    for _ in range(1 + rng.below(6)):
+        m = [0] * n
+        for _ in range(1 + rng.below(top)):
+            m[rng.below(n)] += 1
+        terms[(x(rng.below(n)), tuple(m))] = rng.rational()
+    return WeylElement(n, terms)
+
+
+def test_capped_products_match_truncated_reference():
+    rng = SplitMix64(0xCA9)
+    seen = set()
+    for trial in range(120):
+        n = 1 + trial % 4
+        if trial // 4 % 2:
+            top = 1 + rng.below(5)
+            a, b = _image_like(rng, n, top), _image_like(rng, n, top)
+        else:
+            a = random_element(rng, n, terms=1 + rng.below(6), max_exp=3)
+            b = random_element(rng, n, terms=1 + rng.below(6), max_exp=3)
+        product_ab, product_ba = _reference_mul(a, b), _reference_mul(b, a)
+        tops = degrees(a)[1] + degrees(b)[1]
+        for d in range(tops + 2):
+            assert mul(a, b, max_d_degree=d) == truncate(product_ab, d), (trial, d)
+            got = weyl._commutator(a, b, max_d_degree=d)
+            assert got == truncate(product_ab - product_ba, d), (trial, d)
+            assert_canonical(got)
+            seen.add("capped" if d < tops else "cannot drop")
+        d_mask = weyl._d_mask(n)
+        for da in weyl._buckets(a._nums, d_mask):
+            for xb in weyl._buckets(b._nums, d_mask << n * weyl._WIDTH):
+                rest = weyl._contractions(da | xb | n)
+                if rest and (rest[0][0] & weyl._FIELD) < (rest[-1][0] & weyl._FIELD):
+                    seen.add("several orders" if n == 1 else "several orders, several axes")
+    assert seen == {"capped", "cannot drop", "several orders", "several orders, several axes"}
+
+
+def test_uncappable_product_neither_sorts_nor_skips(monkeypatch):
+    a = WeylElement(2, {((1, 0), (2, 1)): 3, ((0, 2), (0, 1)): -1})
+    b = WeylElement(2, {((2, 1), (1, 0)): Fraction(1, 2), ((1, 0), (0, 0)): 5})
+    want, want_commutator = mul(a, b), weyl._commutator(a, b)
+
+    def fail(*args, **kwargs):
+        raise AssertionError("the cap cannot drop a term here")
+
+    # module globals shadow the builtin, so a sort in weyl fails too
+    monkeypatch.setattr(weyl, "sorted", fail, raising=False)
+    monkeypatch.setattr(weyl, "bisect_right", fail)
+    assert mul(a, b, max_d_degree=4) == want
+    assert weyl._commutator(a, b, max_d_degree=4) == want_commutator
+    with pytest.raises(AssertionError):
+        mul(a, b, max_d_degree=3)
+
+
+def test_cap_is_keyword_only_and_checked_before_any_work(monkeypatch):
+    a, b = weyl_d(2, 1), weyl_x(2, 1)
+    for product_of in (mul, weyl._commutator):
+        with pytest.raises(TypeError):
+            product_of(a, b, 3)
+
+    def fail(*args):
+        raise AssertionError("no work before the cap is checked")
+
+    monkeypatch.setattr(weyl, "_contract", fail)
+    for product_of in (mul, weyl._commutator):
+        with pytest.raises(ValueError, match="truncation order"):
+            product_of(a, b, max_d_degree=-1)
+
+
 def test_linear_combination_matches_fraction_oracle():
     rng = SplitMix64(0x11C0)
     for trial in range(300):
