@@ -443,7 +443,11 @@ def _family_source(config: RunConfig) -> Callable[[int], CoefficientFamily]:
     if config.family == "symmetric-control":
         fam = symmetric_control_family()
         return lambda _seed: fam
-    return lambda seed: random_family(config.n, config.n_max, config.sparsity, seed)
+    # random_family draws order by order and build_generators drops the orders
+    # above d, so a family cut at d is drawn only up to d (and at least to
+    # order 1, the least a family has: at d = 0 the generators keep x_i alone)
+    orders = config.n_max if config.d is None else min(config.n_max, max(config.d, 1))
+    return lambda seed: random_family(config.n, orders, config.sparsity, seed)
 
 
 def _draw_word(master: SplitMix64, config: RunConfig, t: int) -> tuple[int, ...]:

@@ -19,16 +19,18 @@ still be built for comparison.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations_with_replacement
-from math import lcm
+from itertools import chain, combinations_with_replacement, repeat
+from math import comb, lcm
 from operator import index
 from typing import Iterator, Mapping
 
-from .rng import SplitMix64
+from .rng import SplitMix64, rational_pair
 from .weyl import Immutable, MultiIndex, WeylElement, _exact, _pack, _reduced
 
 # (order N, l, i, j, monomial m with |m| = N - 1)
 FamilyKey = tuple[int, int, int, int, MultiIndex]
+
+_BLOCK_CAP = 4096  # the most draws random_family mixes at once
 
 
 def monomials_of_degree(n: int, degree: int) -> list[MultiIndex]:
@@ -149,19 +151,25 @@ def random_family(
     Each (N, l, i < j, m) slot is filled with probability ``sparsity``; the
     mirrored (j, i) entry is the negation.  Iteration order is fixed, so a
     seed fully determines the family.  The stream is drawn exactly as by
-    ``rng.bernoulli(sparsity)`` and ``rng.rational()`` per slot, and each
-    distinct value is built once and shared (Fractions are immutable).  The
-    entries are valid by construction (nonzero draws, degree-(N - 1)
-    monomials, mirrored pairs), so the family is wrapped without the
-    constructor's checks.
+    ``rng.bernoulli(sparsity)`` and ``rng.rational()`` per slot, but from
+    blocks of `SplitMix64.draws`: the walk takes the next value of the
+    current block and draws another block of the same size when it runs
+    out.  A block holds one draw per slot, at most `_BLOCK_CAP`, so a small
+    family draws little past its end and a large one holds one capped block
+    at a time.  Each filled slot takes its (v, -v) pair from
+    `rng.rational_pair`, whose 72 pairs every family shares.  The entries
+    are valid by construction (nonzero draws, degree-(N - 1) monomials,
+    mirrored pairs), so the family is wrapped without the constructor's
+    checks.
     """
     _check_shape(n, n_max)
     if not 0 <= _exact(sparsity) <= 1:
         raise ValueError(f"sparsity must be in [0, 1], got {sparsity}")
+    slots = n * comb(n, 2) * comb(n + n_max - 1, n_max - 1)
     rng = SplitMix64(seed)
-    next_u64, below = rng.next_u64, rng.below
-    den, threshold = sparsity.denominator, sparsity.numerator << 64  # as rng.bernoulli
-    pairs: dict[tuple[int, int, int], tuple[Fraction, Fraction]] = {}  # draw -> (v, -v)
+    draw = chain.from_iterable(map(rng.draws, repeat(min(slots, _BLOCK_CAP)))).__next__
+    # u * den < num * 2^64, as rng.bernoulli, is u < ceil(num * 2^64 / den)
+    hit = -((-sparsity.numerator << 64) // sparsity.denominator)
     entries: dict[FamilyKey, Fraction] = {}
     for order in range(1, n_max + 1):
         monomials = monomials_of_degree(n, order - 1)
@@ -169,13 +177,8 @@ def random_family(
             for i in range(1, n + 1):
                 for j in range(i + 1, n + 1):
                     for m in monomials:
-                        if next_u64() * den < threshold:
-                            draw = (below(9), below(2), below(4))  # as rng.rational()
-                            pair = pairs.get(draw)
-                            if pair is None:
-                                mag, sign, d = draw
-                                v = Fraction(-1 - mag if sign else 1 + mag, d + 1)
-                                pair = pairs[draw] = (v, -v)
+                        if draw() < hit:
+                            pair = rational_pair(draw)
                             entries[(order, l, i, j, m)], entries[(order, l, j, i, m)] = pair
     return CoefficientFamily._raw(n, n_max, entries)
 

@@ -6,14 +6,37 @@ output mixed through two xor-shift-multiply rounds.  The algorithm is fixed
 here on purpose so that a (seed, draw-order) pair reproduces the exact same
 trial stream on every platform and Python version; nothing in this package
 draws from ``random``.
+
+SplitMix64 is counter-based: output i (from 1) of a stream in state s is
+mix(s + i * gamma mod 2^64), and no output depends on another.
+`SplitMix64.draws(count)` uses that to mix a whole block at once.  It returns
+exactly the next ``count`` outputs of `SplitMix64.next_u64`, in order, and
+leaves the state where ``count`` calls would, so calls of the two can be
+interleaved without changing a bit of the stream.  `rational_pair` turns
+such raw outputs into the value `SplitMix64.rational` would draw from them.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from fractions import Fraction
+from functools import lru_cache
+from typing import Callable
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
+_NUMERATOR, _DENOMINATOR = 9, 4  # `SplitMix64.rational`'s default bounds
+
+
+@lru_cache(maxsize=1)  # a caller draws block after block of one size
+def _block(count: int) -> tuple[int, int, int]:
+    """Constants of a block of ``count`` 128-bit lanes, lane 0 lowest: 1 in
+    every lane, 2^64 - 1 in every lane, and (i + 1) * gamma in lane i."""
+    ones = int.from_bytes((b"\x01" + bytes(15)) * count, "little")
+    # (x - 1) * sum (i + 1) x^i = count * x^count - sum x^i, with x = 2^128
+    steps = ((count << 128 * count) - ones) // ((1 << 128) - 1)
+    return ones, ones * _MASK, _GAMMA * steps
 
 
 class SplitMix64:
@@ -30,6 +53,25 @@ class SplitMix64:
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
         return z ^ (z >> 31)
+
+    def draws(self, count: int) -> list[int]:
+        """The next ``count`` outputs of `next_u64`, mixed all at once.
+
+        Each state sits in the low half of a 128-bit lane of one int, so a
+        product by a 64-bit constant never carries into the next lane, and
+        every step of `next_u64` is one big-int operation on the block.
+        """
+        if count < 0:
+            raise ValueError(f"count must be >= 0, got {count}")
+        ones, lanes, steps = _block(count)
+        z = (self._state * ones + steps) & lanes
+        self._state = (self._state + count * _GAMMA) & _MASK
+        z = ((z ^ (z >> 30)) & lanes) * 0xBF58476D1CE4E5B9 & lanes
+        z = ((z ^ (z >> 27)) & lanes) * 0x94D049BB133111EB & lanes
+        words = array("Q", (z ^ (z >> 31)).to_bytes(16 * count, "little"))
+        if sys.byteorder == "big":
+            words.byteswap()
+        return words[::2].tolist()  # the high words hold the next lane's shifted-in bits
 
     def below(self, bound: int) -> int:
         """Uniform integer in [0, bound), bias-free via rejection."""
@@ -50,9 +92,34 @@ class SplitMix64:
         # u / 2^64 < num/den  <=>  u*den < num*2^64
         return u * den < num << 64
 
-    def rational(self, max_abs_numerator: int = 9, max_denominator: int = 4) -> Fraction:
+    def rational(
+        self, max_abs_numerator: int = _NUMERATOR, max_denominator: int = _DENOMINATOR
+    ) -> Fraction:
         """A small nonzero rational: numerator in +-[1, max], denominator uniform."""
         mag = self.below(max_abs_numerator) + 1
         sign = -1 if self.below(2) else 1
         den = self.below(max_denominator) + 1
         return Fraction(sign * mag, den)
+
+
+# rational() at its default bounds as one table lookup.  below(9) keeps a
+# draw under _ACCEPT; below(2) and below(4) keep every draw, since 2 and 4
+# divide 2^64.  Entry (mag * 2 + sign) * 4 + den is (v, -v) for the v that
+# rational() returns when below(9), below(2) and below(4) return mag, sign, den.
+_ACCEPT = (1 << 64) - (1 << 64) % _NUMERATOR
+_RATIONAL_PAIRS = tuple(
+    (v, -v)
+    for v in (Fraction(-1 - mag if sign else 1 + mag, den + 1)
+              for mag in range(_NUMERATOR) for sign in range(2) for den in range(_DENOMINATOR))
+)
+
+
+def rational_pair(draw: Callable[[], int]) -> tuple[Fraction, Fraction]:
+    """(v, -v) for the v that `SplitMix64.rational()` draws, with ``draw``
+    giving the successive `next_u64` outputs it would take.  Every caller
+    shares the 72 pairs (Fractions are immutable)."""
+    u = draw()
+    while u >= _ACCEPT:
+        u = draw()
+    sign = draw() % 2
+    return _RATIONAL_PAIRS[(u % _NUMERATOR * 2 + sign) * _DENOMINATOR + draw() % _DENOMINATOR]

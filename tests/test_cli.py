@@ -642,6 +642,47 @@ def test_span_dim_draws_each_seed_at_its_trial(monkeypatch):
         assert f"trial {t}: seed={seed} rank=3" in out
 
 
+def test_span_dim_draws_only_the_orders_it_builds(monkeypatch):
+    # generators are cut at d = 2k = 2, so a family drawn to --n-max 40 gives
+    # the records of one drawn to 2, and no more draws than the orders <= 2
+    # take: one bernoulli and at most three rational draws per slot
+    real_draws, drawn = SplitMix64.draws, []
+
+    def draws(self, count):
+        values = real_draws(self, count)
+        drawn.append(len(values))
+        return values
+
+    monkeypatch.setattr(SplitMix64, "draws", draws)
+    n, trials = 4, 2
+    slots = n * comb(n, 2) * sum(len(monomials_of_degree(n, order - 1)) for order in (1, 2))
+    records = []
+    for n_max in (2, 40):
+        drawn.clear()
+        code, out, _err = invoke(["span-dim", "--n", str(n), "--k", "1", "--n-max", str(n_max),
+                                  "--trials", str(trials), "--output", "json"])
+        assert code == 0
+        assert 0 < sum(drawn) <= trials * 4 * slots, n_max
+        records.append(json.loads(out)["records"])
+    assert records[0] == records[1]
+
+
+@pytest.mark.parametrize("n, k, d", [(2, 1, 0), (3, 1, 0), (2, 2, 1), (3, 1, 2), (2, 1, 5)])
+def test_span_dim_records_match_families_drawn_to_n_max(n, k, d):
+    # span-dim draws each family to order min(n_max, d), and to order 1 at
+    # d = 0, where the generators keep x_i alone; its records are those of the
+    # family drawn to every order up to n_max
+    code, out, err = invoke(["span-dim", "--n", str(n), "--k", str(k), "--n-max", "3",
+                             "--d", str(d), "--output", "json"])
+    assert code == 0, err
+    records = json.loads(out)["records"]
+    assert len(records) == 3
+    for record in records:
+        fam = random_family(n, 3, Fraction(1, 2), int(record["seed"]))
+        rank, symmetric_dim = cli.span_dimension(build_generators(fam, d), k)
+        assert (record["rank"], record["symmetric_dim"]) == (rank, symmetric_dim)
+
+
 @pytest.mark.parametrize("command", ["verify-theorem", "cancellation"])
 def test_word_commands_draw_seed_then_word_then_row_and_order(command):
     # trial t draws its family seed, then k letters (the second set to the

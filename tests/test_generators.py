@@ -25,6 +25,7 @@ from symorder.lie import (
 from symorder.ordering import theorem_check
 from symorder.rng import SplitMix64
 from symorder.weyl import WeylElement, fock_apply, mul, weyl_d, weyl_scalar, weyl_x
+from test_rng import GAMMA, U64, seed_drawing
 from test_weyl import degrees
 
 
@@ -171,16 +172,88 @@ def test_random_family_matches_reference_stream():
                     assert list(fam._entries) == list(ref), (n, n_max, sparsity, seed)
 
 
+def test_random_family_matches_reference_across_blocks(monkeypatch):
+    # dense families draw many blocks, and (4, 7) has more slots (5040) than
+    # one block holds, so its blocks stop at the cap
+    real_draws, counts = SplitMix64.draws, []
+
+    def draws(self, count):
+        counts.append(count)
+        return real_draws(self, count)
+
+    monkeypatch.setattr(SplitMix64, "draws", draws)
+    seeds = SplitMix64(0xB10C)
+    for n, n_max in ((4, 6), (4, 7)):
+        for sparsity in (Fraction(1), Fraction(1, 3)):
+            seed = seeds.next_u64()
+            counts.clear()
+            fam = random_family(n, n_max, sparsity, seed)
+            ref = _reference_random_family(n, n_max, sparsity, seed)
+            assert list(fam._entries.items()) == list(ref.items()), (n, n_max, sparsity)
+            assert len(counts) > 1 and max(counts) <= 4096
+
+
+def test_random_family_rejected_draws_match_reference(monkeypatch):
+    # SplitMix64.below(9) rejects a draw >= 2^64 - 7, which happens with
+    # probability about 2^-61, so these seeds are built to put such a draw at
+    # a chosen position of the stream.  At sparsity 1 each slot draws four
+    # values, and the ones at positions 2 mod 4 are magnitudes.
+    real_below, rejected = SplitMix64.below, []
+
+    def below(self, bound):
+        start = self._state
+        value = real_below(self, bound)
+        rejected.append(self._state != (start + GAMMA) % U64)
+        return value
+
+    monkeypatch.setattr(SplitMix64, "below", below)  # the reference's draws only
+    limit = U64 - U64 % 9
+    for n, n_max in ((2, 5), (3, 2), (4, 7)):
+        for sparsity in (Fraction(1), Fraction(1, 2)):
+            for position in (2, 3, 4, 6, 30, 31, 34, 4094, 4098):
+                seed = seed_drawing(limit + position % 7, position)
+                rejected.clear()
+                ref = _reference_random_family(n, n_max, sparsity, seed)
+                fam = random_family(n, n_max, sparsity, seed)
+                assert list(fam._entries.items()) == list(ref.items()), (n, n_max, position)
+                if sparsity == 1:
+                    assert any(rejected) == (position % 4 == 2 and position <= 2 * len(ref))
+    # slot 1's magnitude draw (the second) is rejected, so its value is drawn
+    # from the third to fifth draws, as rng.rational() draws it
+    seed = seed_drawing(U64 - 1, 2)
+    g = SplitMix64(seed)
+    g.next_u64()
+    value = g.rational()
+    assert g._state == (seed + 5 * GAMMA) % U64
+    assert dict(random_family(2, 1, Fraction(1), seed).items())[(1, 1, 1, 2, (0, 0))] == value
+
+
+def test_random_family_fill_test_at_its_boundary():
+    # the first draw u fills slot 1 iff u * den < num * 2^64; put u on either
+    # side of that boundary
+    for sparsity in (Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(5, 7)):
+        boundary = -(-sparsity.numerator * U64 // sparsity.denominator)
+        for u in (boundary - 1, boundary):
+            seed = seed_drawing(u, 1)
+            fam = random_family(2, 1, sparsity, seed)
+            assert fam._entries == _reference_random_family(2, 1, sparsity, seed)
+            filled = (1, 1, 1, 2, (0, 0)) in fam._entries
+            assert filled == SplitMix64(seed).bernoulli(sparsity) == (u < boundary)
+
+
 def test_random_family_shares_reduced_values():
-    # each distinct (magnitude, sign, denominator) draw is built once, as a
-    # reduced Fraction v and its mirror -v
-    fam = random_family(4, 3, Fraction(1), seed=11)
-    for (order, l, i, j, m), v in fam.items():
-        assert type(v) is Fraction and v
-        assert gcd(v.numerator, v.denominator) == 1 and v.denominator > 0
-        assert fam._entries[(order, l, j, i, m)] == -v
-    values = [v for _, v in fam.items()]
-    assert len({id(v) for v in values}) <= 2 * 9 * 2 * 4 < len(values)
+    # every entry is one of the 72 reduced Fractions +-mag/den (mag <= 9,
+    # den <= 4) or its negation, shared by all families
+    families = [random_family(4, 3, Fraction(1), seed=seed) for seed in (11, 12)]
+    for fam in families:
+        for (order, l, i, j, m), v in fam.items():
+            assert type(v) is Fraction and v
+            assert gcd(v.numerator, v.denominator) == 1 and v.denominator > 0
+            assert 1 <= abs(v.numerator) <= 9 and v.denominator <= 4
+            assert fam._entries[(order, l, j, i, m)] == -v
+    ids = [{id(v) for _, v in fam.items()} for fam in families]
+    assert len(ids[0] | ids[1]) <= 2 * 9 * 2 * 4 < len(list(families[0].items()))
+    assert ids[0] & ids[1]
 
 
 def test_random_family_matches_validating_constructor():
