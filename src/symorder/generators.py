@@ -14,17 +14,22 @@ cut off at a chosen d-degree.  Families antisymmetric in (i, j) are the ones
 the symmetrized-ordering identity holds for; the constructor enforces
 antisymmetry unless told not to, so deliberately broken control families can
 still be built for comparison.
+
+A family stores its values as a `WeylElement` stores its coefficients: int
+numerators over one positive denominator.  `random_family` draws them as
+ints and `build_generators` sums them as ints into the generators' packed
+terms, so no `Fraction` is made between a seed and the generators.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain, combinations_with_replacement, repeat
-from math import comb, lcm
+from math import comb, gcd, lcm
 from operator import index
 from typing import Iterator, Mapping
 
-from .rng import SplitMix64, rational_pair
+from .rng import _RATIONAL_SCALE, SplitMix64, rational_pair
 from .weyl import Immutable, MultiIndex, WeylElement, _exact, _pack, _reduced
 
 # (order N, l, i, j, monomial m with |m| = N - 1)
@@ -65,9 +70,14 @@ class CoefficientFamily(Immutable):
     By default the constructor rejects families that are not antisymmetric
     under swapping (i, j); pass ``check_antisymmetry=False`` to build a
     broken family on purpose.
+
+    As in `WeylElement`, the value at a key is ``_nums[key] / _den``:
+    numerators are nonzero ints in the entries' order, ``_den`` is a
+    positive int and ``gcd(_den, *_nums.values()) == 1``, so equal families
+    have equal fields.  `items` hands values out as `Fraction`s.
     """
 
-    __slots__ = ("n", "n_max", "_entries")
+    __slots__ = ("n", "n_max", "_den", "_nums")
 
     def __init__(
         self,
@@ -78,7 +88,7 @@ class CoefficientFamily(Immutable):
         check_antisymmetry: bool = True,
     ):
         _check_shape(n, n_max)
-        canonical: dict[FamilyKey, Fraction] = {}
+        canonical: dict[FamilyKey, Fraction | int] = {}
         if entries:
             for (order, l, i, j, m), value in entries.items():
                 if not 1 <= order <= n_max:
@@ -92,35 +102,41 @@ class CoefficientFamily(Immutable):
                     raise ValueError(
                         f"monomial {mi} has degree {sum(mi)}, order {order} needs {order - 1}"
                     )
-                v = value if type(value) is Fraction else Fraction(_exact(value))
-                if v:
-                    canonical[(order, l, i, j, mi)] = v
+                if _exact(value):
+                    canonical[(order, l, i, j, mi)] = value
+        # over the lcm of reduced denominators no factor is common to all numerators
+        den = lcm(*(v.denominator for v in canonical.values()))
+        nums = {key: v.numerator * (den // v.denominator) for key, v in canonical.items()}
         if check_antisymmetry:
-            for (order, l, i, j, m), v in canonical.items():
-                # w == -v on normalized Fractions, without allocating -v
-                w = canonical.get((order, l, j, i, m))
-                if w is None or w.numerator != -v.numerator or w.denominator != v.denominator:
+            for (order, l, i, j, m), v in nums.items():
+                if nums.get((order, l, j, i, m)) != -v:
                     raise ValueError(
                         f"family is not antisymmetric at N={order}, l={l}, "
                         f"(i, j)=({i}, {j}), m={m}"
                     )
-        self._fill(n, n_max, canonical)
+        self._fill(n, n_max, den, nums)
 
     @classmethod
-    def _raw(cls, n: int, n_max: int, entries: dict[FamilyKey, Fraction]) -> "CoefficientFamily":
-        """The antisymmetric family of an already-canonical entry dict, unchecked.
+    def _raw(cls, n: int, n_max: int, den: int, nums: dict[FamilyKey, int]) -> "CoefficientFamily":
+        """The antisymmetric family of the values nums / den, unchecked.
 
-        Internal fast path; callers must guarantee everything ``__init__``
-        checks: orders and indices in range, int-tuple monomials of degree
-        N - 1, nonzero `Fraction` values and the (j, i) mirror of each entry
-        holding its negation.
+        Internal fast path: it divides out the common factor of ``den`` and
+        the numerators and checks nothing else.  Callers must guarantee
+        everything ``__init__`` checks: orders and indices in range, int-tuple
+        monomials of degree N - 1, nonzero int numerators, a positive ``den``
+        and the (j, i) mirror of each entry holding its negation.
         """
+        g = gcd(den, *nums.values())
+        if g != 1:
+            den //= g
+            nums = {key: v // g for key, v in nums.items()}
         family = object.__new__(cls)
-        family._fill(n, n_max, entries)
+        family._fill(n, n_max, den, nums)
         return family
 
     def items(self) -> Iterator[tuple[FamilyKey, Fraction]]:
-        return iter(self._entries.items())
+        den = self._den
+        return ((key, Fraction(v, den)) for key, v in self._nums.items())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CoefficientFamily):
@@ -128,7 +144,8 @@ class CoefficientFamily(Immutable):
         return (
             self.n == other.n
             and self.n_max == other.n_max
-            and self._entries == other._entries
+            and self._den == other._den
+            and self._nums == other._nums
         )
 
     __hash__ = None  # type: ignore[assignment]
@@ -136,7 +153,7 @@ class CoefficientFamily(Immutable):
     def __repr__(self) -> str:
         return (
             f"CoefficientFamily(n={self.n}, n_max={self.n_max}, "
-            f"{len(self._entries)} nonzero entries)"
+            f"{len(self._nums)} nonzero entries)"
         )
 
 
@@ -157,10 +174,11 @@ def random_family(
     out.  A block holds one draw per slot, at most `_BLOCK_CAP`, so a small
     family draws little past its end and a large one holds one capped block
     at a time.  Each filled slot takes its (v, -v) pair from
-    `rng.rational_pair`, whose 72 pairs every family shares.  The entries
-    are valid by construction (nonzero draws, degree-(N - 1) monomials,
-    mirrored pairs), so the family is wrapped without the constructor's
-    checks.
+    `rng.rational_pair` as int numerators over `rng._RATIONAL_SCALE` (12),
+    so no `Fraction` is made; the family divides out the common factor
+    once.  The entries are valid by construction (nonzero draws,
+    degree-(N - 1) monomials, mirrored pairs), so the family is wrapped
+    without the constructor's checks.
     """
     _check_shape(n, n_max)
     if not 0 <= _exact(sparsity) <= 1:
@@ -170,7 +188,7 @@ def random_family(
     draw = chain.from_iterable(map(rng.draws, repeat(min(slots, _BLOCK_CAP)))).__next__
     # u * den < num * 2^64, as rng.bernoulli, is u < ceil(num * 2^64 / den)
     hit = -((-sparsity.numerator << 64) // sparsity.denominator)
-    entries: dict[FamilyKey, Fraction] = {}
+    nums: dict[FamilyKey, int] = {}
     for order in range(1, n_max + 1):
         monomials = monomials_of_degree(n, order - 1)
         for l in range(1, n + 1):
@@ -179,8 +197,8 @@ def random_family(
                     for m in monomials:
                         if draw() < hit:
                             pair = rational_pair(draw)
-                            entries[(order, l, i, j, m)], entries[(order, l, j, i, m)] = pair
-    return CoefficientFamily._raw(n, n_max, entries)
+                            nums[(order, l, i, j, m)], nums[(order, l, j, i, m)] = pair
+    return CoefficientFamily._raw(n, n_max, _RATIONAL_SCALE, nums)
 
 
 def symmetric_control_family() -> CoefficientFamily:
@@ -230,19 +248,19 @@ def build_generators(family: CoefficientFamily, max_d_degree: int) -> GeneratorS
     simply drops all orders beyond it.  One pass over the family fills a
     term dict per generator, seeded with the x_i key, which has d-degree 0
     and so never collides with a correction term.  Terms are keyed by
-    their packed `WeylElement` keys from the start, and coefficients are
-    summed as integer numerators over the lcm of the kept entries'
-    denominators; `_reduced` then divides out each generator's common factor.
+    their packed `WeylElement` keys from the start, and the family's own
+    int numerators are summed over its denominator; `_reduced` then divides
+    out each generator's common factor, including any factor of the
+    denominator that only dropped orders needed.
     """
-    n = family.n
+    n, den = family.n, family._den
     zero = (0,) * n
     units = [tuple(int(t == i) for t in range(n)) for i in range(n)]
     x_keys = [_pack(u, zero) for u in units]
     d_keys = [_pack(zero, u) for u in units]
     m_keys: dict[MultiIndex, int] = {}  # few distinct monomials per family
-    den = lcm(*{v.denominator for key, v in family.items() if key[0] <= max_d_degree})
     buckets = [{k: den} for k in x_keys]
-    for (order, l, i, j, m), v in family.items():
+    for (order, l, i, j, m), num in family._nums.items():
         if order > max_d_degree:
             continue
         terms = buckets[i - 1]
@@ -251,7 +269,6 @@ def build_generators(family: CoefficientFamily, max_d_degree: int) -> GeneratorS
             m_key = m_keys[m] = _pack(zero, m)
         # keys are linear in the exponents: key(x_l d^(m + e_j))
         key = x_keys[l - 1] + m_key + d_keys[j - 1]
-        num = v.numerator * (den // v.denominator)
         s = terms[key] + num if key in terms else num
         if s:
             terms[key] = s

@@ -27,6 +27,7 @@ generators.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import product
 from math import comb, factorial
 from typing import Callable
@@ -152,6 +153,8 @@ def cancellation_check(
 
     It vanishes on every word of length >= 2 exactly when p_as + p_sa = 0 at
     this (order, l): antisymmetry is sufficient for the identity, not necessary.
+    The sums run on the family's int numerators, divided by its denominator
+    once per term of the result.
     """
     n = family.n
     if not 1 <= l <= n:
@@ -159,8 +162,8 @@ def cancellation_check(
     if not 1 <= order <= family.n_max:
         raise ValueError(f"order {order} out of range 1..{family.n_max}")
     counts = word_counts(n, word)
-    terms: dict = {}
-    for (o, ll, a, s, m), v in family.items():
+    terms: dict[tuple[MultiIndex, MultiIndex], int] = {}
+    for (o, ll, a, s, m), v in family._nums.items():
         mult_a = counts[a - 1]
         if o != order or ll != l or not mult_a:
             continue
@@ -169,7 +172,8 @@ def cancellation_check(
         if mult_s:
             key = (rest[: s - 1] + (mult_s - 1,) + rest[s:], m)
             terms[key] = terms.get(key, 0) + mult_a * mult_s * v
-    return WeylElement(n, terms)
+    den = family._den
+    return WeylElement(n, {key: Fraction(v, den) for key, v in terms.items()})
 
 
 # -- section and projection ----------------------------------------------------

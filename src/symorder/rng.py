@@ -13,7 +13,8 @@ mix(s + i * gamma mod 2^64), and no output depends on another.
 exactly the next ``count`` outputs of `SplitMix64.next_u64`, in order, and
 leaves the state where ``count`` calls would, so calls of the two can be
 interleaved without changing a bit of the stream.  `rational_pair` turns
-such raw outputs into the value `SplitMix64.rational` would draw from them.
+such raw outputs into the value `SplitMix64.rational` would draw from them,
+as an int numerator over `_RATIONAL_SCALE`.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import sys
 from array import array
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import Callable
 
 _MASK = (1 << 64) - 1
@@ -29,7 +31,10 @@ _GAMMA = 0x9E3779B97F4A7C15
 _NUMERATOR, _DENOMINATOR = 9, 4  # `SplitMix64.rational`'s default bounds
 
 
-@lru_cache(maxsize=1)  # a caller draws block after block of one size
+# A caller draws blocks of one size, and families of a few shapes alternate
+# among a few sizes.  An entry is three ints of 16 bytes per lane; random_family
+# draws at most 4096 lanes at once, so an entry holds at most 48 * 4096 bytes.
+@lru_cache(maxsize=16)
 def _block(count: int) -> tuple[int, int, int]:
     """Constants of a block of ``count`` 128-bit lanes, lane 0 lowest: 1 in
     every lane, 2^64 - 1 in every lane, and (i + 1) * gamma in lane i."""
@@ -102,22 +107,24 @@ class SplitMix64:
         return Fraction(sign * mag, den)
 
 
-# rational() at its default bounds as one table lookup.  below(9) keeps a
+# rational() at its default bounds as one table lookup, in int numerators over
+# _RATIONAL_SCALE = 12, the lcm of the denominators 1..4.  below(9) keeps a
 # draw under _ACCEPT; below(2) and below(4) keep every draw, since 2 and 4
-# divide 2^64.  Entry (mag * 2 + sign) * 4 + den is (v, -v) for the v that
+# divide 2^64.  Entry (mag * 2 + sign) * 4 + den is 12 * (v, -v) for the v that
 # rational() returns when below(9), below(2) and below(4) return mag, sign, den.
 _ACCEPT = (1 << 64) - (1 << 64) % _NUMERATOR
+_RATIONAL_SCALE = lcm(*range(1, _DENOMINATOR + 1))
 _RATIONAL_PAIRS = tuple(
     (v, -v)
-    for v in (Fraction(-1 - mag if sign else 1 + mag, den + 1)
+    for v in ((-1 - mag if sign else 1 + mag) * (_RATIONAL_SCALE // (den + 1))
               for mag in range(_NUMERATOR) for sign in range(2) for den in range(_DENOMINATOR))
 )
 
 
-def rational_pair(draw: Callable[[], int]) -> tuple[Fraction, Fraction]:
-    """(v, -v) for the v that `SplitMix64.rational()` draws, with ``draw``
-    giving the successive `next_u64` outputs it would take.  Every caller
-    shares the 72 pairs (Fractions are immutable)."""
+def rational_pair(draw: Callable[[], int]) -> tuple[int, int]:
+    """(v, -v) times `_RATIONAL_SCALE`, as ints, for the v that
+    `SplitMix64.rational()` draws, with ``draw`` giving the successive
+    `next_u64` outputs it would take."""
     u = draw()
     while u >= _ACCEPT:
         u = draw()

@@ -65,7 +65,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import comb, factorial, gcd, lcm, perm
-from operator import index
+from operator import index, itemgetter
 from typing import Iterable, Iterator, Mapping
 
 MultiIndex = tuple[int, ...]
@@ -553,8 +553,8 @@ def _fock_plan(a: WeylElement) -> tuple[int, tuple]:
     n, groups = a.n, []
     for dpart, terms in _buckets(a._nums, _d_mask(n)).items():
         shift, fields = _fock_shift(dpart | n)
-        groups.append((terms[0][0] & _FIELD, fields, tuple((k - shift, c) for k, c in terms)))
-    object.__setattr__(a, "_fock", (_top(a._nums), tuple(sorted(groups))))
+        groups.append((terms[0][0] & _FIELD, shift, fields, terms))
+    object.__setattr__(a, "_fock", (_top(a._nums), tuple(sorted(groups, key=itemgetter(0)))))
     return a._fock
 
 
@@ -568,10 +568,12 @@ def fock_apply(a: WeylElement, p: WeylElement) -> WeylElement:
 
     On its first action an operator keeps its *Fock plan* in ``_fock``: its
     largest total-degree field, and its terms grouped by d-part, lowest
-    d-degree first, as ``(d_degree, fields, ((key - shift, c), ...))`` with
-    shift and fields from `_fock_shift`.  Later actions reuse it: groups
-    whose d-degree is above p's degree are never reached, and per target
-    term the divisibility test and falling factorial run once per group.
+    d-degree first, as ``(d_degree, shift, fields, [(key, c), ...])`` with
+    shift and fields from `_fock_shift` and the terms as `_buckets` grouped
+    them.  Later actions reuse it: groups whose d-degree is above p's degree
+    are never reached, and per target term the divisibility test, the
+    falling factorial and the shift's subtraction run once per group; each
+    term of a dividing group lands at its own key plus the shifted target key.
     """
     _check_same_n(a, p)
     if not p.is_polynomial():
@@ -586,7 +588,7 @@ def fock_apply(a: WeylElement, p: WeylElement) -> WeylElement:
     out: dict[int, int] = {}
     get = out.get
     terms_p = p._nums.items()
-    for dd, fields, terms in groups:
+    for dd, shift, fields, terms in groups:
         if dd > degree_p:
             break  # d^e with |e| above the degree of p kills every term
         for kp, q in terms_p:
@@ -597,7 +599,8 @@ def fock_apply(a: WeylElement, p: WeylElement) -> WeylElement:
                     break
                 f *= perm(m, e)
             else:
-                for base, c in terms:
-                    key = base + kp
+                base = kp - shift
+                for k, c in terms:
+                    key = k + base
                     out[key] = get(key, 0) + c * f
     return _reduced(a.n, a._den * p._den, out)

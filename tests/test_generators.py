@@ -23,10 +23,10 @@ from symorder.lie import (
     sl2_table,
 )
 from symorder.ordering import theorem_check
-from symorder.rng import SplitMix64
+from symorder.rng import SplitMix64, _block
 from symorder.weyl import WeylElement, fock_apply, mul, weyl_d, weyl_scalar, weyl_x
 from test_rng import GAMMA, U64, seed_drawing
-from test_weyl import degrees
+from test_weyl import _reference_fock_apply, degrees, random_poly
 
 
 def _reference_build_generators(family: CoefficientFamily, max_d_degree: int) -> list:
@@ -168,8 +168,7 @@ def test_random_family_matches_reference_stream():
                     seed = seeds.next_u64()
                     fam = random_family(n, n_max, sparsity, seed)
                     ref = _reference_random_family(n, n_max, sparsity, seed)
-                    assert fam._entries == ref, (n, n_max, sparsity, seed)
-                    assert list(fam._entries) == list(ref), (n, n_max, sparsity, seed)
+                    assert list(fam.items()) == list(ref.items()), (n, n_max, sparsity, seed)
 
 
 def test_random_family_matches_reference_across_blocks(monkeypatch):
@@ -189,7 +188,7 @@ def test_random_family_matches_reference_across_blocks(monkeypatch):
             counts.clear()
             fam = random_family(n, n_max, sparsity, seed)
             ref = _reference_random_family(n, n_max, sparsity, seed)
-            assert list(fam._entries.items()) == list(ref.items()), (n, n_max, sparsity)
+            assert list(fam.items()) == list(ref.items()), (n, n_max, sparsity)
             assert len(counts) > 1 and max(counts) <= 4096
 
 
@@ -215,7 +214,7 @@ def test_random_family_rejected_draws_match_reference(monkeypatch):
                 rejected.clear()
                 ref = _reference_random_family(n, n_max, sparsity, seed)
                 fam = random_family(n, n_max, sparsity, seed)
-                assert list(fam._entries.items()) == list(ref.items()), (n, n_max, position)
+                assert list(fam.items()) == list(ref.items()), (n, n_max, position)
                 if sparsity == 1:
                     assert any(rejected) == (position % 4 == 2 and position <= 2 * len(ref))
     # slot 1's magnitude draw (the second) is rejected, so its value is drawn
@@ -236,24 +235,47 @@ def test_random_family_fill_test_at_its_boundary():
         for u in (boundary - 1, boundary):
             seed = seed_drawing(u, 1)
             fam = random_family(2, 1, sparsity, seed)
-            assert fam._entries == _reference_random_family(2, 1, sparsity, seed)
-            filled = (1, 1, 1, 2, (0, 0)) in fam._entries
+            ref = _reference_random_family(2, 1, sparsity, seed)
+            assert list(fam.items()) == list(ref.items())
+            filled = (1, 1, 1, 2, (0, 0)) in dict(fam.items())
             assert filled == SplitMix64(seed).bernoulli(sparsity) == (u < boundary)
 
 
 def test_random_family_shares_reduced_values():
-    # every entry is one of the 72 reduced Fractions +-mag/den (mag <= 9,
-    # den <= 4) or its negation, shared by all families
-    families = [random_family(4, 3, Fraction(1), seed=seed) for seed in (11, 12)]
-    for fam in families:
-        for (order, l, i, j, m), v in fam.items():
-            assert type(v) is Fraction and v
-            assert gcd(v.numerator, v.denominator) == 1 and v.denominator > 0
-            assert 1 <= abs(v.numerator) <= 9 and v.denominator <= 4
-            assert fam._entries[(order, l, j, i, m)] == -v
-    ids = [{id(v) for _, v in fam.items()} for fam in families]
-    assert len(ids[0] | ids[1]) <= 2 * 9 * 2 * 4 < len(list(families[0].items()))
-    assert ids[0] & ids[1]
+    # every value is +-mag/den (mag <= 9, den <= 4), drawn as an int over 12:
+    # the stored denominator divides 12, no factor is common to it and all
+    # numerators, and each numerator is +-mag * (_den / den)
+    for seed in (11, 12, 13):
+        for n, n_max, sparsity in ((4, 3, Fraction(1)), (2, 1, Fraction(1, 3)), (3, 2, Fraction(0))):
+            fam = random_family(n, n_max, sparsity, seed=seed)
+            den, nums = fam._den, fam._nums
+            assert type(den) is int and den > 0 and 12 % den == 0
+            assert gcd(den, *nums.values()) == 1
+            for (order, l, i, j, m), v in nums.items():
+                assert type(v) is int and v
+                assert nums[(order, l, j, i, m)] == -v
+                value = Fraction(v, den)
+                assert 1 <= abs(value.numerator) <= 9 and value.denominator <= 4
+                assert v == value.numerator * (den // value.denominator)
+            assert list(fam.items()) == [(key, Fraction(v, den)) for key, v in nums.items()]
+    # the values of a dense family reach every denominator, so it keeps 12
+    assert random_family(4, 3, Fraction(1), seed=11)._den == 12
+    assert random_family(3, 2, Fraction(0), seed=11)._den == 1
+
+
+def test_random_family_equals_checked_rebuild_field_for_field():
+    # the unchecked int fast path stores exactly what the checking
+    # constructor stores for the same entries: n, n_max, _den and _nums, in
+    # the same order
+    rng = SplitMix64(0x1A7)
+    for trial in range(60):
+        n, n_max = 1 + rng.below(4), 1 + rng.below(4)
+        sparsity = (Fraction(1, 7), Fraction(1, 2), Fraction(1))[trial % 3]
+        fam = random_family(n, n_max, sparsity, seed=rng.next_u64())
+        checked = CoefficientFamily(n, n_max, dict(fam.items()))
+        assert (fam.n, fam.n_max, fam._den) == (checked.n, checked.n_max, checked._den), trial
+        assert list(fam._nums.items()) == list(checked._nums.items()), trial
+        assert repr(fam) == repr(checked), trial
 
 
 def test_random_family_matches_validating_constructor():
@@ -273,6 +295,22 @@ def test_random_family_matches_validating_constructor():
     for n, n_max in ((0, 1), (2, 0), (-1, -1)):
         with pytest.raises(ValueError):
             random_family(n, n_max, Fraction(1, 2), seed=0)
+
+
+def test_block_cache_holds_every_size_of_alternating_shapes():
+    # identity-grid draws families of nine shapes in turn; each distinct block
+    # size is mixed once, and every later block of that size is a cache hit
+    shapes = [(n, n_max) for n in (2, 3, 4) for n_max in (2, 3, 4)]
+    sizes = {min(n * comb(n, 2) * comb(n + n_max - 1, n_max - 1), 4096) for n, n_max in shapes}
+    assert len(sizes) == len(shapes) <= _block.cache_info().maxsize
+    _block.cache_clear()
+    seeds = SplitMix64(0xB1)
+    for _ in range(3):
+        for n, n_max in shapes:
+            random_family(n, n_max, Fraction(1, 2), seeds.next_u64())
+    info = _block.cache_info()
+    assert info.misses == len(sizes) and info.currsize == len(sizes)
+    assert info.hits >= 2 * len(shapes)
 
 
 def test_symmetric_control_family():
@@ -334,6 +372,59 @@ def test_build_generators_truncation_drops_high_orders():
     assert all(degrees(g)[1] <= 1 for g in low.generators)
     with pytest.raises(ValueError):
         build_generators(fam, -1)
+
+
+def test_build_generators_drops_a_denominator_with_its_orders():
+    # The order-2 entries are the only ones over 7, so the family's _den is
+    # 42 = lcm(2, 3, 7); a cutoff below 2 drops them, and the generators must
+    # come out as if the family never had a 7 (the reference sums Fractions).
+    entries = {}
+    for key, v in [((1, 1, 1, 2, (0, 0)), Fraction(1, 2)), ((1, 2, 1, 2, (0, 0)), Fraction(2, 3)),
+                   ((2, 1, 1, 2, (1, 0)), Fraction(3, 7)), ((2, 2, 1, 2, (0, 1)), Fraction(-5, 7))]:
+        order, l, i, j, m = key
+        entries[key], entries[(order, l, j, i, m)] = v, -v
+    families = [CoefficientFamily(2, 2, entries)]
+    assert families[0]._den == 42
+    # seeded: random low orders, the top order's values divided by 7
+    rng = SplitMix64(0xD7)
+    for _ in range(12):
+        n, n_max = 2 + rng.below(2), 2 + rng.below(2)
+        fam = random_family(n, n_max, Fraction(1, 2), rng.next_u64())
+        scaled = {key: v / 7 if key[0] == n_max else v for key, v in fam.items()}
+        families.append(CoefficientFamily(n, n_max, scaled))
+    for trial, fam in enumerate(families):
+        for cutoff in range(fam.n_max + 2):
+            got = build_generators(fam, cutoff).generators
+            ref = _reference_build_generators(fam, cutoff)
+            assert [g.sorted_terms() for g in got] == [r.sorted_terms() for r in ref], trial
+            assert list(got) == ref, trial  # field for field: _den and _nums
+            if cutoff < fam.n_max:
+                assert all(g._den % 7 for g in got), (trial, cutoff)
+    assert [g._den for g in build_generators(families[0], 1).generators] == [2 * 3, 2 * 3]
+    assert [g._den for g in build_generators(families[0], 2).generators] == [42, 42]
+
+
+def test_fock_apply_on_built_generators_matches_reference():
+    # identity-grid's shape: built generators acting on single monomials
+    # c * x^M, and also on multi-term polynomials, each generator first
+    # building its Fock plan and then reusing it, against the Fraction oracle
+    rng = SplitMix64(0xF0CA)
+    for trial in range(30):
+        n, n_max = 2 + rng.below(3), 2 + rng.below(3)
+        sparsity = (Fraction(1, 2), Fraction(1))[trial % 2]
+        gens = build_generators(random_family(n, n_max, sparsity, rng.next_u64()),
+                                n_max + rng.below(2))
+        targets = []
+        for _ in range(4):
+            counts = tuple(rng.below(4) for _ in range(n))
+            targets.append(WeylElement(n, {(counts, (0,) * n): rng.rational() * (1 + rng.below(720))}))
+        targets += [random_poly(rng, n, terms=2 + rng.below(4)), weyl_scalar(n, 1)]
+        for g in gens.generators:
+            for p in targets:
+                got = fock_apply(g, p)
+                want = _reference_fock_apply(g, p)
+                assert got.sorted_terms() == want.sorted_terms(), trial
+                assert got == want, trial
 
 
 def test_build_generators_matches_reference_builder():

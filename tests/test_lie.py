@@ -603,7 +603,7 @@ def test_derived_family_matches_cmatrix_powers(monkeypatch):
             family = derived_family(sc, n_max)
             expected = {k: v for k, v in reference.items() if k[0] <= n_max}
             assert family.n_max == n_max
-            assert family._entries == expected, (sc, n_max)
+            assert dict(family.items()) == expected, (sc, n_max)
             last = n_max if first_zero is None else min(n_max, first_zero)
             assert asked == list(range(1, last + 1)), (sc, n_max)
 
@@ -622,7 +622,7 @@ def test_derived_family_stops_at_a_power_that_cancels_to_zero(monkeypatch):
     asked = []
     real_bernoulli = lie.bernoulli
     monkeypatch.setattr(lie, "bernoulli", lambda index: asked.append(index) or real_bernoulli(index))
-    assert derived_family(sc, 6)._entries == reference
+    assert dict(derived_family(sc, 6).items()) == reference
     assert asked == [1, 2]
 
 

@@ -95,14 +95,15 @@ def test_rational_shape():
 
 
 def test_rational_pair_draws_as_rational():
-    # rational_pair on a stream's outputs is (v, -v) for rational()'s v and
+    # rational_pair on a stream's outputs is 12 * (v, -v) for rational()'s v and
     # takes as many outputs, also when below(9) rejects the first one
     seeds = [0, U64 - 1, *SplitMix64(4242).draws(300)]
     seeds += [seed_drawing(u, 1) for u in (U64 - U64 % 9 - 1, U64 - 7, U64 - 1)]
     for seed in seeds:
         g, h = SplitMix64(seed), SplitMix64(seed)
         value = g.rational()
-        assert rational_pair(h.next_u64) == (value, -value)
+        pair = rational_pair(h.next_u64)
+        assert pair == (value * 12, -value * 12) and all(type(v) is int for v in pair)
         assert g._state == h._state
     assert SplitMix64(seeds[-1]).draws(2)[0] == U64 - 1
     # the pairs are shared, not built per call
@@ -130,7 +131,7 @@ def test_rational_pair_draws_as_rational_past_rejected_runs():
             values = [*head, mag, sign, den, 1]
             value = _Scripted(values).rational()
             rest = iter(values)
-            assert rational_pair(rest.__next__) == (value, -value)
+            assert rational_pair(rest.__next__) == (value * 12, -value * 12)
             assert list(rest) == [1]
 
 

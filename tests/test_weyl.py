@@ -373,7 +373,16 @@ def test_fock_plan_is_filled_once_and_reused():
         top, groups = plan
         assert top >> weyl._WIDTH == max((sum(x) + sum(d) for (x, d), _c in a.items()), default=0)
         assert [g[0] for g in groups] == sorted(g[0] for g in groups), trial
-        assert sum(len(g[2]) for g in groups) == a.term_count(), trial
+        # each group is (d-degree, shift, fields, terms) with the terms of one
+        # d-part, as stored; every term of a appears in exactly one group
+        stored = [term for _dd, _shift, _fields, terms in groups for term in terms]
+        assert sorted(stored) == sorted(a._nums.items()), trial
+        d_mask = weyl._d_mask(n)
+        for dd, shift, fields, terms in groups:
+            assert len({k & d_mask for k, _c in terms}) == 1, trial
+            assert all(k & weyl._FIELD == dd for k, _c in terms), trial
+            assert (shift, fields) == weyl._fock_shift(terms[0][0] & d_mask | n), trial
+        assert len({g[1] for g in groups}) == len(groups), trial
         if trial % 3 == 0:
             assert groups[0][0] >= 2, trial
             assert fock_apply(a, targets[-3]).is_zero() and fock_apply(a, targets[-2]).is_zero()
