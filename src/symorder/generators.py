@@ -30,7 +30,7 @@ from operator import index
 from typing import Iterator, Mapping
 
 from .rng import _RATIONAL_SCALE, SplitMix64, rational_pair
-from .weyl import Immutable, MultiIndex, WeylElement, _exact, _pack, _reduced
+from .weyl import Immutable, MultiIndex, WeylElement, _exact, _pack, _reduced, _whole
 
 # (order N, l, i, j, monomial m with |m| = N - 1)
 FamilyKey = tuple[int, int, int, int, MultiIndex]
@@ -40,10 +40,7 @@ _BLOCK_CAP = 4096  # the most draws random_family mixes at once
 
 def monomials_of_degree(n: int, degree: int) -> list[MultiIndex]:
     """All length-n exponent tuples of the given total degree, lex-sorted."""
-    if n < 1:
-        raise ValueError(f"dimension must be >= 1, got {n}")
-    if degree < 0:
-        raise ValueError(f"degree must be >= 0, got {degree}")
+    n, degree = _whole(n, "dimension", 1), _whole(degree, "degree", 0)
     out = []
     for combo in combinations_with_replacement(range(n), degree):
         exps = [0] * n
@@ -51,13 +48,6 @@ def monomials_of_degree(n: int, degree: int) -> list[MultiIndex]:
             exps[pos] += 1
         out.append(tuple(exps))
     return sorted(out)
-
-
-def _check_shape(n: int, n_max: int) -> None:
-    if n < 1:
-        raise ValueError(f"dimension must be >= 1, got {n}")
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
 
 
 class CoefficientFamily(Immutable):
@@ -87,7 +77,7 @@ class CoefficientFamily(Immutable):
         *,
         check_antisymmetry: bool = True,
     ):
-        _check_shape(n, n_max)
+        n, n_max = _whole(n, "dimension", 1), _whole(n_max, "n_max", 1)
         canonical: dict[FamilyKey, Fraction | int] = {}
         if entries:
             for (order, l, i, j, m), value in entries.items():
@@ -180,7 +170,7 @@ def random_family(
     degree-(N - 1) monomials, mirrored pairs), so the family is wrapped
     without the constructor's checks.
     """
-    _check_shape(n, n_max)
+    n, n_max = _whole(n, "dimension", 1), _whole(n_max, "n_max", 1)
     if not 0 <= _exact(sparsity) <= 1:
         raise ValueError(f"sparsity must be in [0, 1], got {sparsity}")
     slots = n * comb(n, 2) * comb(n + n_max - 1, n_max - 1)
@@ -232,9 +222,9 @@ class GeneratorSet(Immutable):
     __slots__ = ("n", "max_d_degree", "generators", "_word_cache")
 
     def __init__(self, n: int, max_d_degree: int, generators: tuple[WeylElement, ...]):
-        if n < 1 or max_d_degree < 0 or len(generators) != n or any(g.n != n for g in generators):
-            raise ValueError(f"need n >= 1 generators of dimension n and a cutoff >= 0, got "
-                             f"n = {n}, cutoff {max_d_degree}, dims {[g.n for g in generators]}")
+        n, max_d_degree = _whole(n, "dimension", 1), _whole(max_d_degree, "cutoff", 0)
+        if len(generators) != n or any(g.n != n for g in generators):
+            raise ValueError(f"need {n} generators of dimension {n}, got {[g.n for g in generators]}")
         self._fill(n, max_d_degree, generators, {})
 
     def __repr__(self) -> str:

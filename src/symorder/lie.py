@@ -30,7 +30,9 @@ from typing import Iterable, Iterator, Mapping
 
 from .generators import CoefficientFamily, FamilyKey, build_generators
 from .rng import SplitMix64
-from .weyl import Immutable, MultiIndex, WeylElement, _commutator, _exact, linear_combination, truncate
+from .weyl import (
+    Immutable, MultiIndex, WeylElement, _commutator, _exact, _whole, linear_combination, truncate
+)
 from .weyl import mul  # unused here, kept: perfbench/spans.py hooks symorder.lie.mul
 
 
@@ -60,8 +62,7 @@ class StructureConstants(Immutable):
     __slots__ = ("n", "_table", "_violations")
 
     def __init__(self, n: int, entries: Mapping[tuple[int, int, int], Fraction | int] | None = None):
-        if n < 1:
-            raise ValueError(f"dimension must be >= 1, got {n}")
+        n = _whole(n, "dimension", 1)
         table: dict[tuple[int, int, int], Fraction] = {}
         if entries:
             for (k, i, j), value in entries.items():
@@ -159,8 +160,7 @@ def bernoulli(index: int) -> Fraction:
     B_0 = 1.  Values are memoized; the fill is idempotent and locked so the
     cache behaves as if computed once.
     """
-    if index < 0:
-        raise ValueError(f"Bernoulli index must be >= 0, got {index}")
+    _whole(index, "Bernoulli index", 0)
     if index >= len(_bernoulli_cache):
         with _bernoulli_lock:
             while len(_bernoulli_cache) <= index:
@@ -189,11 +189,8 @@ def iota(sc: StructureConstants, i: int, max_d_degree: int) -> WeylElement:
     matrix power, weighted by (-1)^N B_N / N!; terms with N > max_d_degree
     are dropped (each summand is d-homogeneous of degree N).
     """
-    if not 1 <= i <= sc.n:
-        raise IndexError(f"basis index {i} out of range 1..{sc.n}")
-    if max_d_degree < 0:
-        raise ValueError(f"truncation order must be >= 0, got {max_d_degree}")
-    return _embedding_images(sc, max_d_degree)[i - 1]
+    i = _whole(i, "basis index", 1, sc.n, IndexError)
+    return _embedding_images(sc, _whole(max_d_degree, "truncation order", 0))[i - 1]
 
 
 def homomorphism_defect(
@@ -210,8 +207,7 @@ def homomorphism_defect(
     entries, grouped once by (i, j) in k order.  The bracket images reach
     D + 1, so each residual is truncated back to the bound; valid tables give 0.
     """
-    if max_d_degree < 0:
-        raise ValueError(f"truncation order must be >= 0, got {max_d_degree}")
+    _whole(max_d_degree, "truncation order", 0)
     n = sc.n
     images = _embedding_images(sc, max_d_degree + 1)
     brackets: dict[tuple[int, int], list[tuple[Fraction, WeylElement]]] = {}
@@ -246,8 +242,7 @@ def derived_family(sc: StructureConstants, n_max: int) -> CoefficientFamily:
     re-checked by the family constructor.
     """
     sc.require_valid()
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
+    _whole(n_max, "n_max", 1)
     n = sc.n
     scale = lcm(*(c.denominator for _key, c in sc.items()))
     by_upper: dict[int, list[tuple[int, int, int]]] = {}
@@ -321,8 +316,7 @@ def random_two_step_table(n: int, n_central: int, seed: int) -> StructureConstan
     Any coefficient choice is Jacobi-valid: every bracket value is central,
     so each double bracket vanishes identically.
     """
-    if not 1 <= n_central < n:
-        raise ValueError(f"need 1 <= n_central < n, got {n_central}, {n}")
+    _whole(n_central, "n_central", 1, n - 1)
     r = n - n_central
     return _random_table(n, seed, ((k, i, j) for i in range(1, r + 1)
                                    for j in range(i + 1, r + 1) for k in range(r + 1, n + 1)))
@@ -335,8 +329,7 @@ def random_almost_abelian_table(n: int, seed: int) -> StructureConstants:
     Jacobi-valid for any action matrix: every double bracket falls into the
     commuting span.
     """
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
+    _whole(n, "dimension", 2)
     return _random_table(n, seed, ((k, n, i) for i in range(1, n) for k in range(1, n)))
 
 

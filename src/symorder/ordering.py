@@ -37,6 +37,7 @@ from .linalg import exact_rank
 from .weyl import (
     MultiIndex,
     WeylElement,
+    _whole,
     fock_apply,
     linear_combination,
     mul,
@@ -51,9 +52,7 @@ def word_counts(n: int, word: Word) -> MultiIndex:
     """Letter multiplicities of a word over 1..n as an exponent tuple."""
     counts = [0] * n
     for a in word:
-        if not 1 <= a <= n:
-            raise IndexError(f"word letter {a} out of range 1..{n}")
-        counts[a - 1] += 1
+        counts[_whole(a, "word letter", 1, n, IndexError) - 1] += 1
     return tuple(counts)
 
 
@@ -157,10 +156,8 @@ def cancellation_check(
     once per term of the result.
     """
     n = family.n
-    if not 1 <= l <= n:
-        raise IndexError(f"index l={l} out of range 1..{n}")
-    if not 1 <= order <= family.n_max:
-        raise ValueError(f"order {order} out of range 1..{family.n_max}")
+    _whole(l, "index l", 1, n, IndexError)
+    _whole(order, "order", 1, family.n_max)
     counts = word_counts(n, word)
     terms: dict[tuple[MultiIndex, MultiIndex], int] = {}
     for (o, ll, a, s, m), v in family._nums.items():
@@ -227,8 +224,7 @@ def span_dimension(gens: GeneratorSet, k: int) -> tuple[int, int]:
     C(n + k - 1, k) is the expected shape; the builder default D = 2k gives
     a window of width k + 1.
     """
-    if k < 1:
-        raise ValueError(f"degree must be >= 1, got {k}")
+    _whole(k, "degree", 1)
     window = gens.max_d_degree - (k - 1)
     if window < 0:
         raise ValueError(

@@ -26,6 +26,8 @@ from functools import lru_cache
 from math import lcm
 from typing import Callable
 
+from .weyl import _exact, _whole
+
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _NUMERATOR, _DENOMINATOR = 9, 4  # `SplitMix64.rational`'s default bounds
@@ -66,8 +68,7 @@ class SplitMix64:
         product by a 64-bit constant never carries into the next lane, and
         every step of `next_u64` is one big-int operation on the block.
         """
-        if count < 0:
-            raise ValueError(f"count must be >= 0, got {count}")
+        _whole(count, "count", 0)
         ones, lanes, steps = _block(count)
         z = (self._state * ones + steps) & lanes
         self._state = (self._state + count * _GAMMA) & _MASK
@@ -80,8 +81,7 @@ class SplitMix64:
 
     def below(self, bound: int) -> int:
         """Uniform integer in [0, bound), bias-free via rejection."""
-        if bound <= 0:
-            raise ValueError(f"bound must be positive, got {bound}")
+        _whole(bound, "bound", 1)
         limit = (1 << 64) - ((1 << 64) % bound)
         while True:
             u = self.next_u64()
@@ -90,7 +90,7 @@ class SplitMix64:
 
     def bernoulli(self, p: Fraction) -> bool:
         """True with exact probability p (a rational in [0, 1])."""
-        num, den = p.numerator, p.denominator  # den > 0: 0 <= p <= 1 on ints
+        num, den = _exact(p).numerator, p.denominator  # den > 0: 0 <= p <= 1 on ints
         if not 0 <= num <= den:
             raise ValueError(f"probability must lie in [0, 1], got {p}")
         u = self.next_u64()

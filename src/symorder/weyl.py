@@ -125,6 +125,19 @@ def _exact(c: Fraction | int) -> Fraction | int:
     raise TypeError(f"coefficients must be int or Fraction, got {type(c).__name__} {c!r}")
 
 
+def _whole(v: int, what: str, low: int, high: int | None = None, error: type = ValueError) -> int:
+    """The size, index, order or cutoff v as an int in low..high (high None: no upper
+    end); a value `operator.index` refuses raises `TypeError`, one out of range ``error``."""
+    try:
+        v = index(v)
+    except TypeError:
+        raise TypeError(f"{what} must be an int, got {type(v).__name__} {v!r}") from None
+    if v < low or high is not None and v > high:
+        span = f">= {low}" if high is None else f"in {low}..{high}"
+        raise error(f"{what} must be {span}, got {v}")
+    return v
+
+
 def _pack(xexp: MultiIndex, dexp: MultiIndex) -> int:
     """The packed key of a term with these nonnegative exponents."""
     dd = sum(dexp)
@@ -181,16 +194,15 @@ class WeylElement(Immutable):
     map over 1.  The constructor skips zero coefficients, sums the others'
     integer numerators per packed key over the lcm of their denominators
     and reduces; a coefficient that is not an int or a Fraction, or a
-    non-integral exponent, raises `TypeError`, and a term of total degree
-    above `_FIELD` `OverflowError`.
+    non-integral dimension or exponent, raises `TypeError`, and a term of
+    total degree above `_FIELD` `OverflowError`.
     ``_fock`` stays unset until the element first acts in `fock_apply`.
     """
 
     __slots__ = ("n", "_den", "_nums", "_fock")
 
     def __init__(self, n: int, terms: Mapping[TermKey, Fraction | int] | None = None):
-        if n < 1:
-            raise ValueError(f"ambient dimension must be >= 1, got {n}")
+        n = _whole(n, "ambient dimension", 1)
         live = [(key, c) for key, c in terms.items() if _exact(c)] if terms else []
         den = lcm(*(c.denominator for _key, c in live))
         nums: dict[int, int] = {}
@@ -321,6 +333,7 @@ def linear_combination(
     is returned as it is.  An element of another dimension raises
     `DimensionMismatchError`.
     """
+    _whole(n, "ambient dimension", 1)
     live = []
     for c, a in parts:
         if a.n != n:
@@ -365,8 +378,7 @@ def format_term(xexp: MultiIndex, dexp: MultiIndex, coeff: Fraction) -> str:
 
 
 def _unit_index(n: int, i: int) -> MultiIndex:
-    if not 1 <= i <= n:
-        raise IndexError(f"generator index {i} out of range 1..{n}")
+    i = _whole(i, "generator index", 1, _whole(n, "ambient dimension", 1), IndexError)
     return tuple(1 if j == i - 1 else 0 for j in range(n))
 
 
@@ -377,13 +389,14 @@ def weyl_x(n: int, i: int) -> WeylElement:
 
 def weyl_d(n: int, j: int) -> WeylElement:
     """The generator d^j (1-based index)."""
-    return _element(n, 1, {_pack((0,) * n, _unit_index(n, j)): 1})
+    unit = _unit_index(n, j)  # checks n before (0,) * n uses it
+    return _element(n, 1, {_pack((0,) * n, unit): 1})
 
 
 def weyl_scalar(n: int, c: Fraction | int) -> WeylElement:
     """The scalar element c*1; zero gives the empty term map."""
     c = _exact(c)
-    return _reduced(n, c.denominator, {0: c.numerator})
+    return _reduced(_whole(n, "ambient dimension", 1), c.denominator, {0: c.numerator})
 
 
 # Bounded, so memory stays flat; typical suites meet a few thousand pairs.
@@ -427,10 +440,14 @@ def _buckets(nums: dict[int, int], mask: int) -> dict[int, list[tuple[int, int]]
 def _cap(a: WeylElement, b: WeylElement, cap: int | None) -> int | None:
     """Check that a and b multiply; the cap of ab, None if no term can pass it."""
     _check_same_n(a, b)
-    if cap is not None and cap < 0:
-        raise ValueError(f"truncation order must be >= 0, got {cap}")
+    cap = cap if cap is None else _whole(cap, "truncation order", 0)
     _check_room(_top(a._nums) + _top(b._nums))
     return None if cap is None or _top(a._nums, _FIELD) + _top(b._nums, _FIELD) <= cap else cap
+
+
+def _by_d_degree(nums: dict[int, int], cap: int | None) -> dict[int, int]:
+    """With a cap, nums stably sorted by d-degree, the bottom key field; else nums."""
+    return nums if cap is None else {k: nums[k] for k in sorted(nums, key=_FIELD.__and__)}
 
 
 def _contract(
@@ -449,15 +466,13 @@ def _contract(
     right by x-part, and `_contractions` is looked up once per bucket pair,
     skipping pairs with nothing to contract.  Each term pair's numerator
     product, times each factor, lands at its key sum minus the offset.  With
-    a cap, right is sorted by d-degree, and a bucket pair runs only the right
-    terms whose d-degree plus left's minus the last offset's |t|, the largest
-    (t runs in `product` order), is at most the cap: a bisect of the bucket's
-    d-degrees.
+    a cap, right must come in d-degree order, as `_by_d_degree` sorts it (the
+    caller sorts, once), and a bucket pair runs only the right terms whose
+    d-degree plus left's minus the last offset's |t|, the largest (t runs in
+    `product` order), is at most the cap: a bisect of the bucket's d-degrees.
     """
     d_mask = _d_mask(n)
     get = out.get
-    if cap is not None:
-        right = {k: right[k] for k in sorted(right, key=_FIELD.__and__)}
     right_buckets = _buckets(right, d_mask << n * _WIDTH).items()
     degs = None if cap is None else {xb: [k & _FIELD for k, _v in ts] for xb, ts in right_buckets}
     for da, terms_l in _buckets(left, d_mask).items():
@@ -487,10 +502,8 @@ def mul(a: WeylElement, b: WeylElement, *, max_d_degree: int | None = None) -> W
     term pairs that land only above D; a negative D raises `ValueError` first.
     """
     cap = _cap(a, b, max_d_degree)
-    nums_a, nums_b = a._nums, b._nums
-    if cap is not None:
-        nums_b = {k: nums_b[k] for k in sorted(nums_b, key=_FIELD.__and__)}
-        degs = [k & _FIELD for k in nums_b]
+    nums_a, nums_b = a._nums, _by_d_degree(b._nums, cap)
+    degs = None if cap is None else [k & _FIELD for k in nums_b]
     out: dict[int, int] = {}
     get = out.get
     terms_b = nums_b.items() if cap is None else list(nums_b.items())
@@ -508,21 +521,19 @@ def _commutator(a: WeylElement, b: WeylElement, *, max_d_degree: int | None = No
 
     The t = 0 term of a term pair is the same in both orders and cancels, so
     this is `_contract` of (a, b) plus `_contract` of (-b, a).  Operand
-    checks and ``max_d_degree`` are as in `mul`.
+    checks and ``max_d_degree`` are as in `mul`; with a cap, each operand is
+    sorted once for its turn on the right.
     """
     cap = _cap(a, b, max_d_degree)
-    nums_a, nums_b = a._nums, b._nums
     out: dict[int, int] = {}
-    _contract(out, nums_a, nums_b, a.n, cap)
-    _contract(out, {k: -v for k, v in nums_b.items()}, nums_a, a.n, cap)
+    _contract(out, a._nums, _by_d_degree(b._nums, cap), a.n, cap)
+    _contract(out, {k: -v for k, v in b._nums.items()}, _by_d_degree(a._nums, cap), a.n, cap)
     return _reduced(a.n, a._den * b._den, out, cap)
 
 
 def truncate(a: WeylElement, max_d_degree: int) -> WeylElement:
     """Drop every term whose total d-degree exceeds the bound; idempotent."""
-    if max_d_degree < 0:
-        raise ValueError(f"truncation order must be >= 0, got {max_d_degree}")
-    return _reduced(a.n, a._den, a._nums, max_d_degree)
+    return _reduced(a.n, a._den, a._nums, _whole(max_d_degree, "truncation order", 0))
 
 
 # Few distinct d-parts occur, so a small bound suffices.

@@ -1,6 +1,7 @@
 """The package's public surface: `symorder.__all__` and star imports, the
 rule that no library invariant is guarded only by `assert`, and the rule
-that every coefficient entry point takes ints and Fractions only."""
+that every coefficient entry point takes ints and Fractions only, and every
+size, index, order and cutoff ints (and bools) only."""
 
 import ast
 import dataclasses
@@ -13,11 +14,27 @@ import pytest
 import symorder
 from symorder import (
     CoefficientFamily,
+    GeneratorSet,
+    SplitMix64,
     StructureConstants,
     WeylElement,
+    bernoulli,
+    build_generators,
+    cancellation_check,
+    derived_family,
     exact_rank,
+    heisenberg_table,
+    homomorphism_defect,
+    iota,
     linear_combination,
+    monomials_of_degree,
+    mul,
+    random_almost_abelian_table,
     random_family,
+    random_two_step_table,
+    span_dimension,
+    theorem_check,
+    truncate,
     weyl_d,
     weyl_scalar,
     weyl_x,
@@ -130,6 +147,7 @@ COEFFICIENT_ENTRY_POINTS = {
     "StructureConstants": lambda c: StructureConstants(2, {(1, 1, 2): c}),
     "random_family": lambda c: random_family(2, 2, sparsity=c),
     "exact_rank": lambda c: exact_rank([[1, c], [0, 1]]),
+    "SplitMix64.bernoulli": lambda c: SplitMix64(0).bernoulli(c),
 }
 
 
@@ -143,3 +161,51 @@ def test_coefficients_must_be_int_or_fraction(name):
             call(bad)
     for good in (1, Fraction(1, 2)):
         call(good)
+
+
+# Each entry point that takes a size, index, order or cutoff, as a call on
+# that one value; 2 is a valid value for each.
+SIZE_ENTRY_POINTS = {
+    "WeylElement": lambda v: WeylElement(v),
+    "weyl_x": lambda v: weyl_x(2, v),
+    "weyl_d": lambda v: weyl_d(v, 1),
+    "weyl_scalar": lambda v: weyl_scalar(v, 1),
+    "linear_combination": lambda v: linear_combination(v, []),
+    "mul": lambda v: mul(weyl_x(1, 1), weyl_d(1, 1), max_d_degree=v),
+    "truncate": lambda v: truncate(weyl_d(1, 1), v),
+    "monomials_of_degree": lambda v: monomials_of_degree(v, 2),
+    "CoefficientFamily": lambda v: CoefficientFamily(2, v),
+    "random_family": lambda v: random_family(2, v),
+    "GeneratorSet": lambda v: GeneratorSet(2, v, (weyl_x(2, 1), weyl_x(2, 2))),
+    "build_generators": lambda v: build_generators(random_family(2, 1), v),
+    "theorem_check": lambda v: theorem_check(build_generators(random_family(2, 1), 1), (1, v)),
+    "cancellation_check": lambda v: cancellation_check(random_family(2, 2), (1, 2), 1, v),
+    "span_dimension": lambda v: span_dimension(build_generators(random_family(2, 1), 2), v),
+    "StructureConstants": lambda v: StructureConstants(v),
+    "bernoulli": lambda v: bernoulli(v),
+    "iota": lambda v: iota(heisenberg_table(), v, 1),
+    "homomorphism_defect": lambda v: homomorphism_defect(heisenberg_table(), v),
+    "derived_family": lambda v: derived_family(heisenberg_table(), v),
+    "random_two_step_table": lambda v: random_two_step_table(3, v, 0),
+    "random_almost_abelian_table": lambda v: random_almost_abelian_table(v, 0),
+    "SplitMix64.draws": lambda v: SplitMix64(0).draws(v),
+    "SplitMix64.below": lambda v: SplitMix64(0).below(v),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SIZE_ENTRY_POINTS))
+def test_sizes_indices_and_cutoffs_must_be_ints(name):
+    # The paper's words, orders and cutoffs are whole numbers: 2.0 must not
+    # pass as 2, nor 1.5 be compared against a range and then used.
+    call = SIZE_ENTRY_POINTS[name]
+    for bad in (1.5, 2.0, "2", Fraction(2)):
+        with pytest.raises(TypeError):
+            call(bad)
+    call(2)
+
+
+def test_every_element_builder_checks_its_dimension():
+    for build in (lambda: weyl_scalar(0, 1), lambda: linear_combination(0, []),
+                  lambda: linear_combination(-1, []), lambda: WeylElement(0)):
+        with pytest.raises(ValueError, match="ambient dimension must be >= 1"):
+            build()

@@ -65,6 +65,9 @@ def test_below_range_and_errors():
     assert SplitMix64(0).below(1) == 0
     with pytest.raises(ValueError):
         g.below(0)
+    # a bound is a whole number: 2.5 is refused, not turned into a float draw
+    with pytest.raises(TypeError):
+        g.below(2.5)
 
 
 def test_below_hits_all_residues():

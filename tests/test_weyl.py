@@ -726,6 +726,25 @@ def test_uncappable_product_neither_sorts_nor_skips(monkeypatch):
         mul(a, b, max_d_degree=3)
 
 
+def test_capped_product_sorts_each_right_operand_once(monkeypatch):
+    a = WeylElement(2, {((1, 0), (2, 1)): 3, ((0, 2), (0, 1)): -1, ((1, 1), (0, 0)): 2})
+    b = WeylElement(2, {((2, 1), (1, 0)): Fraction(1, 2), ((1, 0), (0, 2)): 5})
+    want, want_commutator = mul(a, b, max_d_degree=2), weyl._commutator(a, b, max_d_degree=2)
+    calls = []
+
+    def counting_sorted(*args, **kwargs):
+        calls.append(args)
+        return sorted(*args, **kwargs)
+
+    # module globals shadow the builtin, so every sort in weyl is counted
+    monkeypatch.setattr(weyl, "sorted", counting_sorted, raising=False)
+    assert mul(a, b, max_d_degree=2) == want
+    assert len(calls) == 1  # b, once: `_contract` takes it already in order
+    calls.clear()
+    assert weyl._commutator(a, b, max_d_degree=2) == want_commutator
+    assert len(calls) == 2  # b for the (a, b) turn, a for the (-b, a) turn
+
+
 def test_cap_is_keyword_only_and_checked_before_any_work(monkeypatch):
     a, b = weyl_d(2, 1), weyl_x(2, 1)
     for product_of in (mul, weyl._commutator):
