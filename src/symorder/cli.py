@@ -331,8 +331,6 @@ def load_structure_constants(path: str) -> StructureConstants:
             raise CLIInputError(f"{path}: entry {pos} has denominator 0")
         key = (fields["k"], fields["i"], fields["j"])
         value = Fraction(fields["num"], fields["den"])
-        if any(not 1 <= idx <= n for idx in key):
-            raise CLIInputError(f"{path}: entry {pos} index {key} out of range 1..{n}")
         if key in explicit:
             raise CLIInputError(f"{path}: duplicate entry for C{list(key)}")
         explicit[key] = value
@@ -341,10 +339,10 @@ def load_structure_constants(path: str) -> StructureConstants:
     completed = dict(explicit)
     for (k, i, j), v in explicit.items():
         completed.setdefault((k, j, i), -v)
-    sc = StructureConstants(n, completed)
     try:
+        sc = StructureConstants(n, completed)  # IndexError: an index outside 1..n
         sc.require_valid()
-    except InvalidStructureConstantsError as exc:
+    except (IndexError, InvalidStructureConstantsError) as exc:
         raise CLIInputError(f"{path}: {exc}") from exc
     return sc
 

@@ -25,12 +25,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain, combinations_with_replacement, repeat
-from math import comb, gcd, lcm
-from operator import index
+from math import comb
 from typing import Iterator, Mapping
 
 from .rng import _RATIONAL_SCALE, SplitMix64, rational_pair
-from .weyl import Immutable, MultiIndex, WeylElement, _exact, _pack, _reduced, _whole
+from .weyl import (
+    Immutable, MultiIndex, WeylElement, _as_multi_index, _encode, _exact, _indices, _lowest_terms,
+    _pack, _reduced, _whole
+)
 
 # (order N, l, i, j, monomial m with |m| = N - 1)
 FamilyKey = tuple[int, int, int, int, MultiIndex]
@@ -55,16 +57,15 @@ class CoefficientFamily(Immutable):
 
     Keys are ``(N, l, i, j, m)`` with 1-based indices in 1..n, orders N in
     1..n_max, and ``m`` a length-n exponent tuple with ``sum(m) == N - 1``;
-    a non-integral exponent, or a value that is not an int or a Fraction,
-    raises `TypeError`.  Zero values are dropped.
+    a non-integral order, index or exponent, or a value that is not an int
+    or a Fraction, raises `TypeError`.  Zero values are dropped.
     By default the constructor rejects families that are not antisymmetric
     under swapping (i, j); pass ``check_antisymmetry=False`` to build a
     broken family on purpose.
 
-    As in `WeylElement`, the value at a key is ``_nums[key] / _den``:
-    numerators are nonzero ints in the entries' order, ``_den`` is a
-    positive int and ``gcd(_den, *_nums.values()) == 1``, so equal families
-    have equal fields.  `items` hands values out as `Fraction`s.
+    As in `WeylElement`, the value at a key is ``_nums[key] / _den`` in lowest
+    terms, numerators in the entries' order, so equal families have equal
+    fields; `items` hands values out as `Fraction`s.
     """
 
     __slots__ = ("n", "n_max", "_den", "_nums")
@@ -78,25 +79,15 @@ class CoefficientFamily(Immutable):
         check_antisymmetry: bool = True,
     ):
         n, n_max = _whole(n, "dimension", 1), _whole(n_max, "n_max", 1)
-        canonical: dict[FamilyKey, Fraction | int] = {}
-        if entries:
-            for (order, l, i, j, m), value in entries.items():
-                if not 1 <= order <= n_max:
-                    raise ValueError(f"order {order} out of range 1..{n_max}")
-                if not (1 <= l <= n and 1 <= i <= n and 1 <= j <= n):
-                    raise IndexError(f"index {(l, i, j)} out of range 1..{n}")
-                mi = tuple(map(index, m))
-                if len(mi) != n or min(mi) < 0:
-                    raise ValueError(f"bad monomial {m} for dimension {n}")
-                if sum(mi) != order - 1:
-                    raise ValueError(
-                        f"monomial {mi} has degree {sum(mi)}, order {order} needs {order - 1}"
-                    )
-                if _exact(value):
-                    canonical[(order, l, i, j, mi)] = value
-        # over the lcm of reduced denominators no factor is common to all numerators
-        den = lcm(*(v.denominator for v in canonical.values()))
-        nums = {key: v.numerator * (den // v.denominator) for key, v in canonical.items()}
+        pairs = []
+        for (order, l, i, j, m), value in (entries or {}).items():
+            order = _whole(order, "order", 1, n_max)
+            l, i, j = _indices((l, i, j), n)
+            mi = _as_multi_index(m, n, "monomial")
+            if sum(mi) != order - 1:
+                raise ValueError(f"monomial {mi} of order {order} must have degree {order - 1}")
+            pairs.append(((order, l, i, j, mi), _exact(value)))
+        den, nums = _encode(pairs)
         if check_antisymmetry:
             for (order, l, i, j, m), v in nums.items():
                 if nums.get((order, l, j, i, m)) != -v:
@@ -108,20 +99,13 @@ class CoefficientFamily(Immutable):
 
     @classmethod
     def _raw(cls, n: int, n_max: int, den: int, nums: dict[FamilyKey, int]) -> "CoefficientFamily":
-        """The antisymmetric family of the values nums / den, unchecked.
-
-        Internal fast path: it divides out the common factor of ``den`` and
-        the numerators and checks nothing else.  Callers must guarantee
-        everything ``__init__`` checks: orders and indices in range, int-tuple
-        monomials of degree N - 1, nonzero int numerators, a positive ``den``
-        and the (j, i) mirror of each entry holding its negation.
-        """
-        g = gcd(den, *nums.values())
-        if g != 1:
-            den //= g
-            nums = {key: v // g for key, v in nums.items()}
+        """The antisymmetric family of the values nums / den, put in lowest terms
+        and otherwise unchecked.  Callers must guarantee everything ``__init__``
+        checks: orders and indices in range, int-tuple monomials of degree N - 1,
+        nonzero int numerators, a positive ``den`` and the (j, i) mirror of each
+        entry holding its negation."""
         family = object.__new__(cls)
-        family._fill(n, n_max, den, nums)
+        family._fill(n, n_max, *_lowest_terms(den, nums))
         return family
 
     def items(self) -> Iterator[tuple[FamilyKey, Fraction]]:

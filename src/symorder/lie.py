@@ -25,13 +25,14 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial
 from typing import Iterable, Iterator, Mapping
 
 from .generators import CoefficientFamily, FamilyKey, build_generators
 from .rng import SplitMix64
 from .weyl import (
-    Immutable, MultiIndex, WeylElement, _commutator, _exact, _whole, linear_combination, truncate
+    Immutable, MultiIndex, WeylElement, _commutator, _encode, _exact, _indices, _whole,
+    linear_combination, truncate
 )
 from .weyl import mul  # unused here, kept: perfbench/spans.py hooks symorder.lie.mul
 
@@ -57,38 +58,32 @@ class InvalidStructureConstantsError(ValueError):
 
 
 class StructureConstants(Immutable):
-    """Sparse table C[k][i][j], 1-based; entries are ints or Fractions."""
+    """Sparse table C[k][i][j] of int or Fraction entries at int indices 1..n, stored as
+    in `WeylElement`: ``_nums[(k, i, j)] / _den`` in lowest terms, read out as `Fraction`s."""
 
-    __slots__ = ("n", "_table", "_violations")
+    __slots__ = ("n", "_den", "_nums", "_violations")
 
     def __init__(self, n: int, entries: Mapping[tuple[int, int, int], Fraction | int] | None = None):
         n = _whole(n, "dimension", 1)
-        table: dict[tuple[int, int, int], Fraction] = {}
-        if entries:
-            for (k, i, j), value in entries.items():
-                for idx in (k, i, j):
-                    if not 1 <= idx <= n:
-                        raise IndexError(f"index {(k, i, j)} out of range 1..{n}")
-                v = Fraction(_exact(value))
-                if v:
-                    table[(k, i, j)] = v
-        self._fill(n, table, None)
+        pairs = [(_indices((k, i, j), n), _exact(c)) for (k, i, j), c in (entries or {}).items()]
+        self._fill(n, *_encode(pairs), None)
 
     def get(self, k: int, i: int, j: int) -> Fraction:
-        return self._table.get((k, i, j), Fraction(0))
+        return Fraction(self._nums.get((k, i, j), 0), self._den)
 
     def items(self) -> Iterator[tuple[tuple[int, int, int], Fraction]]:
-        return iter(self._table.items())
+        den = self._den
+        return ((key, Fraction(v, den)) for key, v in self._nums.items())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, StructureConstants):
             return NotImplemented
-        return self.n == other.n and self._table == other._table
+        return self.n == other.n and self._den == other._den and self._nums == other._nums
 
     __hash__ = None  # type: ignore[assignment]
 
     def __repr__(self) -> str:
-        return f"StructureConstants(n={self.n}, {len(self._table)} nonzero entries)"
+        return f"StructureConstants(n={self.n}, {len(self._nums)} nonzero entries)"
 
     def validate(self) -> list[Violation]:
         """All antisymmetry and Jacobi violations (empty iff the table is valid).
@@ -99,7 +94,8 @@ class StructureConstants(Immutable):
         edits the list leaves the table's verdict alone.
 
         Antisymmetry C[k][i,j] + C[k][j,i] is checked at (k, i <= j) for each
-        stored entry or mirror only; every other residual is zero.
+        stored entry or mirror only; every other residual is zero.  Both checks
+        sum numerators; a residual is divided once, by ``_den`` or ``_den**2``.
 
         Jacobi is checked on sorted triples i < j < l only.  Once antisymmetry
         holds, the cyclic sum is totally antisymmetric in (i, j, l), so it
@@ -116,16 +112,16 @@ class StructureConstants(Immutable):
         """
         if self._violations is not None:
             return list(self._violations)
-        table = self._table
+        den, table = self._den, self._nums
         out: list[Violation] = []
         for k, i, j in sorted({(k, min(i, j), max(i, j)) for k, i, j in table}):
-            r = self.get(k, i, j) + self.get(k, j, i)
+            r = table.get((k, i, j), 0) + table.get((k, j, i), 0)
             if r:
-                out.append(Violation("antisymmetry", (k, i, j), r))
-        by_lower: dict[int, list[tuple[int, int, Fraction]]] = {}
+                out.append(Violation("antisymmetry", (k, i, j), Fraction(r, den)))
+        by_lower: dict[int, list[tuple[int, int, int]]] = {}
         for (m, s, c), w in table.items():
             by_lower.setdefault(s, []).append((m, c, w))
-        sums: dict[tuple[int, int, int, int], Fraction] = {}
+        sums: dict[tuple[int, int, int, int], int] = {}
         for (s, a, b), v in table.items():
             for m, c, w in by_lower.get(s, ()):
                 if a < b < c:
@@ -137,7 +133,8 @@ class StructureConstants(Immutable):
                 else:
                     continue
                 sums[key] = sums.get(key, 0) + v * w
-        out += [Violation("jacobi", key, r) for key, r in sorted(sums.items()) if r]
+        out += [Violation("jacobi", key, Fraction(r, den * den))
+                for key, r in sorted(sums.items()) if r]
         object.__setattr__(self, "_violations", tuple(out))
         return out
 
@@ -229,27 +226,27 @@ def derived_family(sc: StructureConstants, n_max: int) -> CoefficientFamily:
     Generators built from it at truncation D are the embedding images
     (`iota`) at D: since (M^N)[l][i] = sum_{s,j} (M^(N-1))[l][s] C[s][i,j] d^j,
     the term x_l d^(m + e_j) of X_i collects the order-N series term.
-    The work runs on ints: the table is scaled once by the lcm L of its
-    denominators and indexed once by its upper index s, and M^(N-1), whose
-    entries commute, is kept as flat cells (l, s, m) -> L^(N-1) times the
-    coefficient of d^m in (M^(N-1))[l][s].  Per order one loop over cells
-    and index advances the power (cell * L C[s][i,j] to cell (l, i, m + e_j));
-    a second sums cell * L C[s][i,j] per entry (N, l, i, j, m), and each
-    nonzero sum becomes one `Fraction` with the order's weight
-    (-1)^N B_N / (N! L^N), unless the weight is zero.  Only M^1..M^(n_max-1)
-    are formed, and the walk stops at the first zero power, which makes every
-    later one zero.  Antisymmetry in (i, j) is inherited from the table and
-    re-checked by the family constructor.
+    The work runs on ints: the table's numerators, over its denominator L,
+    are indexed once by upper index s, and M^(N-1), whose entries commute,
+    is kept as flat cells (l, s, m) -> L^(N-1) times the coefficient of d^m
+    in (M^(N-1))[l][s].  Per order one loop over cells and index advances
+    the power (cell * L C[s][i,j] to cell (l, i, m + e_j)); a second sums
+    cell * L C[s][i,j] per entry (N, l, i, j, m).  Each nonzero sum, times
+    the order's weight (-1)^N B_N / (N! L^N) over the lcm of the nonzero
+    weights' denominators, is an entry's numerator: no `Fraction` is made
+    per entry.  Only M^1..M^(n_max-1) are formed, and the walk stops at the
+    first zero power, which makes every later one zero.  The validated table
+    is antisymmetric, so the family is too and is wrapped unchecked.
     """
     sc.require_valid()
     _whole(n_max, "n_max", 1)
-    n = sc.n
-    scale = lcm(*(c.denominator for _key, c in sc.items()))
+    n, scale = sc.n, sc._den
     by_upper: dict[int, list[tuple[int, int, int]]] = {}
-    for (s, i, j), c in sc.items():
-        by_upper.setdefault(s, []).append((i, j, c.numerator * (scale // c.denominator)))
+    for (s, i, j), c in sc._nums.items():
+        by_upper.setdefault(s, []).append((i, j, c))
     power = {(l, l, (0,) * n): 1 for l in range(1, n + 1)}  # M^0
-    entries: dict[FamilyKey, Fraction] = {}
+    weights: dict[int, Fraction] = {}
+    sums: dict[FamilyKey, int] = {}
     for order in range(1, n_max + 1):  # power holds L^(order - 1) M^(order - 1)
         if order > 1:
             step: dict[tuple[int, int, MultiIndex], int] = {}
@@ -263,14 +260,14 @@ def derived_family(sc: StructureConstants, n_max: int) -> CoefficientFamily:
         weight = (-1) ** order * bernoulli(order) / (factorial(order) * scale**order)
         if not weight:
             continue
-        sums: dict[FamilyKey, int] = {}
+        weights[order] = weight
         for (l, s, m), v in power.items():
             for i, j, c in by_upper.get(s, ()):
                 key = (order, l, i, j, m)
                 sums[key] = sums.get(key, 0) + v * c
-        p, q = weight.numerator, weight.denominator
-        entries.update((key, Fraction(p * v, q)) for key, v in sums.items() if v)
-    return CoefficientFamily(n, n_max, entries)
+    den, f = _encode(weights.items())  # the weights as numerators f[order] over den
+    nums = {key: v * f[key[0]] for key, v in sums.items() if v}
+    return CoefficientFamily._raw(n, n_max, den, nums)
 
 
 # -- ready-made and structured random tables ----------------------------------
@@ -342,6 +339,5 @@ def _random_table(n: int, seed: int, slots: Iterable[tuple[int, int, int]]) -> S
     for k, i, j in slots:
         if rng.bernoulli(Fraction(1, 2)):
             v = rng.rational()
-            entries[(k, i, j)] = v
-            entries[(k, j, i)] = -v
+            entries[(k, i, j)], entries[(k, j, i)] = v, -v
     return StructureConstants(n, entries)

@@ -23,7 +23,7 @@ import sys
 from array import array
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import inf, lcm
 from typing import Callable
 
 from .weyl import _exact, _whole
@@ -47,12 +47,12 @@ def _block(count: int) -> tuple[int, int, int]:
 
 
 class SplitMix64:
-    """SplitMix64 stream; seed is reduced modulo 2**64."""
+    """SplitMix64 stream; seed, any int, is reduced modulo 2**64."""
 
     __slots__ = ("_state",)
 
     def __init__(self, seed: int):
-        self._state = seed & _MASK
+        self._state = _whole(seed, "seed", -inf) & _MASK
 
     def next_u64(self) -> int:
         self._state = (self._state + _GAMMA) & _MASK

@@ -12,19 +12,21 @@ are exact rationals, taken in as ints or Fractions only.  No floating point
 enters anywhere: identities checked with this kernel hold structurally or not
 at all.
 
-An element stores its coefficients in one representation: integer
-numerators over one positive denominator, with no factor common to the
-denominator and all numerators, so equal elements have equal fields.
-`mul`, `_commutator`, `fock_apply`, `linear_combination` and `truncate`
-compute on those integers and finish through `_reduced`, which drops zeros
-and divides out the common factor.  `linear_combination` is the one route
-for sums of scaled elements: ``+``, ``-`` and `scale` call it, and so does
-every caller that sums many parts; it takes the lcm of the parts'
+An element stores its coefficients in one representation: integer numerators
+over one positive denominator, with no factor common to the denominator and
+all numerators, so equal elements have equal fields.  So do
+`CoefficientFamily` and `StructureConstants`: `_encode` takes exact values
+to these fields and `_lowest_terms` divides out the common factor, for every
+value type.  `mul`, `_commutator`, `fock_apply`, `linear_combination` and
+`truncate` compute on the integers and finish through `_reduced`, which
+drops zeros and calls `_lowest_terms`.  `linear_combination` is the one
+route for sums of scaled elements: ``+``, ``-`` and `scale` call it, and so
+does every caller that sums many parts; it takes the lcm of the parts'
 denominators, accumulates in one pass and reduces once.  `mul` is the one
 route for products: elements define no ``*``, ``/`` or ``**``.
-`_commutator` is the one route for commutators; its oracle, a difference
-of two reference products, lives in the tests.  The accessors hand
-coefficients out as ``fractions.Fraction`` values.
+`_commutator` is the one route for commutators; its oracle, a difference of
+two reference products, lives in the tests.  The accessors hand coefficients
+out as ``fractions.Fraction`` values.
 
 Each term is stored under one packed int key of 2n + 2 fields of
 `_WIDTH` = 16 bits, most significant first:
@@ -64,7 +66,7 @@ from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import comb, factorial, gcd, lcm, perm
+from math import comb, factorial, gcd, inf, lcm, perm
 from operator import index, itemgetter
 from typing import Iterable, Iterator, Mapping
 
@@ -125,17 +127,45 @@ def _exact(c: Fraction | int) -> Fraction | int:
     raise TypeError(f"coefficients must be int or Fraction, got {type(c).__name__} {c!r}")
 
 
-def _whole(v: int, what: str, low: int, high: int | None = None, error: type = ValueError) -> int:
-    """The size, index, order or cutoff v as an int in low..high (high None: no upper
-    end); a value `operator.index` refuses raises `TypeError`, one out of range ``error``."""
+def _whole(v: int, what: str, low: float, high: float = inf, error: type = ValueError) -> int:
+    """The size, index, order, cutoff or seed v as an int in low..high (ends may be inf);
+    a value `operator.index` refuses raises `TypeError`, one out of range ``error``."""
     try:
         v = index(v)
     except TypeError:
         raise TypeError(f"{what} must be an int, got {type(v).__name__} {v!r}") from None
-    if v < low or high is not None and v > high:
-        span = f">= {low}" if high is None else f"in {low}..{high}"
+    if not low <= v <= high:
+        span = f">= {low}" if high == inf else f"in {low}..{high}"
         raise error(f"{what} must be {span}, got {v}")
     return v
+
+
+def _indices(key: tuple, n: int) -> tuple[int, ...]:
+    """The index tuple key as ints in 1..n under `_whole`'s rule, in one pass over the key."""
+    try:
+        t = tuple(map(index, key))
+    except TypeError:
+        raise TypeError(f"indices must be ints, got {key!r}") from None
+    if min(t) < 1 or max(t) > n:
+        raise IndexError(f"index {t} out of range 1..{n}")
+    return t
+
+
+def _encode(pairs: Iterable[tuple[object, Fraction | int]]) -> tuple[int, dict]:
+    """(den, nums) of exact (key, value) pairs: each key's values summed as int numerators
+    over the lcm of the denominators, zero sums dropped, in lowest terms."""
+    pairs = list(pairs)
+    den = lcm(*(c.denominator for _key, c in pairs))
+    nums: dict = {}
+    for key, c in pairs:
+        nums[key] = nums.get(key, 0) + c.numerator * (den // c.denominator)
+    return _lowest_terms(den, {key: v for key, v in nums.items() if v})
+
+
+def _lowest_terms(den: int, nums: dict) -> tuple[int, dict]:
+    """(den, nums) with the common factor of den and the numerators divided out."""
+    g = gcd(den, *nums.values())
+    return (den, nums) if g == 1 else (den // g, {key: v // g for key, v in nums.items()})
 
 
 def _pack(xexp: MultiIndex, dexp: MultiIndex) -> int:
@@ -191,11 +221,10 @@ class WeylElement(Immutable):
     The coefficient of ``(xexp, dexp)`` is ``_nums[key] / _den`` with
     ``key = _pack(xexp, dexp)``: numerators are nonzero ints, ``_den`` is a
     positive int and ``gcd(_den, *_nums.values()) == 1``; zero is the empty
-    map over 1.  The constructor skips zero coefficients, sums the others'
-    integer numerators per packed key over the lcm of their denominators
-    and reduces; a coefficient that is not an int or a Fraction, or a
-    non-integral dimension or exponent, raises `TypeError`, and a term of
-    total degree above `_FIELD` `OverflowError`.
+    map over 1.  The constructor skips zero coefficients before it reads
+    their keys and encodes the rest; a coefficient that is not an int or a
+    Fraction, or a non-integral dimension or exponent, raises `TypeError`,
+    and a term of total degree above `_FIELD` `OverflowError`.
     ``_fock`` stays unset until the element first acts in `fock_apply`.
     """
 
@@ -204,12 +233,9 @@ class WeylElement(Immutable):
     def __init__(self, n: int, terms: Mapping[TermKey, Fraction | int] | None = None):
         n = _whole(n, "ambient dimension", 1)
         live = [(key, c) for key, c in terms.items() if _exact(c)] if terms else []
-        den = lcm(*(c.denominator for _key, c in live))
-        nums: dict[int, int] = {}
-        for (xexp, dexp), c in live:
-            key = _pack(_as_multi_index(xexp, n, "xexp"), _as_multi_index(dexp, n, "dexp"))
-            nums[key] = nums.get(key, 0) + c.numerator * (den // c.denominator)
-        self.__setstate__(_reduced(n, den, nums).__getstate__())
+        self._fill(n, *_encode(
+            (_pack(_as_multi_index(xexp, n, "xexp"), _as_multi_index(dexp, n, "dexp")), c)
+            for (xexp, dexp), c in live))
 
     def __getstate__(self) -> tuple[None, dict[str, object]]:  # copies drop the Fock plan
         return None, {"n": self.n, "_den": self._den, "_nums": self._nums}
@@ -259,7 +285,7 @@ class WeylElement(Immutable):
     __hash__ = None  # type: ignore[assignment]  # mutable dict inside
 
     def __neg__(self) -> "WeylElement":
-        return _element(self.n, self._den, {k: -v for k, v in self._nums.items()})
+        return _reduced(self.n, self._den, {k: -v for k, v in self._nums.items()})
 
     def __add__(self, other: "WeylElement") -> "WeylElement":
         if not isinstance(other, WeylElement):
@@ -292,25 +318,19 @@ class WeylElement(Immutable):
         return out
 
 
-def _element(n: int, den: int, nums: dict[int, int]) -> WeylElement:
-    """Wrap fields that already meet the class invariant, without copying."""
+def _reduced(n: int, den: int, nums: dict[int, int], cap: int | None = None) -> WeylElement:
+    """The element nums / den: zeros and any terms above d-degree cap dropped, gcd divided out.
+
+    Every operation makes its result here, past the constructor's checks.
+    """
+    if cap is not None:
+        nums = {k: v for k, v in nums.items() if k & _FIELD <= cap}
+    den, nums = _lowest_terms(den, {k: v for k, v in nums.items() if v})
     a = object.__new__(WeylElement)
     object.__setattr__(a, "n", n)
     object.__setattr__(a, "_den", den)
     object.__setattr__(a, "_nums", nums)
     return a
-
-
-def _reduced(n: int, den: int, nums: dict[int, int], cap: int | None = None) -> WeylElement:
-    """The element nums / den: zeros and any terms above d-degree cap dropped, gcd divided out."""
-    if cap is not None:
-        nums = {k: v for k, v in nums.items() if k & _FIELD <= cap}
-    nums = {k: v for k, v in nums.items() if v}
-    g = gcd(den, *nums.values())
-    if g != 1:
-        den //= g
-        nums = {k: v // g for k, v in nums.items()}
-    return _element(n, den, nums)
 
 
 def _check_same_n(a: WeylElement, b: WeylElement) -> None:
@@ -384,13 +404,13 @@ def _unit_index(n: int, i: int) -> MultiIndex:
 
 def weyl_x(n: int, i: int) -> WeylElement:
     """The generator x_i (1-based index)."""
-    return _element(n, 1, {_pack(_unit_index(n, i), (0,) * n): 1})
+    return _reduced(n, 1, {_pack(_unit_index(n, i), (0,) * n): 1})
 
 
 def weyl_d(n: int, j: int) -> WeylElement:
     """The generator d^j (1-based index)."""
     unit = _unit_index(n, j)  # checks n before (0,) * n uses it
-    return _element(n, 1, {_pack((0,) * n, unit): 1})
+    return _reduced(n, 1, {_pack((0,) * n, unit): 1})
 
 
 def weyl_scalar(n: int, c: Fraction | int) -> WeylElement:

@@ -1,7 +1,7 @@
 """Structure-constant validation, Bernoulli numbers, and the embedding."""
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 
 import pytest
 
@@ -624,6 +624,54 @@ def test_derived_family_stops_at_a_power_that_cancels_to_zero(monkeypatch):
     monkeypatch.setattr(lie, "bernoulli", lambda index: asked.append(index) or real_bernoulli(index))
     assert dict(derived_family(sc, 6).items()) == reference
     assert asked == [1, 2]
+
+
+def test_derived_family_equals_checked_rebuild_field_for_field():
+    # derived_family wraps its int numerators without the constructor's
+    # checks; rebuilding each family through them, antisymmetry check on,
+    # must store the same n, n_max, _den and _nums, in the same order
+    rng = SplitMix64(0xD371)
+    third = StructureConstants(3, {key: v / 3 for key, v in sl2_table().items()})
+    # [X3, X_i] = sum_k A[k][i] X_k with A = [[1, 1], [-1, -1]]: M^2 cancels to zero
+    cancelling = StructureConstants(3, {(1, 3, 1): 1, (1, 1, 3): -1, (1, 3, 2): 1, (1, 2, 3): -1,
+                                        (2, 3, 1): -1, (2, 1, 3): 1, (2, 3, 2): -1, (2, 2, 3): 1})
+    tables = ALL_TABLES + [third, cancelling,
+                           direct_sum(third, random_almost_abelian_table(2, seed=5))]
+    for trial in range(12):
+        tables.append(random_almost_abelian_table(2 + rng.below(3), seed=rng.next_u64()))
+        n = 3 + rng.below(3)
+        tables.append(random_two_step_table(n, 1 + rng.below(n - 1), seed=rng.next_u64()))
+    for sc in tables:
+        for n_max in range(1, 11):
+            fam = derived_family(sc, n_max)
+            checked = CoefficientFamily(fam.n, n_max, dict(fam.items()))
+            assert (fam.n, fam.n_max, fam._den) == (checked.n, checked.n_max, checked._den)
+            assert list(fam._nums.items()) == list(checked._nums.items()), (sc, n_max)
+            assert repr(fam) == repr(checked)
+
+
+def test_structure_constants_store_int_numerators_over_one_denominator():
+    for sc in ALL_TABLES + [StructureConstants(2, {(1, 1, 2): Fraction(6, 4), (2, 1, 2): 9})]:
+        assert type(sc._den) is int and sc._den > 0
+        assert gcd(sc._den, *sc._nums.values()) == 1
+        assert all(type(v) is int and v for v in sc._nums.values())
+    # equal values give equal fields, however they are written
+    half = StructureConstants(2, {(1, 1, 2): Fraction(1, 2), (1, 2, 1): Fraction(-1, 2)})
+    quarters = StructureConstants(2, {(1, 1, 2): Fraction(2, 4), (1, 2, 1): Fraction(-2, 4)})
+    assert (half.n, half._den, half._nums) == (quarters.n, quarters._den, quarters._nums)
+    assert half == quarters and half._den == 2
+    # items and get hand back the input values, zeros dropped, as Fractions
+    entries = {(2, 1, 3): Fraction(1, 3), (1, 2, 3): 0, (2, 3, 1): Fraction(-1, 3),
+               (3, 1, 2): 2, (3, 2, 1): Fraction(0, 5), (1, 1, 2): Fraction(-3, 4)}
+    sc = StructureConstants(3, entries)
+    assert list(sc.items()) == [(key, Fraction(v)) for key, v in entries.items() if v]
+    assert all(type(v) is Fraction for _key, v in sc.items())
+    for k in range(1, 4):
+        for i in range(1, 4):
+            for j in range(1, 4):
+                got = sc.get(k, i, j)
+                assert type(got) is Fraction and got == entries.get((k, i, j), 0)
+    assert repr(sc) == "StructureConstants(n=3, 4 nonzero entries)"
 
 
 def test_direct_sum_indexing():

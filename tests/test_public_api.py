@@ -1,7 +1,8 @@
 """The package's public surface: `symorder.__all__` and star imports, the
 rule that no library invariant is guarded only by `assert`, and the rule
 that every coefficient entry point takes ints and Fractions only, and every
-size, index, order and cutoff ints (and bools) only."""
+size, index, order and cutoff, entry-key field included, ints (and bools)
+only."""
 
 import ast
 import dataclasses
@@ -202,6 +203,33 @@ def test_sizes_indices_and_cutoffs_must_be_ints(name):
         with pytest.raises(TypeError):
             call(bad)
     call(2)
+
+
+def family_with_key_field(pos, v):
+    """A one-entry family at key (1, 1, 1, 2, (0, 0)) with field pos set to v."""
+    fields = [1, 1, 1, 2]
+    fields[pos] = v
+    return CoefficientFamily(2, 1, {(*fields, (0, 0)): 1}, check_antisymmetry=False)
+
+
+def table_with_key_field(pos, v):
+    """A one-entry table at key (1, 1, 2) with field pos set to v."""
+    fields = [1, 1, 2]
+    fields[pos] = v
+    return StructureConstants(2, {tuple(fields): 1})
+
+
+@pytest.mark.parametrize("build,pos", [(family_with_key_field, pos) for pos in range(4)]
+                         + [(table_with_key_field, pos) for pos in range(3)])
+def test_entry_key_fields_must_be_ints(build, pos):
+    # The order and the indices of an entry key follow the integer rule, and
+    # the stored key holds the ints.
+    for bad in (1.0, "1", Fraction(1)):
+        with pytest.raises(TypeError):
+            build(pos, bad)
+    for good in (1, True):
+        (key,) = build(pos, good)._nums
+        assert all(type(field) is int for field in key[:4])
 
 
 def test_every_element_builder_checks_its_dimension():

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import pytest
 
+from symorder.generators import random_family
+from symorder.lie import random_two_step_table
 from symorder.rng import SplitMix64, rational_pair
 
 GAMMA = 0x9E3779B97F4A7C15
@@ -54,6 +56,17 @@ def test_seed_reduction_and_determinism():
     a = SplitMix64(42)
     b = SplitMix64(42 + (1 << 64))
     assert [a.next_u64() for _ in range(10)] == [b.next_u64() for _ in range(10)]
+
+
+def test_seed_must_be_an_int():
+    # a seed takes the integer rule of every other size or index argument
+    for call in (lambda: SplitMix64(1.5), lambda: random_family(2, 1, seed=2.0),
+                 lambda: random_two_step_table(3, 1, 0.5)):
+        with pytest.raises(TypeError, match="seed must be an int"):
+            call()
+    # any int is reduced modulo 2^64, negative ones too
+    assert SplitMix64(-1).draws(8) == SplitMix64(2**64 - 1).draws(8)
+    assert SplitMix64(True).draws(4) == SplitMix64(1).draws(4)
 
 
 def test_below_range_and_errors():
