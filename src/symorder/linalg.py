@@ -26,10 +26,7 @@ mod p with a unit pivot; a row being eliminated gains at most (p - 1)^2 per
 pivot in each lane and is reduced only at its end test.  With at most
 rows - 1 pivots before it, every lane stays below rows * p^2, so choosing
 p with rows * p^2 < 2^63 keeps the lanes from carrying into each other.
-For the check, each row is packed in balanced base 2^W with W covering
-(|d| + sum |Y_i|) * max |M| plus a sign bit: no combined column can reach
-2^(W - 1) in absolute value, so two packed combinations are equal exactly
-when the vectors are.
+The check compares d * v with the combination column by column, in plain ints.
 """
 
 from __future__ import annotations
@@ -150,29 +147,22 @@ def _eliminate_mod_p(m: list[Sequence[int]], p: int) -> tuple[list[int], list[in
 def _dependencies_hold(
     m: list[Sequence[int]], pivot_rows: list[int], pivot_cols: list[int]
 ) -> bool:
-    """Whether every non-pivot row of m is a rational combination of the pivot rows."""
+    """Whether every non-pivot row of m is a rational combination of the pivot rows.
+
+    With no pivot rows (r = 0) every column of every row is compared with 0.
+    """
     chosen = set(pivot_rows)
     basis = [m[i] for i in pivot_rows]
     others = [row for i, row in enumerate(m) if i not in chosen]
     # y . M[R, C] = v[C], transposed to M[R, C]^T y = v[C], all v at once.
     system = [[row[c] for row in basis] + [v[c] for v in others] for c in pivot_cols]
     det, combos = _solve(system, len(basis), len(others))
-    largest = max(max(map(abs, row)) for row in m)
-    bound = (abs(det) + max(sum(map(abs, y)) for y in combos)) * largest
-    nbytes = (bound.bit_length() + 8) // 8  # W = 8 * nbytes > bit_length + sign bit
-    packed = [_balanced(row, nbytes) for row in basis]
+    columns = list(zip(*basis)) or [()] * len(m[0])
     return all(
-        det * _balanced(v, nbytes) == sum(map(mul, y, packed))
+        det * vj == sum(map(mul, y, column))
         for v, y in zip(others, combos)
+        for vj, column in zip(v, columns)
     )
-
-
-def _balanced(row: Sequence[int], nbytes: int) -> int:
-    """sum_j row[j] * 2^(W j) for W = 8 * nbytes and every |row[j]| < 2^(W - 1)."""
-    half = 1 << (8 * nbytes - 1)
-    offset = int.from_bytes(half.to_bytes(nbytes, "little") * len(row), "little")
-    shifted = b"".join([(v + half).to_bytes(nbytes, "little") for v in row])
-    return int.from_bytes(shifted, "little") - offset
 
 
 def _solve(t: list[list[int]], r: int, s: int) -> tuple[int, list[list[int]]]:

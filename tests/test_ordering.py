@@ -23,6 +23,7 @@ from symorder.generators import (
     random_family,
     symmetric_control_family,
 )
+from symorder.lie import derived_family, heisenberg_table, sl2_table
 from symorder.linalg import exact_rank
 from symorder.ordering import (
     cancellation_check,
@@ -540,6 +541,9 @@ def test_span_rows_are_scaled_reference_rows(monkeypatch):
         cases.append((n, k, fam))
     cases += [(n, k, random_family(n, 2, Fraction(0), seed=0)) for n, k in cells]
     cases += [(2, k, symmetric_control_family()) for k in (2, 3)]
+    # table-derived families are rank-deficient at k = 3 (sl2 27 x 559 at
+    # rank 19, Heisenberg 27 x 40 at rank 13), so the certificate runs on them
+    cases += [(3, 3, derived_family(table, 6)) for table in (sl2_table(), heisenberg_table())]
     for n, k, fam in cases:
         gens = build_generators(fam, 2 * k)
         captured.clear()
