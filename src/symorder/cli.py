@@ -119,8 +119,10 @@ WORD_COST_LIMIT = 100_000
 WORD_LENGTH_LIMIT = 200
 # The longest --sparsity text, and the largest exponent, that `Fraction` reads.
 _FRACTION_TEXT_LIMIT = 100
-# bernoulli --n-max 1000 takes about 4 s on a 2-core x86 VM, and the table
-# costs about n_max^3.
+# bernoulli --n-max 1000 takes about 0.1 s on a 2-core x86 VM, and --n-max
+# 500 about 0.015 s: the tangent numbers take O(n_max^2) integer operations
+# on numbers of up to about n_max log2(n_max) bits, so the table still costs
+# about n_max^3.  The limit also holds the report to about 400 kB.
 BERNOULLI_N_MAX_LIMIT = 1000
 # Every command with --trials rejects (exit 2) more than this: each trial is
 # bounded by its cost gate, and the report grows by one record per trial.

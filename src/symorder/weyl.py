@@ -52,6 +52,9 @@ Elements are immutable and all operations are pure, so values can be shared
 freely across threads.  The one slot written after construction is an
 operator's Fock plan, ``_fock``, written once on its first `fock_apply`;
 racing writers store equal values; ``==``, repr, accessors and copies ignore it.
+The plan keys the operator's terms by d-part, and `fock_apply` meets each
+target monomial x^m only through the d-parts that divide it, which
+`_divisors` lists once per monomial and operator d-degree, in a bounded cache.
 
 The same class doubles as the commutative polynomial module the algebra acts
 on: a *polynomial* is an element whose every term has ``dexp == 0``, as
@@ -66,8 +69,8 @@ from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import comb, factorial, gcd, inf, lcm, perm
-from operator import index, itemgetter
+from math import comb, factorial, gcd, inf, lcm
+from operator import index
 from typing import Iterable, Iterator, Mapping
 
 MultiIndex = tuple[int, ...]
@@ -556,37 +559,34 @@ def truncate(a: WeylElement, max_d_degree: int) -> WeylElement:
     return _reduced(a.n, a._den, a._nums, _whole(max_d_degree, "truncation order", 0))
 
 
-# Few distinct d-parts occur, so a small bound suffices.
-@lru_cache(maxsize=1024)
-def _fock_shift(query: int) -> tuple[int, tuple[tuple[int, int], ...]]:
-    """(shift, ((position, e), ...)) of the d-part d^e packed in ``query``.
+# Bounded, so memory stays flat: with |e| capped at the operator's top
+# d-degree D, one list holds at most C(n + D, n) d-parts, the count that
+# `cli.word_cost` already prices through `cli._generator_terms`.
+@lru_cache(maxsize=4096)
+def _divisors(query: int, cap: int) -> tuple[tuple[int, int, int], ...]:
+    """The d-parts d^e that divide x^m, as (d-part key, shift, prod perm(m_i, e_i)).
 
-    ``query`` is laid out as in `_contractions`, with no x fields.  x^a d^e
-    sends x^m to prod m_i!/(m_i - e_i)! x^(a + m - e) when e <= m: the key of
-    x^(a + m - e) is key(x^a d^e) + key(x^m) - shift, and each nonzero e_i
-    comes with the bit position of the x_i field whose m_i it needs.  Only
-    the nonzero d fields are visited, lowest first.
+    ``query`` is the key of x^m with n in the two bottom fields, as in
+    `_contractions`; e runs over e <= m with |e| <= cap.  The d-part key
+    holds e in the d fields, as `_buckets` groups an operator by
+    ``_d_mask(n)``.  x^a d^e sends x^m to prod m_i!/(m_i - e_i)! x^(a + m - e),
+    whose key is key(x^a d^e) + key(x^m) - shift.  Only the nonzero x
+    fields are visited, lowest first.
     """
     n = query & _LOW
-    shift, fields = 0, []
-    rest = query >> 2 * _WIDTH  # the d fields, d_n at the bottom
+    out = [(0, 0, 1)]
+    rest = query >> (n + 2) * _WIDTH  # the x fields, x_n at the bottom
     while rest:
         j = ((rest & -rest).bit_length() - 1) // _WIDTH
-        e = rest >> j * _WIDTH & _FIELD
-        rest ^= e << j * _WIDTH
-        shift += e * _unit(n, n - 1 - j)
-        fields.append(((n + 2 + j) * _WIDTH, e))
-    return shift, tuple(fields)
-
-
-def _fock_plan(a: WeylElement) -> tuple[int, tuple]:
-    """Build and keep a's Fock plan: (top, groups), see `fock_apply`."""
-    n, groups = a.n, []
-    for dpart, terms in _buckets(a._nums, _d_mask(n)).items():
-        shift, fields = _fock_shift(dpart | n)
-        groups.append((terms[0][0] & _FIELD, shift, fields, terms))
-    object.__setattr__(a, "_fock", (_top(a._nums), tuple(sorted(groups, key=itemgetter(0)))))
-    return a._fock
+        m = rest >> j * _WIDTH & _FIELD
+        rest ^= m << j * _WIDTH
+        step, unit = 1 << (j + 2) * _WIDTH, _unit(n, n - 1 - j)  # step: one in d_i's field
+        for dpart, shift, f in out[:]:
+            # raise e_i one at a time while |e|, the shift's bottom field, is below cap
+            for e in range(m, m - min(m, cap - (shift & _FIELD)), -1):
+                dpart, shift, f = dpart + step, shift + unit, f * e
+                out.append((dpart, shift, f))
+    return tuple(out)
 
 
 def fock_apply(a: WeylElement, p: WeylElement) -> WeylElement:
@@ -597,41 +597,34 @@ def fock_apply(a: WeylElement, p: WeylElement) -> WeylElement:
     As in `mul`, term pairs sum integer numerators over the product of the
     two denominators, and keys combine by integer arithmetic.
 
-    On its first action an operator keeps its *Fock plan* in ``_fock``: its
-    largest total-degree field, and its terms grouped by d-part, lowest
-    d-degree first, as ``(d_degree, shift, fields, [(key, c), ...])`` with
-    shift and fields from `_fock_shift` and the terms as `_buckets` grouped
-    them.  Later actions reuse it: groups whose d-degree is above p's degree
-    are never reached, and per target term the divisibility test, the
-    falling factorial and the shift's subtraction run once per group; each
-    term of a dividing group lands at its own key plus the shifted target key.
+    On its first action an operator keeps its *Fock plan* in ``_fock``:
+    ``(top, top d-degree, {d-part key: [(key, c), ...]})``, its largest
+    total-degree field, its largest d-degree and its terms as `_buckets`
+    groups them by d-part.  Later actions reuse it.  Per target term x^m the
+    plan is indexed by the d-parts that divide x^m, which `_divisors` lists
+    and caches, up to the top d-degree; each term of a group found there
+    lands at its own key plus x^m's key minus the d-part's shift, with the
+    target's numerator times the falling factorial.
     """
     _check_same_n(a, p)
     if not p.is_polynomial():
         raise ValueError("fock_apply target must be a polynomial (dexp == 0)")
+    n = a.n
     try:
-        top_a, groups = a._fock
+        top_a, cap, groups = a._fock
     except AttributeError:
-        top_a, groups = _fock_plan(a)
-    top_p = _top(p._nums)
-    _check_room(top_a + top_p)
-    degree_p = top_p >> _WIDTH
+        plan = _top(a._nums), _top(a._nums, _FIELD), _buckets(a._nums, _d_mask(n))
+        object.__setattr__(a, "_fock", plan)
+        top_a, cap, groups = plan
+    _check_room(top_a + _top(p._nums))
     out: dict[int, int] = {}
     get = out.get
-    terms_p = p._nums.items()
-    for dd, shift, fields, terms in groups:
-        if dd > degree_p:
-            break  # d^e with |e| above the degree of p kills every term
-        for kp, q in terms_p:
-            f = q
-            for pos, e in fields:
-                m = kp >> pos & _FIELD
-                if e > m:
-                    break
-                f *= perm(m, e)
-            else:
-                base = kp - shift
+    for kp, q in p._nums.items():
+        for dpart, shift, f in _divisors(kp & ~_LOW | n, cap):
+            terms = groups.get(dpart)
+            if terms:
+                base, f = kp - shift, q * f
                 for k, c in terms:
                     key = k + base
                     out[key] = get(key, 0) + c * f
-    return _reduced(a.n, a._den * p._den, out)
+    return _reduced(n, a._den * p._den, out)

@@ -1,5 +1,7 @@
 """Structure-constant validation, Bernoulli numbers, and the embedding."""
 
+import sys
+import threading
 from fractions import Fraction
 from math import factorial, gcd
 
@@ -433,6 +435,59 @@ def test_bernoulli_against_independent_oracle():
     for n in range(13):
         assert bernoulli(n) == bernoulli_oracle(n), n
         assert bernoulli(n) == KNOWN_BERNOULLI[n], n
+
+
+def _recurrence_bernoulli(count: int) -> list[Fraction]:
+    """B_0..B_{count-1} from sum_{k=0..m} C(m+1, k) B_k = 0 with B_0 = 1, on
+    Fractions: the route `bernoulli` took before the tangent numbers."""
+    out = [Fraction(1)]
+    for m in range(1, count):
+        acc = Fraction(0)
+        binom = 1  # C(m+1, 0)
+        for k in range(m):
+            acc += binom * out[k]
+            binom = binom * (m + 1 - k) // (k + 1)
+        out.append(-acc / (m + 1))
+    return out
+
+
+def test_bernoulli_matches_recurrence_to_300(monkeypatch):
+    want = _recurrence_bernoulli(301)
+    # fresh tables, filled by one miss at the top and by many small misses
+    for order in (range(300, -1, -1), range(301), (7, 2, 40, 3, 300, 299)):
+        monkeypatch.setattr(lie, "_bernoulli_cache", [Fraction(1)])
+        assert [bernoulli(i) for i in order] == [want[i] for i in order], order
+        # a miss fills at most twice the length the table needs
+        table = lie._bernoulli_cache
+        assert max(order) < len(table) <= 2 * max(order) + 2 and table[:301] == want, order
+
+
+def test_bernoulli_fill_is_safe_across_threads(monkeypatch):
+    # Four threads miss on one fresh table at once, each on its own index
+    # sequence; every value read and the final table must be the oracle's.
+    want = _recurrence_bernoulli(121)
+    monkeypatch.setattr(lie, "_bernoulli_cache", [Fraction(1)])
+    orders = [range(121), range(120, -1, -1), range(0, 121, 7), range(1, 121, 2)]
+    results: list = [None] * 4
+    barrier = threading.Barrier(4)
+
+    def work(slot: int) -> None:
+        barrier.wait(timeout=10)
+        results[slot] = [bernoulli(i) for i in orders[slot]]
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(slot,)) for slot in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [[want[i] for i in order] for order in orders]
+    assert lie._bernoulli_cache[:121] == want
 
 
 def test_bernoulli_odd_zero():

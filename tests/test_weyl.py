@@ -356,8 +356,8 @@ def test_fock_plan_is_filled_once_and_reused():
         n = 1 + trial % 4
         a = random_element(rng, n, terms=1 + rng.below(8))
         if trial % 3 == 0:
-            # every term has d-degree >= 2: targets of degree <= 1 stop at the
-            # first group
+            # every term has d-degree >= 2: targets of degree <= 1 meet no
+            # group
             a = mul(a, mul(weyl_d(n, 1), weyl_d(n, 1)))
         elif trial % 5 == 1:
             a = WeylElement(n)
@@ -370,21 +370,18 @@ def test_fock_plan_is_filled_once_and_reused():
             assert got.sorted_terms() == _reference_fock_apply(a, p).sorted_terms(), trial
             plan = plan or a._fock
             assert a._fock is plan, trial
-        top, groups = plan
+        top, top_dd, groups = plan
         assert top >> weyl._WIDTH == max((sum(x) + sum(d) for (x, d), _c in a.items()), default=0)
-        assert [g[0] for g in groups] == sorted(g[0] for g in groups), trial
-        # each group is (d-degree, shift, fields, terms) with the terms of one
-        # d-part, as stored; every term of a appears in exactly one group
-        stored = [term for _dd, _shift, _fields, terms in groups for term in terms]
+        assert top_dd == max((sum(d) for (_x, d), _c in a.items()), default=0), trial
+        # each group holds, as stored, the terms of its one d-part; every term
+        # of a appears in exactly one group
+        stored = [term for terms in groups.values() for term in terms]
         assert sorted(stored) == sorted(a._nums.items()), trial
         d_mask = weyl._d_mask(n)
-        for dd, shift, fields, terms in groups:
-            assert len({k & d_mask for k, _c in terms}) == 1, trial
-            assert all(k & weyl._FIELD == dd for k, _c in terms), trial
-            assert (shift, fields) == weyl._fock_shift(terms[0][0] & d_mask | n), trial
-        assert len({g[1] for g in groups}) == len(groups), trial
+        for dpart, terms in groups.items():
+            assert {k & d_mask for k, _c in terms} == {dpart}, trial
         if trial % 3 == 0:
-            assert groups[0][0] >= 2, trial
+            assert min(k & weyl._FIELD for k in a._nums) >= 2, trial
             assert fock_apply(a, targets[-3]).is_zero() and fock_apply(a, targets[-2]).is_zero()
 
 
@@ -422,9 +419,8 @@ def test_filled_plan_element_pickles_and_copies():
 
 def test_fock_apply_with_many_axes_matches_reference():
     # Terms carry one to three nonzero axes among n = 64 or 200, so
-    # `_fock_shift` walks only a few of the n d fields.
+    # `_divisors` walks only a few of the n x fields.
     rng = SplitMix64(0x64C8)
-    width = weyl._WIDTH
     for n in (64, 200):
         for trial in range(8):
             axes = sorted({0, n - 1} | {rng.below(n) for _ in range(3)})
@@ -441,10 +437,77 @@ def test_fock_apply_with_many_axes_matches_reference():
             p = p + WeylElement(n, {(tuple(2 * (i in axes) for i in range(n)), zero): rng.rational()})
             got = fock_apply(a, p)
             assert got.sorted_terms() == _reference_fock_apply(a, p).sorted_terms(), (n, trial)
-            for (_x, dexp), _c in a.items():
-                shift, fields = weyl._fock_shift(weyl._pack(zero, dexp) & weyl._d_mask(n) | n)
-                assert dict(fields) == {(2 * n + 1 - i) * width: e for i, e in enumerate(dexp) if e}
-                assert shift == sum(e * weyl._unit(n, i) for i, e in enumerate(dexp))
+            cap = max(sum(d) for (_x, d), _c in a.items())
+            for (mexp, _z), _c in p.items():
+                # every d^e with e <= m and |e| <= cap, once, with its shift and factor
+                listed = weyl._divisors(weyl._pack(mexp, zero) & ~weyl._LOW | n, cap)
+                dexps = [weyl._unpack(n, dpart)[1] for dpart, _shift, _f in listed]
+                assert sorted(dexps) == [e for e in product(*(range(m + 1) for m in mexp))
+                                         if sum(e) <= cap], (n, trial)
+                for (dpart, shift, f), dexp in zip(listed, dexps):
+                    assert dpart == weyl._pack(zero, dexp) & weyl._d_mask(n)
+                    assert shift == sum(e * weyl._unit(n, i) for i, e in enumerate(dexp))
+                    assert f == _falling(mexp, dexp)
+
+
+def test_fock_apply_matches_reference_on_divisor_edge_shapes():
+    # Each target term meets the operator's terms through its divisors d^e,
+    # e <= m, |e| up to the operator's top d-degree: the shapes below are
+    # where that walk could stop early, run past the cap or misplace a term.
+    rng = SplitMix64(0xD1F150)
+    limit = weyl._FIELD
+    for trial in range(240):
+        n, shape = 1 + trial % 4, trial // 4 % 6
+        zero = (0,) * n
+
+        def exps(top, axes=n):
+            return tuple(rng.below(top + 1) if i < axes else 0 for i in range(n))
+
+        if shape == 0:
+            # a sparse operator of d-degree up to 16 on targets of degree up to 40
+            a = WeylElement(n, {(exps(2), exps(8, 2)): rng.rational() for _ in range(1 + rng.below(3))})
+            p = random_poly(rng, n, terms=2 + rng.below(5), max_exp=10)
+        elif shape == 1:
+            a = random_poly(rng, n, terms=1 + rng.below(5))  # d-free
+            p = random_poly(rng, n, terms=1 + rng.below(5))
+        elif shape == 2:
+            a, p = random_element(rng, n), random_poly(rng, n)
+            if trial % 8 < 4:
+                a = WeylElement(n)
+            else:
+                p = WeylElement(n)
+        elif shape == 3:
+            # every d-part has degree >= 3, every target term degree <= 2
+            a = mul(random_element(rng, n, terms=1 + rng.below(5)), mul(weyl_d(n, 1), weyl_d(n, n)))
+            a = mul(a, weyl_d(n, 1 + rng.below(n)))
+            p = random_poly(rng, n, terms=1 + rng.below(4), max_exp=2)
+            p = truncate_degree(p, 2)
+        elif shape == 4:
+            a = random_element(rng, n, terms=1 + rng.below(6))
+            p = weyl_scalar(n, 1 if trial % 8 < 4 else rng.rational())
+        else:
+            # target terms of total degree up to limit - 4 on one or two axes,
+            # and an operator of total degree <= 4
+            a = random_element(rng, n, terms=1 + rng.below(4), max_exp=1)
+            a = truncate_degree(a, 4)
+            p = WeylElement(n, {((limit - 4 - j,) + zero[1:], zero) if n == 1 or not j
+                                else ((limit - 4 - j, j) + zero[2:], zero): rng.rational()
+                                for j in range(1 + rng.below(3))})
+        got = fock_apply(a, p)
+        assert got.sorted_terms() == _reference_fock_apply(a, p).sorted_terms(), (trial, shape)
+        assert got.is_polynomial(), trial
+        assert_canonical(got)
+        if shape in (2, 3):
+            assert got.is_zero(), trial
+        if shape == 4:
+            # only the d-free terms survive on a scalar target
+            d_free = WeylElement(n, {key: c for key, c in a.items() if not any(key[1])})
+            assert got == d_free.scale(p.coefficient(zero, zero)), trial
+
+
+def truncate_degree(a: WeylElement, top: int) -> WeylElement:
+    """The terms of a of total degree at most top."""
+    return WeylElement(a.n, {key: c for key, c in a.items() if sum(key[0]) + sum(key[1]) <= top})
 
 
 def test_associativity_random_triples():
@@ -534,7 +597,7 @@ def test_packed_kernel_matches_oracles_up_to_six_axes():
             for (xexp, dexp), coeff in want:
                 assert got.coefficient(xexp, dexp) == coeff, trial
         assert degrees(a) == (max(sum(x) for x, _d in ta), max(sum(d) for _x, d in ta))
-        for fn in (weyl._contractions, weyl._fock_shift):
+        for fn in (weyl._contractions, weyl._divisors):
             info = fn.cache_info()
             assert info.currsize <= info.maxsize
 
