@@ -52,9 +52,11 @@ Elements are immutable and all operations are pure, so values can be shared
 freely across threads.  The one slot written after construction is an
 operator's Fock plan, ``_fock``, written once on its first `fock_apply`;
 racing writers store equal values; ``==``, repr, accessors and copies ignore it.
-The plan keys the operator's terms by d-part, and `fock_apply` meets each
-target monomial x^m only through the d-parts that divide it, which
-`_divisors` lists once per monomial and operator d-degree, in a bounded cache.
+The plan keys the operator's terms by d-part.  An operator whose d-parts
+fill at least half of their box (see `_fock_box`) meets each target monomial
+x^m only through the d-parts that divide it, which `_divisors` lists once
+per monomial and box, in a bounded cache; any other operator is scanned
+group by group.
 
 The same class doubles as the commutative polynomial module the algebra acts
 on: a *polynomial* is an element whose every term has ``dexp == 0``, as
@@ -67,10 +69,10 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from fractions import Fraction
-from functools import lru_cache
-from itertools import product
-from math import comb, factorial, gcd, inf, lcm
-from operator import index
+from functools import lru_cache, reduce
+from itertools import accumulate, product
+from math import comb, factorial, gcd, inf, lcm, perm
+from operator import index, itemgetter, or_
 from typing import Iterable, Iterator, Mapping
 
 MultiIndex = tuple[int, ...]
@@ -559,31 +561,83 @@ def truncate(a: WeylElement, max_d_degree: int) -> WeylElement:
     return _reduced(a.n, a._den, a._nums, _whole(max_d_degree, "truncation order", 0))
 
 
-# Bounded, so memory stays flat: with |e| capped at the operator's top
-# d-degree D, one list holds at most C(n + D, n) d-parts, the count that
-# `cli.word_cost` already prices through `cli._generator_terms`.
-@lru_cache(maxsize=4096)
-def _divisors(query: int, cap: int) -> tuple[tuple[int, int, int], ...]:
-    """The d-parts d^e that divide x^m, as (d-part key, shift, prod perm(m_i, e_i)).
+def _fields(v: int) -> Iterator[tuple[int, int]]:
+    """(j, e) for each nonzero field e of v, j fields up from the bottom, lowest first."""
+    while v:
+        j = ((v & -v).bit_length() - 1) // _WIDTH
+        e = v >> j * _WIDTH & _FIELD
+        v ^= e << j * _WIDTH
+        yield j, e
 
-    ``query`` is the key of x^m with n in the two bottom fields, as in
-    `_contractions`; e runs over e <= m with |e| <= cap.  The d-part key
+
+# `_fock_box` stops counting a box past this many d-parts.
+_BOX_LIMIT = 1 << 16
+
+
+@lru_cache(maxsize=1024)
+def _fock_box(dbits: int, cap: int, n: int) -> tuple[int, int, float]:
+    """(mask, box, size) of the box of d-parts e with e_i <= t_i and |e| <= cap.
+
+    t_i is the d_i field of ``dbits``, the OR of an operator's d-parts, so it
+    is at least every exponent of d_i there.  ``box`` holds t_i in x_i's
+    field and cap in the bottom field, ``mask`` covers the x fields with
+    t_i > 0, and ``size`` counts the box's d-parts, or is inf past
+    `_BOX_LIMIT`.
+    """
+    mask, ways = 0, [1]  # ways[s]: how many e on the axes so far have |e| = s
+    for j, t in _fields(dbits >> 2 * _WIDTH):  # the d fields, d_n first
+        mask |= _FIELD << (n + 2 + j) * _WIDTH
+        if sum(ways) <= _BOX_LIMIT:
+            run = [0, *accumulate(ways + [0] * t)]
+            ways = [run[s + 1] - run[max(s - t, 0)] for s in range(min(len(ways) + t, cap + 1))]
+    size = sum(ways)
+    return mask, dbits << n * _WIDTH | cap, size if size <= _BOX_LIMIT else inf
+
+
+def _fock_plan(a: WeylElement) -> tuple:
+    """Build and keep a's Fock plan, ``(top, mask, box, rows, groups)``; see `fock_apply`."""
+    n, nums = a.n, a._nums
+    groups = _buckets(nums, _d_mask(n))
+    mask, box, size = _fock_box(reduce(or_, groups, 0), _top(nums, _FIELD), n)
+    rows = None
+    # One lookup costs about what scanning two groups does, so an operator
+    # with at most two d-parts, or with a box of more than twice its d-parts,
+    # scans them instead.
+    if len(groups) <= 2 or size > 2 * len(groups):
+        rows = []
+        for dpart, terms in groups.items():
+            dd = terms[0][0] & _FIELD
+            shift = (dpart << n * _WIDTH) + dpart + (dd << _WIDTH + 1) + dd  # sum e_i * _unit(n, i)
+            fields = tuple(((n + 2 + j) * _WIDTH, e) for j, e in _fields(dpart >> 2 * _WIDTH))
+            rows.append((dd, shift, fields, terms))
+        rows.sort(key=itemgetter(0))
+    object.__setattr__(a, "_fock", (_top(nums), mask, box, rows, groups))
+    return a._fock
+
+
+# Bounded, so memory stays flat: `_fock_plan` sends an operator here only
+# when its box holds at most twice its d-parts, so one list is never longer
+# than twice the groups of the operator that asked for it.
+@lru_cache(maxsize=4096)
+def _divisors(query: int, box: int) -> tuple[tuple[int, int, int], ...]:
+    """The d-parts d^e of a box that divide x^m, as (d-part key, shift, prod perm(m_i, e_i)).
+
+    ``query`` is the key of x^m with its x fields outside the box cleared
+    and n in the two bottom fields, as in `_contractions`; ``box`` is as
+    `_fock_box` makes it, and e runs over e <= m inside it.  The d-part key
     holds e in the d fields, as `_buckets` groups an operator by
     ``_d_mask(n)``.  x^a d^e sends x^m to prod m_i!/(m_i - e_i)! x^(a + m - e),
-    whose key is key(x^a d^e) + key(x^m) - shift.  Only the nonzero x
-    fields are visited, lowest first.
+    whose key is key(x^a d^e) + key(x^m) - shift.
     """
-    n = query & _LOW
+    n, cap = query & _LOW, box & _FIELD
+    tops = box >> (n + 2) * _WIDTH
     out = [(0, 0, 1)]
-    rest = query >> (n + 2) * _WIDTH  # the x fields, x_n at the bottom
-    while rest:
-        j = ((rest & -rest).bit_length() - 1) // _WIDTH
-        m = rest >> j * _WIDTH & _FIELD
-        rest ^= m << j * _WIDTH
+    for j, m in _fields(query >> (n + 2) * _WIDTH):  # the x fields, x_n first
+        top = min(m, tops >> j * _WIDTH & _FIELD)
         step, unit = 1 << (j + 2) * _WIDTH, _unit(n, n - 1 - j)  # step: one in d_i's field
         for dpart, shift, f in out[:]:
             # raise e_i one at a time while |e|, the shift's bottom field, is below cap
-            for e in range(m, m - min(m, cap - (shift & _FIELD)), -1):
+            for e in range(m, m - min(top, cap - (shift & _FIELD)), -1):
                 dpart, shift, f = dpart + step, shift + unit, f * e
                 out.append((dpart, shift, f))
     return tuple(out)
@@ -598,32 +652,54 @@ def fock_apply(a: WeylElement, p: WeylElement) -> WeylElement:
     two denominators, and keys combine by integer arithmetic.
 
     On its first action an operator keeps its *Fock plan* in ``_fock``:
-    ``(top, top d-degree, {d-part key: [(key, c), ...]})``, its largest
-    total-degree field, its largest d-degree and its terms as `_buckets`
-    groups them by d-part.  Later actions reuse it.  Per target term x^m the
-    plan is indexed by the d-parts that divide x^m, which `_divisors` lists
-    and caches, up to the top d-degree; each term of a group found there
-    lands at its own key plus x^m's key minus the d-part's shift, with the
-    target's numerator times the falling factorial.
+    ``(top, mask, box, rows, groups)``, its largest total-degree field, the
+    `_fock_box` of its d-parts and its terms as `_buckets` groups them by
+    d-part; later actions reuse it.  If a has more than two d-parts and its
+    box at most twice as many, ``rows`` is None and each target term x^m
+    meets only the groups `_divisors` lists for it, queried under ``mask``.
+    Otherwise ``rows`` holds ``(d-degree, shift, fields, terms)`` per group,
+    lowest d-degree first, ``fields`` the (bit position of x_i, e_i) of each
+    nonzero e_i, and each group up to the degree of p is tested against
+    every target term.  Each term of a dividing group lands at its own key
+    plus x^m's key minus the shift, with the target's numerator times the
+    falling factorial.
     """
     _check_same_n(a, p)
     if not p.is_polynomial():
         raise ValueError("fock_apply target must be a polynomial (dexp == 0)")
     n = a.n
     try:
-        top_a, cap, groups = a._fock
+        top_a, mask, box, rows, groups = a._fock
     except AttributeError:
-        plan = _top(a._nums), _top(a._nums, _FIELD), _buckets(a._nums, _d_mask(n))
-        object.__setattr__(a, "_fock", plan)
-        top_a, cap, groups = plan
-    _check_room(top_a + _top(p._nums))
+        top_a, mask, box, rows, groups = _fock_plan(a)
+    top_p = _top(p._nums)
+    _check_room(top_a + top_p)
     out: dict[int, int] = {}
     get = out.get
-    for kp, q in p._nums.items():
-        for dpart, shift, f in _divisors(kp & ~_LOW | n, cap):
-            terms = groups.get(dpart)
-            if terms:
-                base, f = kp - shift, q * f
+    if rows is None:
+        for kp, q in p._nums.items():
+            for dpart, shift, f in _divisors(kp & mask | n, box):
+                terms = groups.get(dpart)
+                if terms:
+                    base, f = kp - shift, q * f
+                    for k, c in terms:
+                        key = k + base
+                        out[key] = get(key, 0) + c * f
+        return _reduced(n, a._den * p._den, out)
+    degree_p = top_p >> _WIDTH
+    terms_p = p._nums.items()
+    for dd, shift, fields, terms in rows:
+        if dd > degree_p:
+            break  # d^e with |e| above the degree of p kills every term
+        for kp, q in terms_p:
+            f = q
+            for pos, e in fields:
+                m = kp >> pos & _FIELD
+                if e > m:
+                    break
+                f *= perm(m, e)
+            else:
+                base = kp - shift
                 for k, c in terms:
                     key = k + base
                     out[key] = get(key, 0) + c * f

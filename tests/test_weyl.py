@@ -348,10 +348,60 @@ def test_shared_operand_across_threads():
     assert results == [expected] * 4
 
 
+def _dense_operator(rng: SplitMix64, n: int, top: int) -> WeylElement:
+    """x_i d^e with a random i and coefficient for every e with |e| <= top: its
+    d-parts fill their box, as a generator's do."""
+    terms = {}
+    for e in product(range(top + 1), repeat=n):
+        if sum(e) <= top:
+            i = rng.below(n)
+            terms[tuple(int(j == i) for j in range(n)), e] = rng.rational()
+    return WeylElement(n, terms)
+
+
+def _box_count(bounds, cap) -> int:
+    return sum(1 for e in product(*(range(t + 1) for t in bounds)) if sum(e) <= cap)
+
+
+def _check_plan(a: WeylElement, plan: tuple) -> None:
+    """Every invariant of a's Fock plan ``(top, mask, box, rows, groups)``."""
+    n, width, field = a.n, weyl._WIDTH, weyl._FIELD
+    top, mask, box, rows, groups = plan
+    assert top >> width == max((sum(x) + sum(d) for (x, d), _c in a.items()), default=0)
+    # each group holds, as stored, the terms of its one d-part; every term of
+    # a appears in exactly one group
+    stored = [term for terms in groups.values() for term in terms]
+    assert sorted(stored) == sorted(a._nums.items())
+    d_mask = weyl._d_mask(n)
+    for dpart, terms in groups.items():
+        assert {k & d_mask for k, _c in terms} == {dpart}
+    # the box: x_i's field bounds every exponent of d_i, the bottom field is
+    # the top d-degree, and the mask covers the x fields of the bounded axes
+    dexps = [weyl._unpack(n, dpart)[1] for dpart in groups]
+    bounds = weyl._unpack(n, box)[0]
+    cap = max(map(sum, dexps), default=0)
+    assert box & (d_mask | weyl._TOTAL) == 0 and box & field == cap
+    assert all(e <= t for dexp in dexps for e, t in zip(dexp, bounds))
+    assert all(t == 0 for i, t in enumerate(bounds) if not any(d[i] for d in dexps))
+    assert mask & (d_mask | weyl._LOW) == 0
+    assert weyl._unpack(n, mask)[0] == tuple(field if t else 0 for t in bounds)
+    # looked up iff more than two d-parts fill at least half of the box
+    assert (rows is None) == (2 < len(groups) and _box_count(bounds, cap) <= 2 * len(groups))
+    if rows is not None:
+        assert [row[0] for row in rows] == sorted(row[0] for row in rows)
+        want = []
+        for dpart, dexp in zip(groups, dexps):
+            fields = tuple(((2 * n + 1 - i) * width, e) for i, e in reversed(list(enumerate(dexp))) if e)
+            shift = sum(e * weyl._unit(n, i) for i, e in enumerate(dexp))
+            want.append((sum(dexp), shift, fields, groups[dpart]))
+        assert sorted(rows, key=lambda r: r[:2]) == sorted(want, key=lambda r: r[:2])
+
+
 def test_fock_plan_is_filled_once_and_reused():
     # One operator acts on several targets in turn: the first action fills
     # its plan, the later ones reuse it, and every action matches the oracle.
     rng = SplitMix64(0xF0C5)
+    routes = set()
     for trial in range(60):
         n = 1 + trial % 4
         a = random_element(rng, n, terms=1 + rng.below(8))
@@ -361,6 +411,8 @@ def test_fock_plan_is_filled_once_and_reused():
             a = mul(a, mul(weyl_d(n, 1), weyl_d(n, 1)))
         elif trial % 5 == 1:
             a = WeylElement(n)
+        elif trial % 3 == 2:
+            a = _dense_operator(rng, n, 1 + trial % 3)
         targets = [random_poly(rng, n, terms=1 + rng.below(4)) for _ in range(3)]
         targets += [weyl_scalar(n, rng.rational()), weyl_x(n, 1 + rng.below(n)), WeylElement(n)]
         assert not hasattr(a, "_fock"), trial
@@ -370,19 +422,66 @@ def test_fock_plan_is_filled_once_and_reused():
             assert got.sorted_terms() == _reference_fock_apply(a, p).sorted_terms(), trial
             plan = plan or a._fock
             assert a._fock is plan, trial
-        top, top_dd, groups = plan
-        assert top >> weyl._WIDTH == max((sum(x) + sum(d) for (x, d), _c in a.items()), default=0)
-        assert top_dd == max((sum(d) for (_x, d), _c in a.items()), default=0), trial
-        # each group holds, as stored, the terms of its one d-part; every term
-        # of a appears in exactly one group
-        stored = [term for terms in groups.values() for term in terms]
-        assert sorted(stored) == sorted(a._nums.items()), trial
-        d_mask = weyl._d_mask(n)
-        for dpart, terms in groups.items():
-            assert {k & d_mask for k, _c in terms} == {dpart}, trial
+        _check_plan(a, plan)
+        routes.add(plan[3] is None)
         if trial % 3 == 0:
             assert min(k & weyl._FIELD for k in a._nums) >= 2, trial
             assert fock_apply(a, targets[-3]).is_zero() and fock_apply(a, targets[-2]).is_zero()
+    assert routes == {True, False}
+
+
+def test_fock_routes_keep_divisor_lists_within_the_operator():
+    # A sparse operator of high d-degree is scanned and adds no list; a
+    # looked-up operator's lists never pass twice its d-parts; the cache is
+    # queried only by the axes the operator differentiates.
+    n = 6
+    lone = WeylElement(n, {((1,) + (0,) * (n - 1), (10,) * n): 3})
+    target = WeylElement(n, {((10,) * n, (0,) * n): 2, ((10,) * 5 + (9,), (0,) * n): 1})
+    before = weyl._divisors.cache_info()
+    got = fock_apply(lone, target)
+    assert weyl._divisors.cache_info() == before  # neither a hit nor a miss
+    assert lone._fock[3] is not None
+    assert got.sorted_terms() == _reference_fock_apply(lone, target).sorted_terms()
+    rng = SplitMix64(0xB0C5)
+    for n, top in ((1, 3), (2, 4), (3, 3), (4, 2)):
+        a = _dense_operator(rng, n, top)
+        fock_apply(a, weyl_scalar(n, 1))
+        _top_a, mask, box, rows, groups = a._fock
+        assert rows is None, n
+        for _ in range(6):
+            p = random_poly(rng, n, terms=3, max_exp=top + 2)
+            assert fock_apply(a, p).sorted_terms() == _reference_fock_apply(a, p).sorted_terms()
+            for kp in p._nums:
+                assert len(weyl._divisors(kp & mask | n, box)) <= 2 * len(groups), n
+    # d_1 alone: targets that differ off axis 1 share one query
+    n = 3
+    a = WeylElement(n, {((0, j, 0), (e, 0, 0)): 1 + e for e in range(4) for j in range(2)})
+    fock_apply(a, weyl_scalar(n, 1))
+    _top_a, mask, box, rows, _groups = a._fock
+    assert rows is None
+    keys = {weyl._pack((2, y, z), (0,) * n) & mask | n for y in range(3) for z in range(3)}
+    assert len(keys) == 1
+    p = WeylElement(n, {((2, y, z), (0,) * n): y + z + 1 for y in range(3) for z in range(3)})
+    misses = weyl._divisors.cache_info().misses
+    assert fock_apply(a, p).sorted_terms() == _reference_fock_apply(a, p).sorted_terms()
+    assert weyl._divisors.cache_info().misses <= misses + 1
+
+
+def test_fock_box_counts_its_d_parts():
+    rng = SplitMix64(0xB0C6)
+    for trial in range(120):
+        n = 1 + trial % 4
+        bounds = tuple(rng.below(6) for _ in range(n))
+        cap = rng.below(3 * n + 2)
+        dbits = weyl._pack((0,) * n, bounds) & weyl._d_mask(n)
+        mask, box, size = weyl._fock_box(dbits, cap, n)
+        assert size == _box_count(bounds, cap), trial
+        assert weyl._unpack(n, box)[0] == bounds and box & weyl._FIELD == cap
+        assert weyl._unpack(n, mask)[0] == tuple(weyl._FIELD if t else 0 for t in bounds)
+    # past the limit a box counts as inf, so no operator looks it up
+    dbits = weyl._pack((0, 0), (300, 300)) & weyl._d_mask(2)
+    assert weyl._fock_box(dbits, 600, 2)[2] == float("inf")
+    assert weyl._fock_box(dbits, 200, 2)[2] == _box_count((300, 300), 200)
 
 
 def test_filled_plan_still_checks_every_target():
@@ -418,8 +517,8 @@ def test_filled_plan_element_pickles_and_copies():
 
 
 def test_fock_apply_with_many_axes_matches_reference():
-    # Terms carry one to three nonzero axes among n = 64 or 200, so
-    # `_divisors` walks only a few of the n x fields.
+    # Terms carry one to three nonzero axes among n = 64 or 200, so the
+    # plan and `_divisors` walk only a few of the n x fields.
     rng = SplitMix64(0x64C8)
     for n in (64, 200):
         for trial in range(8):
@@ -437,12 +536,15 @@ def test_fock_apply_with_many_axes_matches_reference():
             p = p + WeylElement(n, {(tuple(2 * (i in axes) for i in range(n)), zero): rng.rational()})
             got = fock_apply(a, p)
             assert got.sorted_terms() == _reference_fock_apply(a, p).sorted_terms(), (n, trial)
-            cap = max(sum(d) for (_x, d), _c in a.items())
+            _top_a, mask, box, _rows, _groups = a._fock
+            bounds, cap = weyl._unpack(n, box)[0], box & weyl._FIELD
             for (mexp, _z), _c in p.items():
-                # every d^e with e <= m and |e| <= cap, once, with its shift and factor
-                listed = weyl._divisors(weyl._pack(mexp, zero) & ~weyl._LOW | n, cap)
+                # every d^e with e <= m inside the box, once, with its shift
+                # and factor, whichever route a takes
+                listed = weyl._divisors(weyl._pack(mexp, zero) & mask | n, box)
                 dexps = [weyl._unpack(n, dpart)[1] for dpart, _shift, _f in listed]
-                assert sorted(dexps) == [e for e in product(*(range(m + 1) for m in mexp))
+                assert sorted(dexps) == [e for e in product(*(range(min(m, t) + 1)
+                                                              for m, t in zip(mexp, bounds)))
                                          if sum(e) <= cap], (n, trial)
                 for (dpart, shift, f), dexp in zip(listed, dexps):
                     assert dpart == weyl._pack(zero, dexp) & weyl._d_mask(n)
@@ -456,6 +558,7 @@ def test_fock_apply_matches_reference_on_divisor_edge_shapes():
     # where that walk could stop early, run past the cap or misplace a term.
     rng = SplitMix64(0xD1F150)
     limit = weyl._FIELD
+    routes = set()
     for trial in range(240):
         n, shape = 1 + trial % 4, trial // 4 % 6
         zero = (0,) * n
@@ -484,17 +587,20 @@ def test_fock_apply_matches_reference_on_divisor_edge_shapes():
             p = truncate_degree(p, 2)
         elif shape == 4:
             a = random_element(rng, n, terms=1 + rng.below(6))
+            if trial % 2:
+                a = _dense_operator(rng, n, 1 + rng.below(3))
             p = weyl_scalar(n, 1 if trial % 8 < 4 else rng.rational())
         else:
             # target terms of total degree up to limit - 4 on one or two axes,
             # and an operator of total degree <= 4
             a = random_element(rng, n, terms=1 + rng.below(4), max_exp=1)
-            a = truncate_degree(a, 4)
+            a = truncate_degree(a, 4) if trial % 2 else _dense_operator(rng, n, 1 + rng.below(3))
             p = WeylElement(n, {((limit - 4 - j,) + zero[1:], zero) if n == 1 or not j
                                 else ((limit - 4 - j, j) + zero[2:], zero): rng.rational()
                                 for j in range(1 + rng.below(3))})
         got = fock_apply(a, p)
         assert got.sorted_terms() == _reference_fock_apply(a, p).sorted_terms(), (trial, shape)
+        routes.add(a._fock[3] is None)
         assert got.is_polynomial(), trial
         assert_canonical(got)
         if shape in (2, 3):
@@ -503,6 +609,7 @@ def test_fock_apply_matches_reference_on_divisor_edge_shapes():
             # only the d-free terms survive on a scalar target
             d_free = WeylElement(n, {key: c for key, c in a.items() if not any(key[1])})
             assert got == d_free.scale(p.coefficient(zero, zero)), trial
+    assert routes == {True, False}
 
 
 def truncate_degree(a: WeylElement, top: int) -> WeylElement:
@@ -597,7 +704,7 @@ def test_packed_kernel_matches_oracles_up_to_six_axes():
             for (xexp, dexp), coeff in want:
                 assert got.coefficient(xexp, dexp) == coeff, trial
         assert degrees(a) == (max(sum(x) for x, _d in ta), max(sum(d) for _x, d in ta))
-        for fn in (weyl._contractions, weyl._divisors):
+        for fn in (weyl._contractions, weyl._divisors, weyl._fock_box):
             info = fn.cache_info()
             assert info.currsize <= info.maxsize
 
