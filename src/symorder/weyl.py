@@ -52,11 +52,11 @@ Elements are immutable and all operations are pure, so values can be shared
 freely across threads.  The one slot written after construction is an
 operator's Fock plan, ``_fock``, written once on its first `fock_apply`;
 racing writers store equal values; ``==``, repr, accessors and copies ignore it.
-The plan keys the operator's terms by d-part.  An operator whose d-parts
-fill at least half of their box (see `_fock_box`) meets each target monomial
-x^m only through the d-parts that divide it, which `_divisors` lists once
-per monomial and box, in a bounded cache; any other operator is scanned
-group by group.
+The plan keys the operator's terms by d-part.  An operator with more than
+two d-parts that fill at least half of their box (see `_fock_box`) meets
+each target monomial x^m only through the d-parts that divide it, which
+`_divisors` lists once per monomial and box, in a bounded cache; any other
+operator is scanned group by group.
 
 The same class doubles as the commutative polynomial module the algebra acts
 on: a *polynomial* is an element whose every term has ``dexp == 0``, as

@@ -554,8 +554,9 @@ def test_fock_apply_with_many_axes_matches_reference():
 
 def test_fock_apply_matches_reference_on_divisor_edge_shapes():
     # Each target term meets the operator's terms through its divisors d^e,
-    # e <= m, |e| up to the operator's top d-degree: the shapes below are
-    # where that walk could stop early, run past the cap or misplace a term.
+    # e <= m, |e| up to the operator's top d-degree, looked up or scanned:
+    # the shapes below are where either route could stop early, run past
+    # the cap or misplace a term.
     rng = SplitMix64(0xD1F150)
     limit = weyl._FIELD
     routes = set()
