@@ -15,8 +15,8 @@ the symmetrized-ordering identity holds for; the constructor enforces
 antisymmetry unless told not to, so deliberately broken control families can
 still be built for comparison.
 
-A family stores its values as a `WeylElement` stores its coefficients: int
-numerators over one positive denominator.  `random_family` draws them as
+A family stores its values as every `weyl.ExactValue` does: int numerators
+over one positive denominator.  `random_family` draws them as
 ints and `build_generators` sums them as ints into the generators' packed
 terms, so no `Fraction` is made between a seed and the generators.
 """
@@ -26,11 +26,11 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain, combinations_with_replacement, repeat
 from math import comb
-from typing import Iterator, Mapping
+from typing import Mapping
 
 from .rng import _RATIONAL_SCALE, SplitMix64, rational_pair
 from .weyl import (
-    Immutable, MultiIndex, WeylElement, _as_multi_index, _encode, _exact, _indices, _lowest_terms,
+    ExactValue, Immutable, MultiIndex, WeylElement, _as_multi_index, _encode, _exact, _indices,
     _pack, _reduced, _whole
 )
 
@@ -52,7 +52,7 @@ def monomials_of_degree(n: int, degree: int) -> list[MultiIndex]:
     return sorted(out)
 
 
-class CoefficientFamily(Immutable):
+class CoefficientFamily(ExactValue):
     """Sparse coefficient table for generator corrections.
 
     Keys are ``(N, l, i, j, m)`` with 1-based indices in 1..n, orders N in
@@ -61,11 +61,7 @@ class CoefficientFamily(Immutable):
     or a Fraction, raises `TypeError`.  Zero values are dropped.
     By default the constructor rejects families that are not antisymmetric
     under swapping (i, j); pass ``check_antisymmetry=False`` to build a
-    broken family on purpose.
-
-    As in `WeylElement`, the value at a key is ``_nums[key] / _den`` in lowest
-    terms, numerators in the entries' order, so equal families have equal
-    fields; `items` hands values out as `Fraction`s.
+    broken family on purpose.  Numerators keep the entries' order.
     """
 
     __slots__ = ("n", "n_max", "_den", "_nums")
@@ -96,39 +92,6 @@ class CoefficientFamily(Immutable):
                         f"(i, j)=({i}, {j}), m={m}"
                     )
         self._fill(n, n_max, den, nums)
-
-    @classmethod
-    def _raw(cls, n: int, n_max: int, den: int, nums: dict[FamilyKey, int]) -> "CoefficientFamily":
-        """The antisymmetric family of the values nums / den, put in lowest terms
-        and otherwise unchecked.  Callers must guarantee everything ``__init__``
-        checks: orders and indices in range, int-tuple monomials of degree N - 1,
-        nonzero int numerators, a positive ``den`` and the (j, i) mirror of each
-        entry holding its negation."""
-        family = object.__new__(cls)
-        family._fill(n, n_max, *_lowest_terms(den, nums))
-        return family
-
-    def items(self) -> Iterator[tuple[FamilyKey, Fraction]]:
-        den = self._den
-        return ((key, Fraction(v, den)) for key, v in self._nums.items())
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, CoefficientFamily):
-            return NotImplemented
-        return (
-            self.n == other.n
-            and self.n_max == other.n_max
-            and self._den == other._den
-            and self._nums == other._nums
-        )
-
-    __hash__ = None  # type: ignore[assignment]
-
-    def __repr__(self) -> str:
-        return (
-            f"CoefficientFamily(n={self.n}, n_max={self.n_max}, "
-            f"{len(self._nums)} nonzero entries)"
-        )
 
 
 def random_family(
@@ -223,9 +186,9 @@ def build_generators(family: CoefficientFamily, max_d_degree: int) -> GeneratorS
     term dict per generator, seeded with the x_i key, which has d-degree 0
     and so never collides with a correction term.  Terms are keyed by
     their packed `WeylElement` keys from the start, and the family's own
-    int numerators are summed over its denominator; `_reduced` then divides
-    out each generator's common factor, including any factor of the
-    denominator that only dropped orders needed.
+    int numerators are summed over its denominator; `_reduced` then drops
+    the sums that cancel and divides out each generator's common factor,
+    including any factor of the denominator that only dropped orders needed.
     """
     n, den = family.n, family._den
     zero = (0,) * n
@@ -243,9 +206,5 @@ def build_generators(family: CoefficientFamily, max_d_degree: int) -> GeneratorS
             m_key = m_keys[m] = _pack(zero, m)
         # keys are linear in the exponents: key(x_l d^(m + e_j))
         key = x_keys[l - 1] + m_key + d_keys[j - 1]
-        s = terms[key] + num if key in terms else num
-        if s:
-            terms[key] = s
-        else:
-            del terms[key]
+        terms[key] = terms.get(key, 0) + num
     return GeneratorSet(n, max_d_degree, tuple(_reduced(n, den, t) for t in buckets))

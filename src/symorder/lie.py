@@ -27,12 +27,12 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 from .generators import CoefficientFamily, FamilyKey, build_generators
 from .rng import SplitMix64
 from .weyl import (
-    Immutable, MultiIndex, WeylElement, _commutator, _encode, _exact, _indices, _whole,
+    ExactValue, MultiIndex, WeylElement, _commutator, _encode, _exact, _indices, _whole,
     linear_combination, truncate
 )
 from .weyl import mul  # unused here, kept: perfbench/spans.py hooks symorder.lie.mul
@@ -58,33 +58,19 @@ class InvalidStructureConstantsError(ValueError):
         super().__init__(f"invalid structure constants: {lines}{more}")
 
 
-class StructureConstants(Immutable):
-    """Sparse table C[k][i][j] of int or Fraction entries at int indices 1..n, stored as
-    in `WeylElement`: ``_nums[(k, i, j)] / _den`` in lowest terms, read out as `Fraction`s."""
+class StructureConstants(ExactValue):
+    """Sparse table C[k][i][j] of int or Fraction entries at int indices 1..n, keyed by
+    (k, i, j); ``_violations``, the verdict of `validate`, is unset until its first call."""
 
     __slots__ = ("n", "_den", "_nums", "_violations")
 
     def __init__(self, n: int, entries: Mapping[tuple[int, int, int], Fraction | int] | None = None):
         n = _whole(n, "dimension", 1)
         pairs = [(_indices((k, i, j), n), _exact(c)) for (k, i, j), c in (entries or {}).items()]
-        self._fill(n, *_encode(pairs), None)
+        self._fill(n, *_encode(pairs))
 
     def get(self, k: int, i: int, j: int) -> Fraction:
         return Fraction(self._nums.get((k, i, j), 0), self._den)
-
-    def items(self) -> Iterator[tuple[tuple[int, int, int], Fraction]]:
-        den = self._den
-        return ((key, Fraction(v, den)) for key, v in self._nums.items())
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, StructureConstants):
-            return NotImplemented
-        return self.n == other.n and self._den == other._den and self._nums == other._nums
-
-    __hash__ = None  # type: ignore[assignment]
-
-    def __repr__(self) -> str:
-        return f"StructureConstants(n={self.n}, {len(self._nums)} nonzero entries)"
 
     def validate(self) -> list[Violation]:
         """All antisymmetry and Jacobi violations (empty iff the table is valid).
@@ -111,8 +97,10 @@ class StructureConstants(Immutable):
         the n^5 / 6 of a dense sweep, and an empty table costs nothing.
         Violations come out in (k, i, j) and then (i, j, l, m) order.
         """
-        if self._violations is not None:
+        try:
             return list(self._violations)
+        except AttributeError:
+            pass  # the first call: check the table
         den, table = self._den, self._nums
         out: list[Violation] = []
         for k, i, j in sorted({(k, min(i, j), max(i, j)) for k, i, j in table}):

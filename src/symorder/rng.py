@@ -14,7 +14,8 @@ exactly the next ``count`` outputs of `SplitMix64.next_u64`, in order, and
 leaves the state where ``count`` calls would, so calls of the two can be
 interleaved without changing a bit of the stream.  `rational_pair` turns
 such raw outputs into the value `SplitMix64.rational` would draw from them,
-as an int numerator over `_RATIONAL_SCALE`.
+always within the module's bounds `_NUMERATOR` and `_DENOMINATOR`, as an int
+numerator over `_RATIONAL_SCALE`.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .weyl import _exact, _whole
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
-_NUMERATOR, _DENOMINATOR = 9, 4  # `SplitMix64.rational`'s default bounds
+_NUMERATOR, _DENOMINATOR = 9, 4  # `SplitMix64.rational`'s bounds
 
 
 # A caller draws blocks of one size, and families of a few shapes alternate
@@ -97,17 +98,16 @@ class SplitMix64:
         # u / 2^64 < num/den  <=>  u*den < num*2^64
         return u * den < num << 64
 
-    def rational(
-        self, max_abs_numerator: int = _NUMERATOR, max_denominator: int = _DENOMINATOR
-    ) -> Fraction:
-        """A small nonzero rational: numerator in +-[1, max], denominator uniform."""
-        mag = self.below(max_abs_numerator) + 1
+    def rational(self) -> Fraction:
+        """A small nonzero rational: numerator uniform in +-[1, `_NUMERATOR`],
+        denominator uniform in [1, `_DENOMINATOR`]."""
+        mag = self.below(_NUMERATOR) + 1
         sign = -1 if self.below(2) else 1
-        den = self.below(max_denominator) + 1
+        den = self.below(_DENOMINATOR) + 1
         return Fraction(sign * mag, den)
 
 
-# rational() at its default bounds as one table lookup, in int numerators over
+# rational() as one table lookup, in int numerators over
 # _RATIONAL_SCALE = 12, the lcm of the denominators 1..4.  below(9) keeps a
 # draw under _ACCEPT; below(2) and below(4) keep every draw, since 2 and 4
 # divide 2^64.  Entry (mag * 2 + sign) * 4 + den is 12 * (v, -v) for the v that
@@ -123,8 +123,9 @@ _RATIONAL_PAIRS = tuple(
 
 def rational_pair(draw: Callable[[], int]) -> tuple[int, int]:
     """(v, -v) times `_RATIONAL_SCALE`, as ints, for the v that
-    `SplitMix64.rational()` draws, with ``draw`` giving the successive
-    `next_u64` outputs it would take."""
+    `SplitMix64.rational` draws, with ``draw`` giving the successive
+    `next_u64` outputs it would take: three, or more when ``below(9)``
+    rejects."""
     u = draw()
     while u >= _ACCEPT:
         u = draw()

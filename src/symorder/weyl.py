@@ -14,10 +14,11 @@ at all.
 
 An element stores its coefficients in one representation: integer numerators
 over one positive denominator, with no factor common to the denominator and
-all numerators, so equal elements have equal fields.  So do
-`CoefficientFamily` and `StructureConstants`: `_encode` takes exact values
-to these fields and `_lowest_terms` divides out the common factor, for every
-value type.  `mul`, `_commutator`, `fock_apply`, `linear_combination` and
+all numerators, so equal elements have equal fields.  `WeylElement`,
+`CoefficientFamily` and `StructureConstants` share one base, `ExactValue`,
+which owns that format and the rule for their caches.  `_encode` takes
+exact values to these fields and `_lowest_terms` divides out the common
+factor, for every value type.  `mul`, `_commutator`, `fock_apply`, `linear_combination` and
 `truncate` compute on the integers and finish through `_reduced`, which
 drops zeros and calls `_lowest_terms`.  `linear_combination` is the one
 route for sums of scaled elements: ``+``, ``-`` and `scale` call it, and so
@@ -50,13 +51,13 @@ field, to skip term pairs that land only above D, unless no term can pass D.
 
 Elements are immutable and all operations are pure, so values can be shared
 freely across threads.  The one slot written after construction is an
-operator's Fock plan, ``_fock``, written once on its first `fock_apply`;
-racing writers store equal values; ``==``, repr, accessors and copies ignore it.
-The plan keys the operator's terms by d-part.  An operator with more than
-two d-parts that fill at least half of their box (see `_fock_box`) meets
-each target monomial x^m only through the d-parts that divide it, which
-`_divisors` lists once per monomial and box, in a bounded cache; any other
-operator is scanned group by group.
+operator's Fock plan, ``_fock``, a cache written once on its first
+`fock_apply`; racing writers store equal values.  The plan keys the
+operator's terms by d-part.  An operator with more than two d-parts that
+fill at least half of their box (see `_fock_box`) meets each target
+monomial x^m only through the d-parts that divide it, which `_divisors`
+lists once per monomial and box, in a bounded cache; any other operator is
+scanned group by group.
 
 The same class doubles as the commutative polynomial module the algebra acts
 on: a *polynomial* is an element whose every term has ``dexp == 0``, as
@@ -114,6 +115,50 @@ class Immutable:
     def __setstate__(self, state: tuple[None, dict[str, object]]) -> None:
         for name, value in state[1].items():
             object.__setattr__(self, name, value)
+
+
+class ExactValue(Immutable):
+    """Base of the exact value types: `WeylElement`, `CoefficientFamily` and
+    `StructureConstants`.
+
+    A type's slots up to and including ``_nums`` hold its value: a head
+    (``n``, and a family's ``n_max``), then ``_den`` and ``_nums``, the
+    values as int numerators over one positive denominator in lowest terms.
+    Any later slot is a cache, unset until first written: ``==``, repr,
+    pickle and copy ignore it, so a copy starts without it.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def _raw(cls, *value: object) -> "ExactValue":
+        """The value with these slots, ``(*head, den, nums)``, put in lowest
+        terms and otherwise unchecked.  Callers must guarantee everything
+        the type's constructor checks."""
+        *head, den, nums = value
+        out = object.__new__(cls)
+        out._fill(*head, *_lowest_terms(den, nums))
+        return out
+
+    def __getstate__(self) -> tuple[None, dict[str, object]]:
+        slots = self.__slots__
+        return None, {name: getattr(self, name) for name in slots[: slots.index("_nums") + 1]}
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.__getstate__() == other.__getstate__()
+
+    __hash__ = None  # type: ignore[assignment]  # mutable dict inside
+
+    def items(self) -> Iterator[tuple[object, Fraction]]:
+        den = self._den
+        return ((key, Fraction(v, den)) for key, v in self._nums.items())
+
+    def __repr__(self) -> str:
+        slots = self.__slots__
+        head = "".join(f"{name}={getattr(self, name)}, " for name in slots[: slots.index("_den")])
+        return f"{type(self).__name__}({head}{len(self._nums)} nonzero entries)"
 
 
 def _as_multi_index(exps: Iterable[int], n: int, what: str) -> MultiIndex:
@@ -220,17 +265,16 @@ def _check_room(top: int) -> None:
         )
 
 
-class WeylElement(Immutable):
+class WeylElement(ExactValue):
     """A normal-ordered element of the n-th Weyl algebra.
 
     The coefficient of ``(xexp, dexp)`` is ``_nums[key] / _den`` with
-    ``key = _pack(xexp, dexp)``: numerators are nonzero ints, ``_den`` is a
-    positive int and ``gcd(_den, *_nums.values()) == 1``; zero is the empty
-    map over 1.  The constructor skips zero coefficients before it reads
-    their keys and encodes the rest; a coefficient that is not an int or a
-    Fraction, or a non-integral dimension or exponent, raises `TypeError`,
-    and a term of total degree above `_FIELD` `OverflowError`.
-    ``_fock`` stays unset until the element first acts in `fock_apply`.
+    ``key = _pack(xexp, dexp)``; zero is the empty map over 1.  The
+    constructor skips zero coefficients before it reads their keys and
+    encodes the rest; a coefficient that is not an int or a Fraction, or a
+    non-integral dimension or exponent, raises `TypeError`, and a term of
+    total degree above `_FIELD` `OverflowError`.  ``_fock`` caches the
+    element's Fock plan.
     """
 
     __slots__ = ("n", "_den", "_nums", "_fock")
@@ -241,9 +285,6 @@ class WeylElement(Immutable):
         self._fill(n, *_encode(
             (_pack(_as_multi_index(xexp, n, "xexp"), _as_multi_index(dexp, n, "dexp")), c)
             for (xexp, dexp), c in live))
-
-    def __getstate__(self) -> tuple[None, dict[str, object]]:  # copies drop the Fock plan
-        return None, {"n": self.n, "_den": self._den, "_nums": self._nums}
 
     # -- inspection ---------------------------------------------------------
 
@@ -281,13 +322,6 @@ class WeylElement(Immutable):
 
     def __bool__(self) -> bool:
         return bool(self._nums)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, WeylElement):
-            return NotImplemented
-        return self.n == other.n and self._den == other._den and self._nums == other._nums
-
-    __hash__ = None  # type: ignore[assignment]  # mutable dict inside
 
     def __neg__(self) -> "WeylElement":
         return _reduced(self.n, self._den, {k: -v for k, v in self._nums.items()})

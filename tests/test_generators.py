@@ -16,6 +16,7 @@ from symorder.generators import (
     symmetric_control_family,
 )
 from symorder.lie import (
+    StructureConstants,
     derived_family,
     direct_sum,
     heisenberg_table,
@@ -479,11 +480,17 @@ def test_value_types_pickle_and_copy():
             CoefficientFamily(fam.n, fam.n_max, dict(fam.items()))
         with pytest.raises(AttributeError):
             fam.n_max = 2
-    sl2 = sl2_table()
-    for sc in round_trips(sl2):
-        assert sc == sl2 and sc.validate() == []
-        with pytest.raises(AttributeError):
-            sc._table = {}
+    # a table's cached verdict is not copied: a copy validates afresh, to an
+    # equal list
+    broken = StructureConstants(3, {(1, 1, 2): Fraction(1, 2), (3, 1, 2): 1, (3, 2, 1): -1})
+    verdict = broken.validate()
+    assert verdict and hasattr(broken, "_violations")
+    for table, want in ((sl2_table(), []), (broken, verdict)):
+        for sc in round_trips(table):
+            assert sc == table and repr(sc) == repr(table) and list(sc.items()) == list(table.items())
+            assert not hasattr(sc, "_violations") and sc.validate() == want
+            with pytest.raises(AttributeError):
+                sc._table = {}
     gens = build_generators(random_family(3, 2, seed=4), 2)
     sent = pickle.loads(pickle.dumps(gens))
     assert (sent.n, sent.max_d_degree, sent.generators) == (gens.n, gens.max_d_degree,

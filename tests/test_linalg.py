@@ -135,7 +135,9 @@ def _entry(rng: SplitMix64, kind: str):
     if kind == "huge":
         # above 2^64, so no entry fits a machine word
         return sign * ((1 << 64) + rng.next_u64() * (1 + rng.below(1 << 20)))
-    return rng.rational(max_abs_numerator=30, max_denominator=12)
+    # the draws of a rational with numerator in +-[1, 30] over a denominator in [1, 12]
+    mag, sign, den = 1 + rng.below(30), -1 if rng.below(2) else 1, 1 + rng.below(12)
+    return Fraction(sign * mag, den)
 
 
 def _combination(rng: SplitMix64, basis: list[list]) -> list:
