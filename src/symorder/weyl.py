@@ -18,16 +18,16 @@ all numerators, so equal elements have equal fields.  `WeylElement`,
 `CoefficientFamily` and `StructureConstants` share one base, `ExactValue`,
 which owns that format and the rule for their caches.  `_encode` takes
 exact values to these fields and `_lowest_terms` divides out the common
-factor, for every value type.  `mul`, `_commutator`, `fock_apply`, `linear_combination` and
-`truncate` compute on the integers and finish through `_reduced`, which
-drops zeros and calls `_lowest_terms`.  `linear_combination` is the one
-route for sums of scaled elements: ``+``, ``-`` and `scale` call it, and so
-does every caller that sums many parts; it takes the lcm of the parts'
-denominators, accumulates in one pass and reduces once.  `mul` is the one
-route for products: elements define no ``*``, ``/`` or ``**``.
-`_commutator` is the one route for commutators; its oracle, a difference of
-two reference products, lives in the tests.  The accessors hand coefficients
-out as ``fractions.Fraction`` values.
+factor, for every value type.  `mul`, `_commutator`, `fock_apply`,
+`linear_combination` and `truncate` compute on the integers and finish
+through `_reduced`, which drops zeros and calls `_lowest_terms`.
+`linear_combination` is the one route for sums of scaled elements: ``+``,
+``-`` and `scale` call it, and so does every caller that sums many parts;
+it takes the lcm of the parts' denominators, accumulates in one pass and
+reduces once.  `mul` is the one route for products: elements define no
+``*``, ``/`` or ``**``.  `_commutator` is the one route for commutators;
+its oracle, a difference of two reference products, lives in the tests.
+The accessors hand coefficients out as ``fractions.Fraction`` values.
 
 Each term is stored under one packed int key of 2n + 2 fields of
 `_WIDTH` = 16 bits, most significant first:

@@ -556,7 +556,10 @@ def test_fock_apply_matches_reference_on_divisor_edge_shapes():
     # Each target term meets the operator's terms through its divisors d^e,
     # e <= m, |e| up to the operator's top d-degree, looked up or scanned:
     # the shapes below are where either route could stop early, run past
-    # the cap or misplace a term.
+    # the cap or misplace a term.  Besides the Fraction oracle, each result
+    # is checked against the product kernel: x^a d^b x^c has d-free part
+    # c!/(c-b)! x^(a+c-b) when b <= c and none otherwise, so the Fock action
+    # is `mul` capped at d-degree 0.
     rng = SplitMix64(0xD1F150)
     limit = weyl._FIELD
     routes = set()
@@ -612,49 +615,32 @@ def test_fock_apply_matches_reference_on_divisor_edge_shapes():
             d_free = WeylElement(n, {key: c for key, c in a.items() if not any(key[1])})
             assert got == d_free.scale(p.coefficient(zero, zero)), trial
     assert routes == {True, False}
-
-
-def test_fock_apply_is_the_d_free_part_of_mul():
-    # x^a d^b x^c = sum_t C(b,t) C(c,t) t! x^(a+c-t) d^(b-t), whose d-free
-    # part, t = b, is c!/(c-b)! x^(a+c-b) when b <= c and nothing otherwise:
-    # the Fock action is the product kernel capped at d-degree 0, on either
-    # Fock route.
-    rng = SplitMix64(0xF0C6)
+    # sparse boxes of high d-degree, which are scanned, and one-axis operators
+    # d_i^0..d_i^top, looked up once top >= 2, on targets whose terms sit on a
+    # d-part of the operator or up to two below or above it on each axis
     six = (0,) * 6
     operators = [
-        # sparse boxes: few d-parts of high degree, so they are scanned
         WeylElement(2, {((1, 0), (10, 10)): 3, ((0, 2), (10, 10)): Fraction(-1, 2)}),
         WeylElement(6, {((0, 1) + six[2:], (6, 6) + six[2:]): 5, ((1,) + six[1:], six): 1}),
         WeylElement(6, {((1,) + six[1:], (3,) * 6): Fraction(2, 3)}),
     ]
-    for trial in range(36):
-        n, kind = 1 + trial % 4, trial // 4 % 3
-        if kind == 0:
-            a = random_poly(rng, n, terms=1 + rng.below(4))  # d-free
-        elif kind == 1:
-            # one axis: d_i^e for e = 0..top, which fill their box once top >= 2
-            i, top = rng.below(n), rng.below(5)
-            a = WeylElement(n, {(tuple(rng.below(3) for _ in range(n)),
-                                 tuple(e if j == i else 0 for j in range(n))): rng.rational()
-                                for e in range(top + 1)})
-        else:
-            a = _dense_operator(rng, n, 1 + rng.below(3))
-        operators.append(a)
+    for trial in range(16):
+        n, i, top = 1 + trial % 4, rng.below(1 + trial % 4), trial // 4 + 1
+        operators.append(WeylElement(n, {(tuple(rng.below(3) for _ in range(n)),
+                                          tuple(e if j == i else 0 for j in range(n))): rng.rational()
+                                         for e in range(top + 1)}))
     routes = set()
     for a in operators:
-        n, dexps = a.n, [d for (_x, d), _c in a.items()]
+        dexps = [dexp for (_xexp, dexp), _c in a.items()]
         for _ in range(4):
-            # each target term sits near a d-part of a: on it, or up to two
-            # below or above it on each axis, so some divide and some do not
             near = [tuple(max(e + rng.below(5) - 2, 0) for e in dexps[rng.below(len(dexps))])
                     for _ in range(2 + rng.below(4))]
-            p = WeylElement(n, {(m, (0,) * n): rng.rational() for m in near + [dexps[0]]})
+            p = WeylElement(a.n, {(m, (0,) * a.n): rng.rational() for m in near + [dexps[0]]})
             got = fock_apply(a, p)
-            assert got == mul(a, p, max_d_degree=0), (a, p)
-            assert got.sorted_terms() == _reference_fock_apply(a, p).sorted_terms()
+            assert got.sorted_terms() == _reference_fock_apply(a, p).sorted_terms(), a
+            assert got == mul(a, p, max_d_degree=0), a
         routes.add(a._fock[3] is None)
-    assert all(a._fock[3] is not None for a in operators[:3])
-    assert routes == {True, False}
+    assert all(a._fock[3] is not None for a in operators[:3]) and routes == {True, False}
 
 
 def truncate_degree(a: WeylElement, top: int) -> WeylElement:
