@@ -24,11 +24,11 @@ terms, so no `Fraction` is made between a seed and the generators.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain, combinations_with_replacement, repeat
+from itertools import combinations_with_replacement
 from math import comb
 from typing import Mapping
 
-from .rng import _RATIONAL_SCALE, SplitMix64, rational_pair
+from .rng import _RATIONAL_SCALE, _stream, _threshold, rational_pair
 from .weyl import (
     ExactValue, Immutable, MultiIndex, WeylElement, _as_multi_index, _encode, _exact, _indices,
     _pack, _reduced, _whole
@@ -36,8 +36,6 @@ from .weyl import (
 
 # (order N, l, i, j, monomial m with |m| = N - 1)
 FamilyKey = tuple[int, int, int, int, MultiIndex]
-
-_BLOCK_CAP = 4096  # the most draws random_family mixes at once
 
 
 def monomials_of_degree(n: int, degree: int) -> list[MultiIndex]:
@@ -106,25 +104,15 @@ def random_family(
     mirrored (j, i) entry is the negation.  Iteration order is fixed, so a
     seed fully determines the family.  The stream is drawn exactly as by
     ``rng.bernoulli(sparsity)`` and ``rng.rational()`` per slot, but from
-    blocks of `SplitMix64.draws`: the walk takes the next value of the
-    current block and draws another block of the same size when it runs
-    out.  A block holds one draw per slot, at most `_BLOCK_CAP`, so a small
-    family draws little past its end and a large one holds one capped block
-    at a time.  Each filled slot takes its (v, -v) pair from
-    `rng.rational_pair` as int numerators over `rng._RATIONAL_SCALE` (12),
-    so no `Fraction` is made; the family divides out the common factor
-    once.  The entries are valid by construction (nonzero draws,
-    degree-(N - 1) monomials, mirrored pairs), so the family is wrapped
-    without the constructor's checks.
+    `rng._stream`, one draw per slot to a block.  A filled slot takes its
+    (v, -v) pair from `rng.rational_pair` as int numerators over 12, so no
+    `Fraction` is made.  The entries are valid by construction (nonzero
+    draws, degree-(N - 1) monomials, mirrored pairs), so the family is
+    wrapped without the constructor's checks.
     """
     n, n_max = _whole(n, "dimension", 1), _whole(n_max, "n_max", 1)
-    if not 0 <= _exact(sparsity) <= 1:
-        raise ValueError(f"sparsity must be in [0, 1], got {sparsity}")
-    slots = n * comb(n, 2) * comb(n + n_max - 1, n_max - 1)
-    rng = SplitMix64(seed)
-    draw = chain.from_iterable(map(rng.draws, repeat(min(slots, _BLOCK_CAP)))).__next__
-    # u * den < num * 2^64, as rng.bernoulli, is u < ceil(num * 2^64 / den)
-    hit = -((-sparsity.numerator << 64) // sparsity.denominator)
+    hit = _threshold(sparsity, "sparsity")
+    draw = _stream(seed, n * comb(n, 2) * comb(n + n_max - 1, n_max - 1))
     nums: dict[FamilyKey, int] = {}
     for order in range(1, n_max + 1):
         monomials = monomials_of_degree(n, order - 1)
@@ -159,11 +147,12 @@ class GeneratorSet(Immutable):
     ``generators[i - 1]`` is X_i.  The set records no family, so any builder
     can make one; it raises `ValueError` unless it gets n >= 1 generators of
     dimension n and a cutoff >= 0, the shape the word recursion indexes.
-    The word cache memoizes symmetrization results per word;
-    see `symorder.ordering`.  Threads may share a set without a lock: a
-    cache entry is an immutable value that is never removed, dict reads and
-    writes are atomic, and two threads that fill the same state write equal
-    values.
+    The word cache memoizes symmetrization results per word (see
+    `symorder.ordering`); pickle and copy rebuild the set through the
+    constructor, so a copy's cache starts empty.  Threads may share a set
+    without a lock: a cache entry is an immutable value that is never
+    removed, dict reads and writes are atomic, and two threads that fill the
+    same state write equal values.
     """
 
     __slots__ = ("n", "max_d_degree", "generators", "_word_cache")
@@ -173,6 +162,9 @@ class GeneratorSet(Immutable):
         if len(generators) != n or any(g.n != n for g in generators):
             raise ValueError(f"need {n} generators of dimension {n}, got {[g.n for g in generators]}")
         self._fill(n, max_d_degree, generators, {})
+
+    def __reduce__(self) -> tuple:
+        return GeneratorSet, (self.n, self.max_d_degree, self.generators)
 
     def __repr__(self) -> str:
         return f"GeneratorSet(n={self.n}, max_d_degree={self.max_d_degree})"

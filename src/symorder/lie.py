@@ -27,10 +27,10 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .generators import CoefficientFamily, FamilyKey, build_generators
-from .rng import SplitMix64
+from .rng import _RATIONAL_SCALE, _stream, _threshold, rational_pair
 from .weyl import (
     ExactValue, MultiIndex, WeylElement, _commutator, _encode, _exact, _indices, _whole,
     linear_combination, truncate
@@ -318,8 +318,8 @@ def random_two_step_table(n: int, n_central: int, seed: int) -> StructureConstan
     """
     _whole(n_central, "n_central", 1, n - 1)
     r = n - n_central
-    return _random_table(n, seed, ((k, i, j) for i in range(1, r + 1)
-                                   for j in range(i + 1, r + 1) for k in range(r + 1, n + 1)))
+    return _random_table(n, seed, [(k, i, j) for i in range(1, r + 1)
+                                   for j in range(i + 1, r + 1) for k in range(r + 1, n + 1)])
 
 
 def random_almost_abelian_table(n: int, seed: int) -> StructureConstants:
@@ -330,17 +330,18 @@ def random_almost_abelian_table(n: int, seed: int) -> StructureConstants:
     commuting span.
     """
     _whole(n, "dimension", 2)
-    return _random_table(n, seed, ((k, n, i) for i in range(1, n) for k in range(1, n)))
+    return _random_table(n, seed, [(k, n, i) for i in range(1, n) for k in range(1, n)])
 
 
-def _random_table(n: int, seed: int, slots: Iterable[tuple[int, int, int]]) -> StructureConstants:
+def _random_table(n: int, seed: int, slots: list[tuple[int, int, int]]) -> StructureConstants:
     """The table drawn over the (k, i, j) slots in order: each is kept with
-    probability 1/2 and set to ``rng.rational()``, its (k, j, i) mirror to
-    the negation."""
-    rng = SplitMix64(seed)
-    entries: dict[tuple[int, int, int], Fraction] = {}
+    probability 1/2 and set to ``rng.rational()``, its (k, j, i) mirror to the
+    negation.  As in `random_family`, the draws come from `rng._stream` and
+    the values are int numerators over 12 from `rng.rational_pair`; the slots
+    are in range and mirrored by construction, so no check is repeated."""
+    draw, hit = _stream(seed, len(slots)), _threshold(Fraction(1, 2), "probability")
+    nums: dict[tuple[int, int, int], int] = {}
     for k, i, j in slots:
-        if rng.bernoulli(Fraction(1, 2)):
-            v = rng.rational()
-            entries[(k, i, j)], entries[(k, j, i)] = v, -v
-    return StructureConstants(n, entries)
+        if draw() < hit:
+            nums[(k, i, j)], nums[(k, j, i)] = rational_pair(draw)
+    return StructureConstants._raw(_whole(n, "dimension", 1), _RATIONAL_SCALE, nums)

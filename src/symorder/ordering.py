@@ -27,7 +27,6 @@ generators.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 from math import comb, factorial
 from typing import Callable
@@ -35,14 +34,8 @@ from typing import Callable
 from .generators import CoefficientFamily, GeneratorSet
 from .linalg import exact_rank
 from .weyl import (
-    MultiIndex,
-    WeylElement,
-    _whole,
-    fock_apply,
-    linear_combination,
-    mul,
-    truncate,
-    weyl_scalar,
+    MultiIndex, WeylElement, _pack, _reduced, _whole, fock_apply, linear_combination, mul,
+    truncate, weyl_scalar
 )
 
 Word = tuple[int, ...]
@@ -152,8 +145,8 @@ def cancellation_check(
 
     It vanishes on every word of length >= 2 exactly when p_as + p_sa = 0 at
     this (order, l): antisymmetry is sufficient for the identity, not necessary.
-    The sums run on the family's int numerators, divided by its denominator
-    once per term of the result.
+    The sums run on the family's int numerators, and `_reduced` divides them
+    by its denominator once, as it does for every kernel result.
     """
     n = family.n
     _whole(l, "index l", 1, n, IndexError)
@@ -169,8 +162,8 @@ def cancellation_check(
         if mult_s:
             key = (rest[: s - 1] + (mult_s - 1,) + rest[s:], m)
             terms[key] = terms.get(key, 0) + mult_a * mult_s * v
-    den = family._den
-    return WeylElement(n, {key: Fraction(v, den) for key, v in terms.items()})
+    # zero sums are dropped before packing: past the key limit, all-cancelling words give 0
+    return _reduced(n, family._den, {_pack(*key): v for key, v in terms.items() if v})
 
 
 # -- section and projection ----------------------------------------------------

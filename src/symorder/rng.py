@@ -7,15 +7,16 @@ here on purpose so that a (seed, draw-order) pair reproduces the exact same
 trial stream on every platform and Python version; nothing in this package
 draws from ``random``.
 
-SplitMix64 is counter-based: output i (from 1) of a stream in state s is
-mix(s + i * gamma mod 2^64), and no output depends on another.
-`SplitMix64.draws(count)` uses that to mix a whole block at once.  It returns
-exactly the next ``count`` outputs of `SplitMix64.next_u64`, in order, and
-leaves the state where ``count`` calls would, so calls of the two can be
-interleaved without changing a bit of the stream.  `rational_pair` turns
-such raw outputs into the value `SplitMix64.rational` would draw from them,
-always within the module's bounds `_NUMERATOR` and `_DENOMINATOR`, as an int
-numerator over `_RATIONAL_SCALE`.
+Each step from a seed to a value has one owner.  The mixer is
+`SplitMix64.next_u64`, and `SplitMix64.draws` runs it on a whole block: the
+generator is counter-based, output i (from 1) of a stream in state s being
+mix(s + i * gamma mod 2^64), so a block equals that many `next_u64` calls,
+state included, and the two interleave freely.  `_stream` walks a seeded
+builder's outputs from blocks, `_threshold` turns a probability into the
+bound a hit stays under, and `rational_pair` turns outputs into a small
+nonzero rational (an int numerator over `_RATIONAL_SCALE`, and its
+negation).  `SplitMix64.bernoulli` and `SplitMix64.rational` draw through
+the last two.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import sys
 from array import array
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain, repeat
 from math import inf, lcm
 from typing import Callable
 
@@ -32,10 +34,11 @@ from .weyl import _exact, _whole
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _NUMERATOR, _DENOMINATOR = 9, 4  # `SplitMix64.rational`'s bounds
+_BLOCK_CAP = 4096  # the most draws `_stream` mixes at once
 
 
 # A caller draws blocks of one size, and families of a few shapes alternate
-# among a few sizes.  An entry is three ints of 16 bytes per lane; random_family
+# among a few sizes.  An entry is three ints of 16 bytes per lane; _stream
 # draws at most 4096 lanes at once, so an entry holds at most 48 * 4096 bytes.
 @lru_cache(maxsize=16)
 def _block(count: int) -> tuple[int, int, int]:
@@ -91,27 +94,39 @@ class SplitMix64:
 
     def bernoulli(self, p: Fraction) -> bool:
         """True with exact probability p (a rational in [0, 1])."""
-        num, den = _exact(p).numerator, p.denominator  # den > 0: 0 <= p <= 1 on ints
-        if not 0 <= num <= den:
-            raise ValueError(f"probability must lie in [0, 1], got {p}")
-        u = self.next_u64()
-        # u / 2^64 < num/den  <=>  u*den < num*2^64
-        return u * den < num << 64
+        hit = _threshold(p, "probability")  # checked before the draw
+        return self.next_u64() < hit
 
     def rational(self) -> Fraction:
         """A small nonzero rational: numerator uniform in +-[1, `_NUMERATOR`],
         denominator uniform in [1, `_DENOMINATOR`]."""
-        mag = self.below(_NUMERATOR) + 1
-        sign = -1 if self.below(2) else 1
-        den = self.below(_DENOMINATOR) + 1
-        return Fraction(sign * mag, den)
+        return Fraction(rational_pair(self.next_u64)[0], _RATIONAL_SCALE)
 
 
-# rational() as one table lookup, in int numerators over
-# _RATIONAL_SCALE = 12, the lcm of the denominators 1..4.  below(9) keeps a
-# draw under _ACCEPT; below(2) and below(4) keep every draw, since 2 and 4
-# divide 2^64.  Entry (mag * 2 + sign) * 4 + den is 12 * (v, -v) for the v that
-# rational() returns when below(9), below(2) and below(4) return mag, sign, den.
+def _stream(seed: int, count: int) -> Callable[[], int]:
+    """The successive `SplitMix64.next_u64` outputs of ``seed``, taken from
+    blocks of `SplitMix64.draws`: the walk draws a block of the same size
+    whenever one runs out.  A block holds ``count`` draws, at most
+    `_BLOCK_CAP`, so a small builder draws little past its end and a large
+    one holds one capped block at a time."""
+    blocks = map(SplitMix64(seed).draws, repeat(min(count, _BLOCK_CAP)))
+    return chain.from_iterable(blocks).__next__
+
+
+def _threshold(p: Fraction, what: str) -> int:
+    """ceil(p * 2^64): a uniform 64-bit draw is below it with probability
+    exactly p, a rational in [0, 1]; ``what`` names any other p in the error."""
+    num, den = _exact(p).numerator, p.denominator  # den > 0: 0 <= p <= 1 on ints
+    if not 0 <= num <= den:
+        raise ValueError(f"{what} must be in [0, 1], got {p}")
+    return -((-num << 64) // den)
+
+
+# A rational as one table lookup, in int numerators over _RATIONAL_SCALE = 12,
+# the lcm of the denominators 1..4.  Three draws pick its magnitude - 1, sign
+# and denominator - 1 as below(9), below(2) and below(4) would: the first is
+# kept only under _ACCEPT, the other two always, since 2 and 4 divide 2^64.
+# Entry (mag * 2 + sign) * 4 + den is 12 * (v, -v) for v = +-(1 + mag) / (1 + den).
 _ACCEPT = (1 << 64) - (1 << 64) % _NUMERATOR
 _RATIONAL_SCALE = lcm(*range(1, _DENOMINATOR + 1))
 _RATIONAL_PAIRS = tuple(
@@ -122,10 +137,9 @@ _RATIONAL_PAIRS = tuple(
 
 
 def rational_pair(draw: Callable[[], int]) -> tuple[int, int]:
-    """(v, -v) times `_RATIONAL_SCALE`, as ints, for the v that
-    `SplitMix64.rational` draws, with ``draw`` giving the successive
-    `next_u64` outputs it would take: three, or more when ``below(9)``
-    rejects."""
+    """(v, -v) times `_RATIONAL_SCALE`, as ints, for the rational v drawn
+    from the successive outputs ``draw`` gives: three, or more when the
+    magnitude's draw is rejected."""
     u = draw()
     while u >= _ACCEPT:
         u = draw()

@@ -26,7 +26,7 @@ from symorder.lie import (
 from symorder.ordering import theorem_check
 from symorder.rng import SplitMix64, _block
 from symorder.weyl import WeylElement, fock_apply, mul, weyl_d, weyl_scalar, weyl_x
-from test_rng import GAMMA, U64, seed_drawing
+from test_rng import GAMMA, U64, reference_rational, seed_drawing
 from test_weyl import _reference_fock_apply, degrees, random_poly
 
 
@@ -49,8 +49,8 @@ def _reference_build_generators(family: CoefficientFamily, max_d_degree: int) ->
 
 def _reference_random_family(n: int, n_max: int, sparsity: Fraction, seed: int) -> dict:
     """Independent oracle for `random_family`'s stream: one `bernoulli` and,
-    on success, one `rational` draw per (N, l, i < j, m) slot, in loop order;
-    returns the entry dict, mirrors inserted right after their slot."""
+    on success, one `reference_rational` draw per (N, l, i < j, m) slot, in
+    loop order; returns the entry dict, mirrors inserted right after their slot."""
     rng = SplitMix64(seed)
     entries = {}
     for order in range(1, n_max + 1):
@@ -60,7 +60,7 @@ def _reference_random_family(n: int, n_max: int, sparsity: Fraction, seed: int) 
                 for j in range(i + 1, n + 1):
                     for m in monomials:
                         if rng.bernoulli(sparsity):
-                            v = rng.rational()
+                            v = reference_rational(rng)
                             entries[(order, l, i, j, m)] = v
                             entries[(order, l, j, i, m)] = -v
     return entries
@@ -219,11 +219,11 @@ def test_random_family_rejected_draws_match_reference(monkeypatch):
                 if sparsity == 1:
                     assert any(rejected) == (position % 4 == 2 and position <= 2 * len(ref))
     # slot 1's magnitude draw (the second) is rejected, so its value is drawn
-    # from the third to fifth draws, as rng.rational() draws it
+    # from the third to fifth draws, as the oracle draws it
     seed = seed_drawing(U64 - 1, 2)
     g = SplitMix64(seed)
     g.next_u64()
-    value = g.rational()
+    value = reference_rational(g)
     assert g._state == (seed + 5 * GAMMA) % U64
     assert dict(random_family(2, 1, Fraction(1), seed).items())[(1, 1, 1, 2, (0, 0))] == value
 
@@ -497,6 +497,14 @@ def test_value_types_pickle_and_copy():
                                                             gens.generators)
     one = weyl_scalar(3, 1)
     assert [fock_apply(g, one) for g in sent.generators] == [weyl_x(3, i) for i in range(1, 4)]
+    # a set's word cache is not copied either: every copy starts empty
+    gens = build_generators(random_family(3, 3, seed=1), 5)
+    assert theorem_check(gens, (1, 2, 3, 1, 2, 3)).passed and gens._word_cache
+    for sent in round_trips(gens):
+        assert type(sent) is GeneratorSet and sent._word_cache == {}
+        assert (sent.n, sent.max_d_degree, sent.generators) == (gens.n, gens.max_d_degree,
+                                                                gens.generators)
+        assert theorem_check(sent, (1, 2, 3, 1, 2, 3)).passed
 
 
 @pytest.mark.parametrize("n,cutoff,generators", [

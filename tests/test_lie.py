@@ -34,6 +34,7 @@ from symorder.weyl import (
     weyl_scalar,
     weyl_x,
 )
+from test_rng import reference_rational
 from test_weyl import degrees
 
 
@@ -304,7 +305,7 @@ def _reference_two_step(n: int, n_central: int, seed: int) -> dict:
         for j in range(i + 1, r + 1):
             for k in range(r + 1, n + 1):
                 if rng.bernoulli(Fraction(1, 2)):
-                    v = rng.rational()
+                    v = reference_rational(rng)
                     entries[(k, i, j)] = v
                     entries[(k, j, i)] = -v
     return entries
@@ -316,7 +317,7 @@ def _reference_almost_abelian(n: int, seed: int) -> dict:
     for i in range(1, n):
         for k in range(1, n):
             if rng.bernoulli(Fraction(1, 2)):
-                v = rng.rational()
+                v = reference_rational(rng)
                 entries[(k, n, i)] = v
                 entries[(k, i, n)] = -v
     return entries

@@ -38,6 +38,7 @@ from symorder.ordering import (
 from symorder.rng import SplitMix64
 from symorder.weyl import (
     WeylElement,
+    _reduced,
     fock_apply,
     linear_combination,
     mul,
@@ -374,9 +375,9 @@ def test_cancellation_check_builds_one_element(monkeypatch):
 
     def counted(*args):
         built.append(args)
-        return WeylElement(*args)
+        return _reduced(*args)
 
-    monkeypatch.setattr(ordering, "WeylElement", counted)
+    monkeypatch.setattr(ordering, "_reduced", counted)
     rng = SplitMix64(0x1E77E5)
     long_word = tuple(1 + rng.below(3) for _ in range(3000))
     cancellation_check(fam, long_word, 1, 1)

@@ -38,6 +38,13 @@ def _unmix(u: int) -> int:
     return _unxorshift(z, 30)
 
 
+def reference_rational(rng: SplitMix64) -> Fraction:
+    """Independent oracle for `SplitMix64.rational`: the magnitude, the sign
+    and the denominator from three `below` calls, in that order."""
+    mag, sign, den = 1 + rng.below(9), -1 if rng.below(2) else 1, 1 + rng.below(4)
+    return Fraction(sign * mag, den)
+
+
 def seed_drawing(u: int, position: int) -> int:
     """A seed whose stream gives u as its draw number `position` (from 1)."""
     return (_unmix(u) - position * GAMMA) % U64
@@ -111,16 +118,18 @@ def test_rational_shape():
 
 
 def test_rational_pair_draws_as_rational():
-    # rational_pair on a stream's outputs is 12 * (v, -v) for rational()'s v and
-    # takes as many outputs, also when below(9) rejects the first one
+    # rational_pair on a stream's outputs is 12 * (v, -v) for the oracle's v
+    # and takes as many outputs, also when below(9) rejects the first one;
+    # rational() draws the same v
     seeds = [0, U64 - 1, *SplitMix64(4242).draws(300)]
     seeds += [seed_drawing(u, 1) for u in (U64 - U64 % 9 - 1, U64 - 7, U64 - 1)]
     for seed in seeds:
-        g, h = SplitMix64(seed), SplitMix64(seed)
-        value = g.rational()
+        g, h, r = SplitMix64(seed), SplitMix64(seed), SplitMix64(seed)
+        value = reference_rational(g)
         pair = rational_pair(h.next_u64)
         assert pair == (value * 12, -value * 12) and all(type(v) is int for v in pair)
-        assert g._state == h._state
+        assert r.rational() == value
+        assert g._state == h._state == r._state
     assert SplitMix64(seeds[-1]).draws(2)[0] == U64 - 1
     # the pairs are shared, not built per call
     assert rational_pair(SplitMix64(7).next_u64)[0] is rational_pair(SplitMix64(7).next_u64)[0]
@@ -145,7 +154,8 @@ def test_rational_pair_draws_as_rational_past_rejected_runs():
     for head in ([], [limit], [U64 - 1, limit], [limit, U64 - 3, U64 - 1]):
         for mag, sign, den in ((0, 0, 0), (limit - 1, U64 - 1, U64 - 1), (22, 7, 6)):
             values = [*head, mag, sign, den, 1]
-            value = _Scripted(values).rational()
+            value = reference_rational(_Scripted(values))
+            assert _Scripted(values).rational() == value
             rest = iter(values)
             assert rational_pair(rest.__next__) == (value * 12, -value * 12)
             assert list(rest) == [1]
