@@ -28,7 +28,6 @@ from .lie import (
     InvalidStructureConstantsError,
     StructureConstants,
     Violation,
-    abelian_table,
     bernoulli,
     derived_family,
     direct_sum,
@@ -73,7 +72,6 @@ __all__ = [
     "StructureConstants",
     "Violation",
     "WeylElement",
-    "abelian_table",
     "bernoulli",
     "build_generators",
     "cancellation_check",

@@ -17,8 +17,9 @@ exceeds `SPAN_COST_LIMIT`, verify-theorem or cancellation whose `word_cost`
 exceeds `WORD_COST_LIMIT` or whose word is longer than `WORD_LENGTH_LIMIT`,
 verify-iota whose `iota_cost` exceeds `IOTA_COST_LIMIT` or whose table has
 more than `IOTA_PAIRS_LIMIT` basis pairs, bernoulli past
-`BERNOULLI_N_MAX_LIMIT`, any --trials past `TRIALS_LIMIT`, and a --sparsity
-past 2^64 in numerator or denominator, or past `_FRACTION_TEXT_LIMIT` as text.
+`BERNOULLI_N_MAX_LIMIT` and any --trials past `TRIALS_LIMIT` (``--trials must be
+in 1..1000, got 1001``).  --sparsity is refused at parse time outside [0, 1], with
+a denominator past 2^64, or past `_FRACTION_TEXT_LIMIT` as text.
 
 Flags that several subcommands take are declared once, in argparse parent
 parsers, and every per-command default sits in one table, `_DEFAULTS`.
@@ -44,7 +45,7 @@ import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, inf
 from typing import Callable
 
 from .generators import (
@@ -66,7 +67,7 @@ from .ordering import (
     theorem_check,
 )
 from .rng import SplitMix64
-from .weyl import WeylElement, format_term
+from .weyl import WeylElement, _whole, format_term
 
 _U64 = 1 << 64
 
@@ -233,19 +234,19 @@ _DEFAULTS: dict[str, dict] = {
 
 
 def _fraction_arg(text: str) -> Fraction:
-    """A rational with numerator and denominator at most 2^64; its text's length
-    and exponent are held to `_FRACTION_TEXT_LIMIT` before `Fraction` reads it."""
+    """A rational in [0, 1] with denominator, so numerator, at most 2^64; its text's
+    length and exponent are held to `_FRACTION_TEXT_LIMIT` before `Fraction` reads it."""
     limit = _FRACTION_TEXT_LIMIT
     try:
         if len(text) > limit or abs(int(text.lower().partition("e")[2] or 0)) > limit:
             raise ValueError(text)
         value = Fraction(text)
-        if max(abs(value.numerator), value.denominator) > _U64:
+        if not 0 <= value <= 1 or value.denominator > _U64:
             raise ValueError(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(
-            f"not a rational of at most {limit} characters, exponent within +-{limit}, "
-            f"numerator and denominator at most 2^64: {text[:limit]!r}") from exc
+            f"not a rational in [0, 1] of at most {limit} characters, exponent within "
+            f"+-{limit}, denominator at most 2^64: {text[:limit]!r}") from exc
     return value
 
 
@@ -358,19 +359,20 @@ def _gate(command: str, cost: int, limit: int, counted: str, flags: str) -> None
         )
 
 
+def _flag(flags: dict, name: str, low: float, high: float = inf) -> int:
+    """flags[name] under `weyl._whole`'s rule, refused (exit 2) as its --flag."""
+    return _whole(flags[name], "--" + name.replace("_", "-"), low, high, CLIInputError)
+
+
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
     command = args.command
     typed = {name: value for name, value in vars(args).items() if value is not None}
     flags = {**_DEFAULTS[command], **typed}
     if command == "bernoulli":
-        n_max = flags["n_max"]
-        if not 0 <= n_max <= BERNOULLI_N_MAX_LIMIT:
-            raise CLIInputError(f"--n-max must be in [0, {BERNOULLI_N_MAX_LIMIT}], got {n_max}")
-        return RunConfig(command=command, n_max=n_max, output=args.output)
+        return RunConfig(command=command, n_max=_flag(flags, "n_max", 0, BERNOULLI_N_MAX_LIMIT),
+                         output=args.output)
     if command == "verify-iota":
-        d = flags["d"]
-        if d < 0:
-            raise CLIInputError(f"--d must be >= 0, got {d}")
+        d = _flag(flags, "d", 0)
         sc = load_structure_constants(args.sc)
         _gate(command, sc.n * (sc.n - 1) // 2, IOTA_PAIRS_LIMIT, "basis pairs", "the table's n")
         _gate(command, iota_cost(sc, d), IOTA_COST_LIMIT,
@@ -378,46 +380,36 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
         return RunConfig(command=command, d=d, sc_path=args.sc, sc=sc, output=args.output)
 
     # verify-theorem, cancellation and span-dim: the trial commands.
-    if not 0 <= args.seed < _U64:
-        raise CLIInputError(f"--seed must be in [0, 2^64), got {args.seed}")
-    if not 0 <= args.sparsity <= 1:
-        raise CLIInputError(f"--sparsity must be in [0, 1], got {args.sparsity}")
-    if not 1 <= flags["trials"] <= TRIALS_LIMIT:
-        raise CLIInputError(f"--trials must be in [1, {TRIALS_LIMIT}], got {flags['trials']}")
+    seed, trials = _flag(flags, "seed", 0, _U64 - 1), _flag(flags, "trials", 1, TRIALS_LIMIT)
     sc_path, sc, family = typed.get("sc"), None, flags.get("family")
     if sc_path is not None:
         if family == "symmetric-control":
             raise CLIInputError("--sc and --family symmetric-control are mutually exclusive")
         family, sc = "derived", load_structure_constants(sc_path)
-        if typed.get("n", sc.n) != sc.n:
-            raise CLIInputError(f"--n {typed['n']} does not match the file dimension {sc.n}")
-        flags["n"] = sc.n
-    elif family == "symmetric-control":
-        if typed.get("n", 2) != 2:
-            raise CLIInputError("--family symmetric-control requires n = 2")
-        if typed.get("n_max", 1) != 1:
-            raise CLIInputError("--family symmetric-control requires n_max = 1")
-        flags.update(n=2, n_max=1)
-    n, k, n_max = flags["n"], flags["k"], flags["n_max"]
-    if n < 1 or k < 1 or n_max < 1:
-        raise CLIInputError("--n, --k and --n-max must be >= 1")
+    # a table fixes n, and the control family n and n_max
+    fixed = ({"n": sc.n} if sc is not None
+             else {"n": 2, "n_max": 1} if family == "symmetric-control" else {})
+    for name, value in fixed.items():
+        if typed.get(name, value) != value:
+            raise CLIInputError(f"the {family} family fixes --{name.replace('_', '-')} "
+                                f"{value}, got {typed[name]}")
+        flags[name] = value
+    n, k, n_max = (_flag(flags, name, 1) for name in ("n", "k", "n_max"))
     d = flags.get("d")  # cancellation builds no generators, so it resolves no d
     if command == "span-dim":
-        d = d(k, n_max) if callable(d) else d
-        if d < k - 1:
-            raise CLIInputError(f"--d must be >= k - 1 = {k - 1} for an exact check, got {d}")
+        flags["d"] = d(k, n_max) if callable(d) else d
+        d = _flag(flags, "d", k - 1)  # every cutoff below k - 1 is inexact
         _gate(command, span_cost(n, k, n_max, d), SPAN_COST_LIMIT,
               "word products times generator terms", "--n, --k, --n-max or --d")
     else:
         _gate(command, word_cost(n, k, n_max), WORD_COST_LIMIT,
               "multiset states times generator terms", "--n, --k or --n-max")
-        if k > WORD_LENGTH_LIMIT:
-            raise CLIInputError(f"--k must be <= {WORD_LENGTH_LIMIT}, got {k}")
+        _flag(flags, "k", 1, WORD_LENGTH_LIMIT)
         if command == "verify-theorem":
             # every cutoff >= k - 1 gives the untruncated residual; echoed as d
             d = max(k - 1, n_max)
     return RunConfig(
-        command=command, n=n, k=k, n_max=n_max, d=d, trials=flags["trials"], seed=args.seed,
+        command=command, n=n, k=k, n_max=n_max, d=d, trials=trials, seed=seed,
         sparsity=args.sparsity, sc_path=sc_path, sc=sc, family=family, output=args.output,
     )
 

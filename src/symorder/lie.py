@@ -241,8 +241,8 @@ def derived_family(sc: StructureConstants, n_max: int) -> CoefficientFamily:
     first zero power, which makes every later one zero.  The validated table
     is antisymmetric, so the family is too and is wrapped unchecked.
     """
-    sc.require_valid()
     _whole(n_max, "n_max", 1)
+    sc.require_valid()
     n, scale = sc.n, sc._den
     by_upper: dict[int, list[tuple[int, int, int]]] = {}
     for (s, i, j), c in sc._nums.items():
@@ -296,10 +296,6 @@ def sl2_table() -> StructureConstants:
     )
 
 
-def abelian_table(n: int) -> StructureConstants:
-    return StructureConstants(n, {})
-
-
 def direct_sum(a: StructureConstants, b: StructureConstants) -> StructureConstants:
     """Block-diagonal join: b's indices are shifted past a's."""
     entries: dict[tuple[int, int, int], Fraction] = dict(a.items())
@@ -316,6 +312,7 @@ def random_two_step_table(n: int, n_central: int, seed: int) -> StructureConstan
     Any coefficient choice is Jacobi-valid: every bracket value is central,
     so each double bracket vanishes identically.
     """
+    n = _whole(n, "dimension", 2)
     _whole(n_central, "n_central", 1, n - 1)
     r = n - n_central
     return _random_table(n, seed, [(k, i, j) for i in range(1, r + 1)
@@ -329,7 +326,7 @@ def random_almost_abelian_table(n: int, seed: int) -> StructureConstants:
     Jacobi-valid for any action matrix: every double bracket falls into the
     commuting span.
     """
-    _whole(n, "dimension", 2)
+    n = _whole(n, "dimension", 2)
     return _random_table(n, seed, [(k, n, i) for i in range(1, n) for k in range(1, n)])
 
 
@@ -337,11 +334,12 @@ def _random_table(n: int, seed: int, slots: list[tuple[int, int, int]]) -> Struc
     """The table drawn over the (k, i, j) slots in order: each is kept with
     probability 1/2 and set to ``rng.rational()``, its (k, j, i) mirror to the
     negation.  As in `random_family`, the draws come from `rng._stream` and
-    the values are int numerators over 12 from `rng.rational_pair`; the slots
-    are in range and mirrored by construction, so no check is repeated."""
+    the values are int numerators over 12 from `rng.rational_pair`; the caller
+    has checked n, and the slots are in range and mirrored by construction, so
+    no check is repeated."""
     draw, hit = _stream(seed, len(slots)), _threshold(Fraction(1, 2), "probability")
     nums: dict[tuple[int, int, int], int] = {}
     for k, i, j in slots:
         if draw() < hit:
             nums[(k, i, j)], nums[(k, j, i)] = rational_pair(draw)
-    return StructureConstants._raw(_whole(n, "dimension", 1), _RATIONAL_SCALE, nums)
+    return StructureConstants._raw(n, _RATIONAL_SCALE, nums)

@@ -51,8 +51,8 @@ def word_counts(n: int, word: Word) -> MultiIndex:
 
 def word_monomial(n: int, word: Word) -> WeylElement:
     """The commutative monomial x_{a_1} ... x_{a_k} of a word."""
-    zero = (0,) * n
-    return WeylElement(n, {(word_counts(n, word), zero): 1})
+    n = _whole(n, "ambient dimension", 1)
+    return _reduced(n, 1, {_pack(word_counts(n, word), (0,) * n): 1})
 
 
 def _vacuum_action(gens: GeneratorSet, counts: MultiIndex) -> WeylElement:

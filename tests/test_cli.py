@@ -36,7 +36,6 @@ from symorder.generators import build_generators, monomials_of_degree, random_fa
 from symorder.lie import (
     StructureConstants,
     _embedding_images,
-    abelian_table,
     direct_sum,
     heisenberg_table,
     random_almost_abelian_table,
@@ -260,21 +259,20 @@ def test_usage_errors_exit_two():
         assert out == ""
 
 
-def test_config_errors_exit_two():
+def test_config_errors_exit_two(monkeypatch):
+    def forbidden(*_args, **_kwargs):
+        raise AssertionError("a command started work on a refused configuration")
+
+    for name in ("random_family", "build_generators", "derived_family",
+                 "symmetric_control_family", "theorem_check", "cancellation_check",
+                 "span_dimension", "homomorphism_defect", "bernoulli"):
+        monkeypatch.setattr(cli, name, forbidden)
     bad_argvs = [
-        ["verify-theorem", "--trials", "0"],
-        ["verify-theorem", "--seed", "-1"],
-        ["verify-theorem", "--sparsity", "3/2"],
         ["verify-theorem", "--sc", "data/heisenberg.json", "--family",
          "symmetric-control"],
         ["verify-theorem", "--sc", "data/heisenberg.json", "--n", "5"],
         ["verify-theorem", "--family", "symmetric-control", "--n", "3"],
         ["verify-theorem", "--family", "symmetric-control", "--n-max", "2"],
-        ["verify-theorem", "--n", "0"],
-        ["cancellation", "--k", "0"],
-        ["span-dim", "--k", "3", "--d", "1"],
-        ["bernoulli", "--n-max", "-1"],
-        ["verify-iota", "--sc", "data/sl2.json", "--d", "-1"],
         ["verify-iota", "--sc", "no/such/file.json"],
     ]
     for argv in bad_argvs:
@@ -282,6 +280,22 @@ def test_config_errors_exit_two():
         assert code == 2, argv
         assert out == ""
         assert err.strip(), argv
+    # each refusal of one flag names that flag; --sparsity is refused by its parser
+    single = [(["bernoulli", "--n-max", value], "--n-max")
+              for value in ("-1", str(BERNOULLI_N_MAX_LIMIT + 1))]
+    single.append((["verify-iota", "--sc", "data/sl2.json", "--d", "-1"], "--d"))
+    single.append((["span-dim", "--k", "3", "--d", "1"], "--d"))
+    for command in ("verify-theorem", "cancellation", "span-dim"):
+        single += [([command, "--seed", value], "--seed") for value in ("-1", str(2**64))]
+        single.append(([command, "--trials", "0"], "--trials"))
+        single += [([command, flag, "0"], flag) for flag in ("--n", "--k", "--n-max")]
+        single += [([command, f"--sparsity={value}"], "--sparsity") for value in ("3/2", "-1/2")]
+    for argv, flag in single:
+        code, out, err = invoke(argv)
+        assert (code, out) == (2, ""), argv
+        named = "argument --sparsity: not a rational in [0, 1]" if flag == "--sparsity" else (
+            f"error: {flag} must be ")
+        assert named in err, (argv, err)
 
 
 def test_sparsity_past_its_bounds_exits_two_before_any_work(monkeypatch):
@@ -497,7 +511,7 @@ def _longest_path(sc: StructureConstants) -> int | None:
 
 def test_iota_cost_bounds_the_commutator_term_pairs():
     rng = SplitMix64(0x107A)
-    tables = [abelian_table(2), heisenberg_table(), sl2_table(), _dense_almost_abelian(3),
+    tables = [StructureConstants(2), heisenberg_table(), sl2_table(), _dense_almost_abelian(3),
               _dense_two_step(4, 1), direct_sum(sl2_table(), heisenberg_table())]
     for _ in range(6):
         tables.append(random_almost_abelian_table(2 + rng.below(3), rng.next_u64()))
@@ -805,7 +819,7 @@ def test_load_validates_a_large_empty_table(tmp_path):
     # validate works from the stored entries; the dense n^5 / 6 sweep it
     # replaced would take over an hour at n = 64
     sc = load_structure_constants(sc_file(tmp_path, {"n": 64, "entries": []}))
-    assert sc == abelian_table(64) and sc.validate() == []
+    assert sc == StructureConstants(64) and sc.validate() == []
 
 
 def test_load_accepts_explicit_consistent_mirrors():

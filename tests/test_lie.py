@@ -13,7 +13,6 @@ from symorder.lie import (
     InvalidStructureConstantsError,
     StructureConstants,
     Violation,
-    abelian_table,
     bernoulli,
     derived_family,
     direct_sum,
@@ -195,8 +194,8 @@ def brute_force_violation_free(sc: StructureConstants) -> bool:
 ALL_TABLES = [
     heisenberg_table(),
     sl2_table(),
-    abelian_table(2),
-    direct_sum(heisenberg_table(), abelian_table(1)),
+    StructureConstants(2),
+    direct_sum(heisenberg_table(), StructureConstants(1)),
     direct_sum(heisenberg_table(), heisenberg_table()),
     random_two_step_table(4, 2, seed=1),
     random_two_step_table(5, 2, seed=2),
@@ -207,7 +206,7 @@ ALL_TABLES = [
 
 def test_validate_examples():
     assert heisenberg_table().validate() == []
-    assert abelian_table(3).validate() == []
+    assert StructureConstants(3).validate() == []
     sc = StructureConstants(2, {(1, 1, 2): 1})
     violations = sc.validate()
     anti = [v for v in violations if v.kind == "antisymmetry"]
@@ -282,7 +281,7 @@ def test_validate_matches_dense_reference_on_perturbed_tables():
 
 def test_validate_work_follows_the_entries():
     # a dense sweep at n = 63 would take about an hour; the join reads entries
-    big = direct_sum(abelian_table(60), sl2_table())
+    big = direct_sum(StructureConstants(60), sl2_table())
     assert big.n == 63 and big.validate() == []
     broken = StructureConstants(64, {(64, 1, 2): 1})
     assert broken.validate() == [Violation("antisymmetry", (64, 1, 2), Fraction(1))]
@@ -385,7 +384,7 @@ def test_cmatrix_invariants_and_abelian():
                 assert degrees(entry)[0] <= 0
                 for (_x, dexp), _c in entry.items():
                     assert sum(dexp) == 1
-    m = cmatrix(abelian_table(2))
+    m = cmatrix(StructureConstants(2))
     assert all(e.is_zero() for row in m for e in row)
     assert all(e.is_zero() for row in cmatrix_power(m, 3) for e in row)
 
@@ -523,7 +522,7 @@ def test_iota_heisenberg():
 
 
 def test_iota_abelian_and_errors():
-    sc = abelian_table(2)
+    sc = StructureConstants(2)
     assert iota(sc, 1, 4) == weyl_x(2, 1)
     assert iota(sc, 2, 4) == weyl_x(2, 2)
     with pytest.raises(IndexError):
@@ -611,7 +610,7 @@ def test_derived_family_heisenberg():
     assert dict(fam.items()) == {(1, 3, 1, 2, (0, 0, 0)): Fraction(1, 2),
                                  (1, 3, 2, 1, (0, 0, 0)): Fraction(-1, 2)}
     assert CoefficientFamily(3, 4, dict(fam.items())) == fam
-    assert list(derived_family(abelian_table(3), 3).items()) == []
+    assert list(derived_family(StructureConstants(3), 3).items()) == []
 
 
 def test_derived_family_generators_match_iota():
@@ -750,5 +749,8 @@ def test_structure_constants_immutable():
 def test_table_builder_arguments():
     with pytest.raises(ValueError):
         random_two_step_table(3, 3, seed=0)
+    # the dimension is checked before n_central's range is formed from it
+    with pytest.raises(ValueError, match="dimension must be >= 2, got 1"):
+        random_two_step_table(1, 1, seed=0)
     with pytest.raises(ValueError):
         random_almost_abelian_table(1, seed=0)

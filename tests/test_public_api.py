@@ -52,7 +52,6 @@ PUBLIC_NAMES = [
     "StructureConstants",
     "Violation",
     "WeylElement",
-    "abelian_table",
     "bernoulli",
     "build_generators",
     "cancellation_check",
@@ -102,12 +101,15 @@ def test_removed_accessors_stay_removed():
     # not sc.validate(); single terms are built with the WeylElement constructor.
     # The identity check has no cutoff flag: every cutoff is exact.  Degrees
     # are read off items(), and the cancellation sum is built in one pass.
+    # An empty table is StructureConstants(n).
     removed = {
         symorder.GeneratorSet: ("generator",),
         symorder.CoefficientFamily: ("get", "entry_count", "is_antisymmetric", "_antisymmetric"),
         symorder.StructureConstants: ("is_valid",),
         symorder.WeylElement: ("x_degree", "d_degree"),
         symorder.weyl: ("poly_monomial", "weyl_term"),
+        symorder: ("abelian_table",),
+        symorder.lie: ("abelian_table",),
         symorder.ordering: ("TruncationWarning", "_warn_if_insufficient",
                             "cancellation_terms", "_letter_terms"),
     }
@@ -188,6 +190,7 @@ SIZE_ENTRY_POINTS = {
     "homomorphism_defect": lambda v: homomorphism_defect(heisenberg_table(), v),
     "derived_family": lambda v: derived_family(heisenberg_table(), v),
     "random_two_step_table": lambda v: random_two_step_table(3, v, 0),
+    "random_two_step_table.n": lambda v: random_two_step_table(v, 1, 0),
     "random_almost_abelian_table": lambda v: random_almost_abelian_table(v, 0),
     "SplitMix64.draws": lambda v: SplitMix64(0).draws(v),
     "SplitMix64.below": lambda v: SplitMix64(0).below(v),
